@@ -23,7 +23,7 @@ from .gmatrix import (
     inverse,
     tensor_parity,
 )
-from .halfint import HalfInt
+from .halfint import HalfInt, as_half
 from .hopf import r2_algebra
 from .nilfun import nil_log_unit, unit_power, unit_sqrt
 from .report import VerificationReport, matrix_residuals
@@ -36,17 +36,9 @@ from .reps import (
     weight_twice,
 )
 from .scalar import H as HPARAM
-from .scalar import ONE, P, Scalar, p_power, scalar_to_string
+from .scalar import ONE, P, Scalar, p_power, rational, scalar_to_string
 from .texpr import TensorExpression as TE
 from .texpr import tensor_product
-
-
-def _as_half(x) -> HalfInt:
-    return x if isinstance(x, HalfInt) else HalfInt(x)
-
-
-def _fr(n, d=1) -> Scalar:
-    return Scalar.from_fraction(Fraction(n, d))
 
 
 def eta() -> Scalar:
@@ -78,15 +70,15 @@ def eq2_series(x: GradedMatrix) -> GradedMatrix:
 
 def m_matrix(j) -> GradedMatrix:
     """The contraction bridge on the spin-j module."""
-    rep = q_rep(_as_half(j))
+    rep = q_rep(as_half(j))
     e2 = rep.matrix("e") @ rep.matrix("e")
     return eq2_series(e2.scale(eta()))
 
 
 def q_cartan_power(j, alpha) -> GradedMatrix:
     """Diagonal matrix of q^{alpha h}: entry p^{4 alpha m} at weight m."""
-    j = _as_half(j)
-    alpha = _as_half(alpha)
+    j = as_half(j)
+    alpha = as_half(alpha)
     parity = rep_parity(j)
     entries = {}
     for k in range(len(parity)):
@@ -97,8 +89,8 @@ def q_cartan_power(j, alpha) -> GradedMatrix:
 
 def script_t(j, alpha) -> GradedMatrix:
     """The shifted-exponential quotient E(eta e^2)^-1 E(q^{2 alpha} eta e^2)."""
-    j = _as_half(j)
-    alpha = _as_half(alpha)
+    j = as_half(j)
+    alpha = as_half(alpha)
     rep = q_rep(j)
     e2 = rep.matrix("e") @ rep.matrix("e")
     base = eq2_series(e2.scale(eta()))
@@ -128,7 +120,7 @@ def contract(j1, j2, source: str = "universal", log_cancellation: bool = False):
     ``log_cancellation`` the result records, per entry, the worst pole
     order that appeared among the summands before cancellation.
     """
-    j1, j2 = _as_half(j1), _as_half(j2)
+    j1, j2 = as_half(j1), as_half(j2)
     if source == "half-j-formula":
         if j1 != HalfInt.from_twice(1):
             raise ValueError("the closed block form needs j1 = 1/2")
@@ -174,7 +166,7 @@ def contract(j1, j2, source: str = "universal", log_cancellation: bool = False):
 
 def tilde_t_routes(j) -> dict:
     """The Jordanian group-like element, by closed form and by limit."""
-    j = _as_half(j)
+    j = as_half(j)
     cl = classical_rep(j)
     e2 = cl.matrix("e") @ cl.matrix("e")
     root = unit_sqrt(GradedMatrix.identity(cl.parity) + (e2 @ e2).scale(HPARAM**2))
@@ -196,7 +188,7 @@ def tilde_t(j) -> GradedMatrix:
 
 def r2_generators(j) -> GeneratorTable:
     """Jordanian generators on the spin-j module, via the classical ones."""
-    j = _as_half(j)
+    j = as_half(j)
     cl = classical_rep(j)
     ident = GradedMatrix.identity(cl.parity)
     e, f, h = cl.matrix("e"), cl.matrix("f"), cl.matrix("h")
@@ -208,8 +200,8 @@ def r2_generators(j) -> GeneratorTable:
     gq = (big_t - ident) @ inverse(big_t + ident)
     big_f = (
         f
-        + (gq @ e).scale(HPARAM * _fr(1, 4))
-        - (gq @ e @ h).scale(HPARAM * _fr(1, 2))
+        + (gq @ e).scale(HPARAM * rational(1, 4))
+        - (gq @ e @ h).scale(HPARAM * rational(1, 2))
     )
     thalf = unit_power(big_t, Fraction(1, 2))
     tinvhalf = unit_power(big_t, Fraction(-1, 2))
@@ -231,10 +223,10 @@ def r2_generators(j) -> GeneratorTable:
 
 def _half_j_formula(j) -> GradedMatrix:
     """Closed three-block form of the contracted R-matrix for j1 = 1/2."""
-    j = _as_half(j)
+    j = as_half(j)
     rep = r2_generators(j)
     d = rep.dim
-    quarter = HPARAM * _fr(1, 4)
+    quarter = HPARAM * rational(1, 4)
     big_t, big_tinv = rep.matrix("T"), rep.matrix("Tinv")
     e = rep.matrix("E")
     blocks = [
@@ -270,7 +262,7 @@ def l_operator_words():
     """Upper-triangular 3x3 table of Jordanian-letter expressions."""
     zero = TE(1, {})
     one = TE.unit(1)
-    quarter = HPARAM * _fr(1, 4)
+    quarter = HPARAM * rational(1, 4)
     return [
         [
             TE.word(("T",)),
@@ -286,7 +278,7 @@ def l_operator_words():
 def l_inverse_words():
     zero = TE(1, {})
     one = TE.unit(1)
-    quarter = HPARAM * _fr(1, 4)
+    quarter = HPARAM * rational(1, 4)
     return [
         [
             TE.word(("Tinv",)),
@@ -317,7 +309,7 @@ def L_operator(j) -> GradedMatrix:
     Also asserts agreement with the universal-source contraction, which is
     the fundamental exchange-algebra consistency statement.
     """
-    j = _as_half(j)
+    j = as_half(j)
     rep = r2_generators(j)
     ell = _assemble_blocks(l_operator_words(), rep)
     contracted = contract(HalfInt.from_twice(1), j).matrix
@@ -329,7 +321,7 @@ def L_operator(j) -> GradedMatrix:
 
 
 def L_inverse(j) -> GradedMatrix:
-    j = _as_half(j)
+    j = as_half(j)
     rep = r2_generators(j)
     linv = _assemble_blocks(l_inverse_words(), rep)
     ell = _assemble_blocks(l_operator_words(), rep)
@@ -343,7 +335,7 @@ def L_inverse(j) -> GradedMatrix:
 
 def rll_check(j) -> VerificationReport:
     """Exchange relation R L1 L2 = L2 L1 R on the (1/2, 1/2, j) product."""
-    j = _as_half(j)
+    j = as_half(j)
     half = HalfInt.from_twice(1)
     r = contract(half, half).matrix
     ell = L_operator(j)
@@ -363,7 +355,7 @@ def frt_hopf_check(j1, j2) -> VerificationReport:
     counit of L must be the identity table; the antipode of L must be the
     closed-form inverse, entry by entry.
     """
-    j1, j2 = _as_half(j1), _as_half(j2)
+    j1, j2 = as_half(j1), as_half(j2)
     alg = r2_algebra()
     rep1, rep2 = r2_generators(j1), r2_generators(j2)
     words = l_operator_words()
@@ -400,7 +392,7 @@ def identity_check(j, n: int) -> VerificationReport:
     """Reordering identities for f e^{2n} and f^2 e^{2n}, plus the
     conjugation rules of the shifted-exponential quotients and the dual
     construction of the Jordanian group-like element."""
-    j = _as_half(j)
+    j = as_half(j)
     rep = q_rep(j)
     e, f = rep.matrix("e"), rep.matrix("f")
     t, tinv = rep.matrix("t"), rep.matrix("tinv")

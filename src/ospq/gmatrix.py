@@ -20,22 +20,12 @@ costs
 with |x| and |z| read off entrywise from row and column parities.  This
 single rule covers every leg placement used by the Yang-Baxter, RLL and
 triangularity checks.
-
-A build-time escape hatch: setting the environment variable
-OSPQ_FLIP_KRON_SIGN=1 flips the graded Kronecker sign convention to
-(-1)^{|b| * parity(first-factor row)}.  It exists purely so a conventions
-bug can be diagnosed by rerunning the suite; the shipped fixtures pin
-the default.
 """
 
 from __future__ import annotations
 
-import os
-
 from .errors import NonHomogeneous
 from .scalar import ONE, ZERO, Scalar, scalar_from_string, scalar_to_string
-
-_FLIP_KRON = os.environ.get("OSPQ_FLIP_KRON_SIGN", "") == "1"
 
 
 class GradedMatrix:
@@ -230,8 +220,7 @@ def graded_kron(a: GradedMatrix, b: GradedMatrix, b_op_parity=None) -> GradedMat
     out = GradedMatrix(parity)
     entries = {}
     for (i, j), av in a.entries.items():
-        col_par = a.parity[i] if _FLIP_KRON else a.parity[j]
-        sign = -1 if (b_op_parity and col_par) else 1
+        sign = -1 if (b_op_parity and a.parity[j]) else 1
         for (k, l), bv in b.entries.items():
             val = av * bv
             if sign < 0:

@@ -111,3 +111,8 @@ class HalfInt:
 
     def __repr__(self):
         return f"HalfInt({self})"
+
+
+def as_half(x) -> HalfInt:
+    """x as a HalfInt; a HalfInt passes through unchanged."""
+    return x if isinstance(x, HalfInt) else HalfInt(x)

@@ -16,18 +16,13 @@ Everything returns exact residuals; an empty failure list is a pass.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .gmatrix import GradedMatrix
 from .report import VerificationReport, matrix_residuals
 from .scalar import H as HPARAM
-from .scalar import ONE, P, Scalar
+from .scalar import ONE, P, rational
 from .texpr import TensorExpression as TE
-
-
-def _fr(n, d=1) -> Scalar:
-    return Scalar.from_fraction(Fraction(n, d))
 
 
 def W(*names) -> TE:
@@ -72,7 +67,7 @@ def r2_algebra() -> HopfAlgebra:
     T, Ti = W("T"), W("Tinv")
     tp = T + Ti
     tm = T - Ti
-    half, quarter = _fr(1, 2), _fr(1, 4)
+    half, quarter = rational(1, 2), rational(1, 4)
     relations = [
         ("[H,E]", comm(H, E) - (tp * E).scale(half)),
         ("[H,F]", comm(H, F) + (tp * F + F * tp).scale(quarter)),
@@ -127,7 +122,7 @@ def r2_algebra() -> HopfAlgebra:
         "X": -X,
         "Y": -Y + H.scale(HPARAM * half) + (E * E).scale(HPARAM * HPARAM * quarter),
     }
-    zero = _fr(0)
+    zero = rational(0)
     eps = {
         "H": zero,
         "E": zero,
@@ -154,7 +149,7 @@ def r1_algebra() -> HopfAlgebra:
     t2p = T * T + one
     ti2p = Ti * Ti + one
     t2m = T * T - Ti * Ti
-    half, quarter, eighth = _fr(1, 2), _fr(1, 4), _fr(1, 8)
+    half, quarter, eighth = rational(1, 2), rational(1, 4), rational(1, 8)
     h2 = HPARAM * HPARAM
     mixed = tm * H + H * tm
     relations = [
@@ -181,9 +176,9 @@ def r1_algebra() -> HopfAlgebra:
             + Y
             - (tm * H * H).scale(HPARAM * eighth)
             - (tm * E * F).scale(HPARAM * quarter)
-            - (t2m * H).scale(HPARAM * _fr(3, 16))
+            - (t2m * H).scale(HPARAM * rational(3, 16))
             - tm.scale(HPARAM * quarter)
-            - (tm * tm * tm).scale(HPARAM * _fr(9, 128)),
+            - (tm * tm * tm).scale(HPARAM * rational(9, 128)),
         ),
         (
             "[F,Y]",
@@ -191,9 +186,9 @@ def r1_algebra() -> HopfAlgebra:
             - (tm * F).scale(HPARAM * quarter)
             - (tm * E * Y).scale(HPARAM * half)
             + (E * H * H).scale(h2 * quarter)
-            + (tp * E * H).scale(h2 * _fr(3, 8))
+            + (tp * E * H).scale(h2 * rational(3, 8))
             + E.scale(h2 * half)
-            + (tm * tm * E).scale(h2 * _fr(15, 64)),
+            + (tm * tm * E).scale(h2 * rational(15, 64)),
         ),
         ("T*Tinv", W("T", "Tinv") - one),
         ("Thalf^2", W("Thalf", "Thalf") - T),
@@ -230,7 +225,7 @@ def r1_algebra() -> HopfAlgebra:
         "X": -X,
         "Y": -Y - H.scale(HPARAM) + (E * E).scale(h2),
     }
-    zero = _fr(0)
+    zero = rational(0)
     eps = {
         "H": zero,
         "E": zero,
@@ -276,7 +271,7 @@ def q_algebra() -> HopfAlgebra:
         "K": Ki,
         "Kinv": K,
     }
-    zero = _fr(0)
+    zero = rational(0)
     eps = {"h": zero, "e": zero, "f": zero, "K": ONE, "Kinv": ONE}
     return HopfAlgebra("q", ("h", "e", "f", "K", "Kinv"), relations, delta, smap, eps)
 

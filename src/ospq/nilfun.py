@@ -74,16 +74,3 @@ def unit_power(m: GradedMatrix, r) -> GradedMatrix:
 def unit_sqrt(m: GradedMatrix) -> GradedMatrix:
     return unit_power(m, Fraction(1, 2))
 
-
-def nil_cosh(n: GradedMatrix) -> GradedMatrix:
-    fact = [Fraction(1)]
-    for k in range(1, n.dim + 1):
-        fact.append(fact[-1] / k)
-    return _power_series(n, lambda k: fact[k] if k % 2 == 0 else Fraction(0))
-
-
-def nil_sinh(n: GradedMatrix) -> GradedMatrix:
-    fact = [Fraction(1)]
-    for k in range(1, n.dim + 1):
-        fact.append(fact[-1] / k)
-    return _power_series(n, lambda k: fact[k] if k % 2 == 1 else Fraction(0))

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .report import VerificationReport
 from .scalar import H as HPARAM
-from .scalar import Scalar, scalar_to_string
+from .scalar import rational, scalar_to_string
 from .series import PowerSeries, series_sqrt
 
 #: extra working orders, consumed by derivatives and divisions that
@@ -32,10 +32,6 @@ from .series import PowerSeries, series_sqrt
 GUARD = 4
 
 RADICAL_READINGS = ("phi1", "phi2")
-
-
-def _fr(*args) -> Scalar:
-    return Scalar.from_fraction(Fraction(*args))
 
 
 def _divide(num: PowerSeries, den: PowerSeries) -> PowerSeries:
@@ -67,7 +63,7 @@ def direct_residuals(family: str, order: int) -> dict:
     if family == "minimal":
         phi1 = (1 - b * (HPARAM + HPARAM)).rational_power(Fraction(-1, 4))
     elif family == "hdiag":
-        phi1 = (1 - (b * b) * (h2 * _fr(1, 4))).rational_power(Fraction(-1, 2))
+        phi1 = (1 - (b * b) * (h2 * rational(1, 4))).rational_power(Fraction(-1, 2))
     else:
         raise ValueError(f"unknown dressing family {family!r}")
     phi1p = phi1.derivative()
@@ -76,7 +72,7 @@ def direct_residuals(family: str, order: int) -> dict:
     phi2p = phi2.derivative()
     phi3 = phi1.reciprocal()
     phi3p = phi3.derivative()
-    u1 = b * (phi1 * phi1 * phi1) * (-(h2 * _fr(1, 4)))
+    u1 = b * (phi1 * phi1 * phi1) * (-(h2 * rational(1, 4)))
     u1p = u1.derivative()
     u2 = _divide(1 - rho * phi2, (b * phi1) * 2)
     u2p = u2.derivative()
@@ -111,7 +107,7 @@ def inverse_residuals(family: str, order: int) -> dict:
     elif family == "hdiag":
         psi1 = (
             (t.rational_power(Fraction(1, 2)) + t.rational_power(Fraction(-1, 2)))
-            * _fr(1, 2)
+            * rational(1, 2)
         ).reciprocal()
     else:
         raise ValueError(f"unknown dressing family {family!r}")

@@ -13,18 +13,14 @@ the second-factor generators, which `rq_half_j` builds directly.
 from __future__ import annotations
 
 from .gmatrix import GradedMatrix, embed_pair, graded_kron, tensor_parity
-from .halfint import HalfInt
+from .halfint import HalfInt, as_half
 from .reps import plus_factorial, q_rep, rep_parity, weight_twice
-from .scalar import ONE, P, Scalar, p_power, scalar_to_string
-
-
-def _as_half(x) -> HalfInt:
-    return x if isinstance(x, HalfInt) else HalfInt(x)
+from .scalar import ONE, P, p_power, scalar_to_string
 
 
 def universal_Rq(j1, j2) -> GradedMatrix:
     """Evaluate the universal R-matrix on the spin (j1, j2) tensor product."""
-    j1, j2 = _as_half(j1), _as_half(j2)
+    j1, j2 = as_half(j1), as_half(j2)
     rep1, rep2 = q_rep(j1), q_rep(j2)
     raise_half = rep1.matrix("K") @ rep1.matrix("e")
     lower_half = rep2.matrix("Kinv") @ rep2.matrix("f")
@@ -62,7 +58,7 @@ def universal_Rq(j1, j2) -> GradedMatrix:
 
 def rq_half_j(j) -> GradedMatrix:
     """Spin (1/2, j) R-matrix in closed block form over the spin-j module."""
-    j = _as_half(j)
+    j = as_half(j)
     rep = q_rep(j)
     d = rep.dim
     omega = P**2 - P**-2  # q - q^{-1}
@@ -110,7 +106,7 @@ def ybe_check(r12, r13, r23, parities):
 
 def ybe_check_q(j1, j2, j3):
     """Graded Yang-Baxter residuals for the universal R-matrix at three spins."""
-    j1, j2, j3 = _as_half(j1), _as_half(j2), _as_half(j3)
+    j1, j2, j3 = as_half(j1), as_half(j2), as_half(j3)
     parities = (rep_parity(j1), rep_parity(j2), rep_parity(j3))
     return ybe_check(
         universal_Rq(j1, j2),

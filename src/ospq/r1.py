@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import Inconsistency
 from .gmatrix import GradedMatrix, graded_kron, inverse, swap_conjugate
 from .halfint import HalfInt
 from .hopf import r1_algebra
@@ -33,15 +32,11 @@ from .nilfun import nil_exp, nil_log_unit, unit_power
 from .report import VerificationReport, matrix_residuals, series_residuals
 from .reps import GeneratorTable, classical_rep
 from .scalar import H as HPARAM
-from .scalar import ONE, Scalar
+from .scalar import ONE, Scalar, rational
 from .texpr import TensorExpression as TE
 from .texpr import tensor_product
 
 FAMILIES = ("minimal", "hdiag")
-
-
-def _fr(*args) -> Scalar:
-    return Scalar.from_fraction(Fraction(*args))
 
 
 def x_nilpotency(j) -> int:
@@ -66,7 +61,7 @@ def r1_generators(j, family: str = "minimal") -> GeneratorTable:
     cl = classical_rep(j)
     e, f, h, bp = cl.matrix("e"), cl.matrix("f"), cl.matrix("h"), cl.matrix("b+")
     iden = GradedMatrix.identity(cl.parity)
-    half, quarter = _fr(1, 2), _fr(1, 4)
+    half, quarter = rational(1, 2), rational(1, 4)
     h2 = HPARAM * HPARAM
 
     if family == "minimal":
@@ -104,11 +99,11 @@ def r1_generators(j, family: str = "minimal") -> GeneratorTable:
     tm = t - tinv
     big_y = (
         -(big_f @ big_f)
-        + (tm @ big_h @ big_h).scale(HPARAM * _fr(1, 8))
+        + (tm @ big_h @ big_h).scale(HPARAM * rational(1, 8))
         + (tm @ big_e @ big_f).scale(HPARAM * quarter)
-        + ((t @ t - tinv @ tinv) @ big_h).scale(HPARAM * _fr(3, 16))
+        + ((t @ t - tinv @ tinv) @ big_h).scale(HPARAM * rational(3, 16))
         + tm.scale(HPARAM * quarter)
-        + (tm @ tm @ tm).scale(HPARAM * _fr(9, 128))
+        + (tm @ tm @ tm).scale(HPARAM * rational(9, 128))
     )
     matrices = {
         "H": big_h,
@@ -201,7 +196,7 @@ def inverse_map_words(family: str = "minimal", nilpotency: int | None = None) ->
     be supplied.
     """
     _require_family(family)
-    half, quarter, eighth = _fr(1, 2), _fr(1, 4), _fr(1, 8)
+    half, quarter, eighth = rational(1, 2), rational(1, 4), rational(1, 8)
     if family == "minimal":
         return {
             "e": TE.word(("Tinvhalf", "E")),
@@ -337,9 +332,9 @@ def _transformer_display(rep: GeneratorTable, family: str) -> GradedMatrix:
     if family == "minimal":
         th = rep.matrix("T") @ rep.matrix("H")
         drop = iden - rep.matrix("Tinv") @ rep.matrix("Tinv")
-        return nil_exp((th @ drop).scale(_fr(-1, 2)))
+        return nil_exp((th @ drop).scale(rational(-1, 2)))
     x = rep.matrix("X")
-    return iden - x.scale(HPARAM) + (x @ x).scale(HPARAM * HPARAM * _fr(1, 2))
+    return iden - x.scale(HPARAM) + (x @ x).scale(HPARAM * HPARAM * rational(1, 2))
 
 
 def antipode_check(j, family: str = "minimal") -> VerificationReport:

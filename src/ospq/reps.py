@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import BadBracketArg, Inconsistency, UnknownGenerator
 from .gmatrix import GradedMatrix
-from .halfint import HalfInt
+from .halfint import HalfInt, as_half
 from .scalar import ONE, Scalar, p_power
 
 HALF = HalfInt.from_twice(1)
@@ -33,16 +33,10 @@ VARIANTS = (
 )
 
 
-def _as_half(x) -> HalfInt:
-    if isinstance(x, HalfInt):
-        return x
-    return HalfInt(x)
-
-
 def bracket(kind: str, x, base: int = 1) -> Scalar:
     """Evaluate one of the four deformation brackets at ``x``, base q^base."""
     if kind == "q":
-        xx = _as_half(x)
+        xx = as_half(x)
         a = int(base)
         if a == 0:
             raise BadBracketArg("bracket base must be nonzero")
@@ -50,7 +44,7 @@ def bracket(kind: str, x, base: int = 1) -> Scalar:
         den = p_power(HalfInt(a)) - p_power(HalfInt(-a))
         return num / den
     if kind == "double":
-        xx = _as_half(x)
+        xx = as_half(x)
         a = int(base)
         if a == 0:
             raise BadBracketArg("bracket base must be nonzero")
@@ -67,7 +61,7 @@ def bracket(kind: str, x, base: int = 1) -> Scalar:
         val = bracket("double", HalfInt.from_twice(x))
         return val if x % 2 else -val
     if kind == "curly":
-        xx = _as_half(x)
+        xx = as_half(x)
         a = int(base)
         if a == 0:
             raise BadBracketArg("bracket base must be nonzero")
@@ -126,7 +120,7 @@ class RepSpec:
         if variant not in VARIANTS:
             raise ValueError(f"unknown representation variant {variant!r}")
         self.variant = variant
-        self.j = _as_half(j)
+        self.j = as_half(j)
         if self.j.twice < 0:
             raise ValueError("spin must be nonnegative")
 
@@ -143,7 +137,7 @@ class RepSpec:
 
 
 def rep_dim(j) -> int:
-    return 2 * _as_half(j).twice + 1
+    return 2 * as_half(j).twice + 1
 
 
 def rep_parity(j):
@@ -152,11 +146,11 @@ def rep_parity(j):
 
 def weight_twice(j, k: int) -> int:
     """Twice the weight of basis index k: 2m = 2j - k."""
-    return _as_half(j).twice - k
+    return as_half(j).twice - k
 
 
 def classical_rep(j) -> GeneratorTable:
-    j = _as_half(j)
+    j = as_half(j)
     dim = rep_dim(j)
     parity = rep_parity(j)
     e = GradedMatrix(parity, {(k - 1, k): ONE for k in range(1, dim)})
@@ -180,7 +174,7 @@ def classical_rep(j) -> GeneratorTable:
 
 
 def q_rep(j) -> GeneratorTable:
-    j = _as_half(j)
+    j = as_half(j)
     dim = rep_dim(j)
     parity = rep_parity(j)
     e = GradedMatrix(parity, {(k - 1, k): ONE for k in range(1, dim)})

@@ -9,10 +9,23 @@ commuting symbols:
 * ``h``, the Jordanian deformation parameter, kept symbolic throughout.
 
 Polynomials are sparse dicts mapping ``(p_exponent, h_exponent)`` to
-``fractions.Fraction``.  A ``Scalar`` stores a numerator and denominator
-that are always GCD-reduced, with the denominator's leading coefficient
-(largest ``(h_exponent, p_exponent)`` pair) normalized to one.  Equality
-is therefore plain structural equality and hashing is safe.
+``int``: a ``Scalar`` stores its numerator and denominator in Z[p, h], in
+the primitive form that :func:`scalar_to_string` prints.  Numerator and
+denominator share no polynomial factor, the gcd of all their integer
+coefficients together is one, and the denominator's leading coefficient
+(largest ``(h_exponent, p_exponent)`` pair) is positive.  That picks one
+representative per value, so equality is plain structural equality and
+hashing is safe.
+
+Reduction is a GCD over Z (Brown 1971; Collins 1967): strip the common
+monomial, write both polynomials in h with coefficients in Z[p], take
+out their contents in Z[p], and run a primitive pseudo-remainder
+sequence in h, dividing out the content at every step.  A gcd over Z
+carries the integer content too, so dividing by it leaves the pair
+primitive with no separate content pass.  Integer coefficients are only
+ever divided where the quotient is known to be exact: by their own gcd,
+or after ``divmod`` has shown a zero remainder
+(:class:`~ospq.errors.CancellationFailure` otherwise).
 
 Nothing in this module (or anywhere in the package) uses floating point.
 The classical limit p -> 1 is taken by exact substitution on the reduced
@@ -23,34 +36,23 @@ raises :class:`~ospq.errors.PoleAtUnity`.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import CancellationFailure, DivisionByZero, PoleAtUnity
-from .halfint import HalfInt
+from .halfint import as_half
 
 # ---------------------------------------------------------------------------
-# raw polynomial layer: dict[(ep, eh)] -> Fraction, zero coefficients absent
+# raw polynomial layer: dict[(ep, eh)] -> int, zero coefficients absent
 # ---------------------------------------------------------------------------
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
-
-def _pzero():
-    return {}
-
-
-def _pconst(c) -> dict:
-    c = Fraction(c)
-    return {(0, 0): c} if c else {}
-
-
-_PONE = _pconst(1)
+_PONE = {(0, 0): 1}
+_UONE = {0: 1}
 
 
 def _padd(a: dict, b: dict) -> dict:
     out = dict(a)
     for k, v in b.items():
-        s = out.get(k, _F0) + v
+        s = out.get(k, 0) + v
         if s:
             out[k] = s
         else:
@@ -62,17 +64,6 @@ def _pneg(a: dict) -> dict:
     return {k: -v for k, v in a.items()}
 
 
-def _psub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, _F0) - v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
 def _pmul(a: dict, b: dict) -> dict:
     if not a or not b:
         return {}
@@ -82,18 +73,12 @@ def _pmul(a: dict, b: dict) -> dict:
     for (ea, ha), ca in a.items():
         for (eb, hb), cb in b.items():
             k = (ea + eb, ha + hb)
-            s = out.get(k, _F0) + ca * cb
+            s = out.get(k, 0) + ca * cb
             if s:
                 out[k] = s
             else:
                 del out[k]
     return out
-
-
-def _pscale(a: dict, c: Fraction) -> dict:
-    if not c:
-        return {}
-    return {k: v * c for k, v in a.items()}
 
 
 def _ppow(a: dict, n: int) -> dict:
@@ -116,11 +101,16 @@ def _pdeg_h(a: dict) -> int:
     return max(k[1] for k in a) if a else -1
 
 
+def _icontent(a: dict) -> int:
+    """The gcd of the integer coefficients (positive for a nonzero poly)."""
+    return gcd(*a.values())
+
+
 def _pat_p1(a: dict) -> dict:
-    """Substitute p = 1; result is a univariate dict {h_exp: Fraction}."""
+    """Substitute p = 1; result is a univariate dict {h_exp: int}."""
     out = {}
     for (_, eh), c in a.items():
-        s = out.get(eh, _F0) + c
+        s = out.get(eh, 0) + c
         if s:
             out[eh] = s
         else:
@@ -132,14 +122,14 @@ def _p_from_h_univar(u: dict) -> dict:
     return {(0, eh): c for eh, c in u.items()}
 
 
-def _psub_h(a: dict, r: Fraction) -> dict:
-    """Substitute h = r (an exact rational)."""
+def _psub_h(a: dict, top: int, bottom: int, deg: int) -> dict:
+    """Substitute h = top/bottom and scale by bottom^deg (deg >= h-degree)."""
     out = {}
     for (ep, eh), c in a.items():
-        v = c * r**eh
+        v = c * top**eh * bottom ** (deg - eh)
         if v:
             k = (ep, 0)
-            s = out.get(k, _F0) + v
+            s = out.get(k, 0) + v
             if s:
                 out[k] = s
             else:
@@ -153,49 +143,36 @@ def _pdiv_p_minus_1(a: dict):
     # synthetic division at the root p = 1 for each h stratum.
     if not a:
         return {}, True
-    by_h: dict[int, dict[int, Fraction]] = {}
+    by_h: dict[int, dict[int, int]] = {}
     for (ep, eh), c in a.items():
         by_h.setdefault(eh, {})[ep] = c
     out = {}
     for eh, coeffs in by_h.items():
         deg = max(coeffs)
-        carry = _F0
+        carry = 0
         # quotient coefficient of p^k is sum of dividend coefficients above k
         for k in range(deg - 1, -1, -1):
-            carry += coeffs.get(k + 1, _F0)
+            carry += coeffs.get(k + 1, 0)
             if carry:
                 out[(k, eh)] = carry
-        if carry + coeffs.get(0, _F0) != 0:
+        if carry + coeffs.get(0, 0) != 0:
             return None, False
     return out, True
 
 
-# -- univariate helpers in p over Q (dict {ep: Fraction}) -------------------
+# -- univariate helpers in p over Z (dict {ep: int}) ------------------------
 
 
-def _u_from_terms(a: dict) -> dict:
-    out = {}
-    for (ep, eh), c in a.items():
-        if eh != 0:
-            raise ValueError("not univariate in p")
-        out[ep] = c
-    return out
-
-
-def _u_is_zero(u: dict) -> bool:
-    return not u
-
-
-def _u_monic(u: dict) -> dict:
-    if not u:
+def _u_primitive(u: dict) -> dict:
+    """u divided by its integer content (exact: the content divides all)."""
+    c = _icontent(u) if u else 1
+    if c == 1:
         return u
-    lead = u[max(u)]
-    if lead == 1:
-        return u
-    return {k: v / lead for k, v in u.items()}
+    return {e: v // c for e, v in u.items()}
 
 
-def _u_rem(a: dict, b: dict) -> dict:
+def _u_prem(a: dict, b: dict) -> dict:
+    """A nonzero integer multiple of the remainder of a by b over Q."""
     db = max(b)
     lb = b[db]
     a = dict(a)
@@ -203,14 +180,18 @@ def _u_rem(a: dict, b: dict) -> dict:
         da = max(a)
         if da < db:
             break
-        factor = a[da] / lb
-        del a[da]
+        la = a.pop(da)
+        # a <- (lb/g) * a - (la/g) * p^(da-db) * b, exact with g = gcd(la, lb)
+        g = gcd(la, lb)
+        scale_a, scale_b = lb // g, la // g
+        if scale_a != 1:
+            a = {e: v * scale_a for e, v in a.items()}
         shift = da - db
         for e, c in b.items():
             if e == db:
                 continue
             k = e + shift
-            s = a.get(k, _F0) - factor * c
+            s = a.get(k, 0) - scale_b * c
             if s:
                 a[k] = s
             else:
@@ -219,14 +200,28 @@ def _u_rem(a: dict, b: dict) -> dict:
 
 
 def _u_gcd(a: dict, b: dict) -> dict:
-    a, b = dict(a), dict(b)
-    while b:
-        a, b = b, _u_rem(a, b)
-    return _u_monic(a)
+    """GCD in Z[p] of two nonzero polys, with positive leading coefficient."""
+    c = gcd(_icontent(a), _icontent(b))
+    shift = min(min(a), min(b))
+    if len(a) == 1 or len(b) == 1:
+        return {shift: c}
+    # strip the powers of p, then a primitive remainder sequence
+    ma, mb = min(a), min(b)
+    a = _u_primitive({e - ma: v for e, v in a.items()})
+    b = _u_primitive({e - mb: v for e, v in b.items()})
+    if max(a) < max(b):
+        a, b = b, a
+    while b and max(b):
+        a, b = b, _u_primitive(_u_prem(a, b))
+    if b:
+        return {shift: c}
+    if a[max(a)] < 0:
+        c = -c
+    return {e + shift: v * c for e, v in a.items()}
 
 
 def _u_div_exact(a: dict, b: dict) -> dict:
-    """Exact univariate division; raises if a remainder survives."""
+    """Exact division in Z[p]; raises if a remainder survives."""
     if not a:
         return {}
     db = max(b)
@@ -237,15 +232,16 @@ def _u_div_exact(a: dict, b: dict) -> dict:
         da = max(a)
         if da < db:
             raise CancellationFailure("inexact univariate division")
-        factor = a[da] / lb
+        factor, rest = divmod(a.pop(da), lb)
+        if rest:
+            raise CancellationFailure("inexact univariate division")
         q[da - db] = factor
-        del a[da]
         shift = da - db
         for e, c in b.items():
             if e == db:
                 continue
             k = e + shift
-            s = a.get(k, _F0) - factor * c
+            s = a.get(k, 0) - factor * c
             if s:
                 a[k] = s
             else:
@@ -258,7 +254,7 @@ def _u_mul(a: dict, b: dict) -> dict:
     for ea, ca in a.items():
         for eb, cb in b.items():
             k = ea + eb
-            s = out.get(k, _F0) + ca * cb
+            s = out.get(k, 0) + ca * cb
             if s:
                 out[k] = s
             else:
@@ -285,16 +281,19 @@ def _h_major_to_terms(m: dict) -> dict:
 
 
 def _content_p(m: dict) -> dict:
-    g = {}
+    """The content in Z[p] of an h-major poly: the gcd of its coefficients."""
+    g = None
     for u in m.values():
-        g = _u_gcd(g, u) if g else _u_monic(dict(u))
-        if g == {0: _F1}:
+        g = u if g is None else _u_gcd(g, u)
+        if g == _UONE:
             break
+    if g[max(g)] < 0:
+        g = {e: -v for e, v in g.items()}
     return g
 
 
 def _h_major_div_u(m: dict, g: dict) -> dict:
-    if g == {0: _F1}:
+    if g == _UONE:
         return m
     return {eh: _u_div_exact(u, g) for eh, u in m.items()}
 
@@ -321,7 +320,7 @@ def _h_prem(a: dict, b: dict) -> dict:
             if k in new:
                 merged = dict(new[k])
                 for e, c in prod.items():
-                    s = merged.get(e, _F0) - c
+                    s = merged.get(e, 0) - c
                     if s:
                         merged[e] = s
                     else:
@@ -336,11 +335,11 @@ def _h_prem(a: dict, b: dict) -> dict:
 def _monomial_gcd(a: dict, b: dict) -> dict:
     ep = min(min(k[0] for k in a), min(k[0] for k in b))
     eh = min(min(k[1] for k in a), min(k[1] for k in b))
-    return {(ep, eh): _F1}
+    return {(ep, eh): gcd(_icontent(a), _icontent(b))}
 
 
 def _pgcd(a: dict, b: dict) -> dict:
-    """GCD in Q[p, h], normalized with leading coefficient one."""
+    """GCD in Z[p, h], normalized with a positive leading coefficient."""
     if not a or not b:
         raise ValueError("gcd of zero polynomial")
     if len(a) == 1 or len(b) == 1:
@@ -358,14 +357,14 @@ def _pgcd(a: dict, b: dict) -> dict:
     pa = _h_major_div_u(ma, ca)
     pb = _h_major_div_u(mb, cb)
     if max(pa) == 0 or max(pb) == 0:
-        prim = {0: {0: _F1}}
+        prim = {0: _UONE}
     else:
         while True:
             if not pb:
                 prim = pa
                 break
             if max(pb) == 0:
-                prim = {0: {0: _F1}}
+                prim = {0: _UONE}
                 break
             r = _h_prem(pa, pb)
             pa = pb
@@ -374,25 +373,30 @@ def _pgcd(a: dict, b: dict) -> dict:
     for eh, u in _u_mul_h(prim, g0).items():
         for ep, c in u.items():
             out[(ep + mono[0], eh + mono[1])] = c
-    lead = out[_plead_key(out)]
-    if lead != 1:
-        out = {k: v / lead for k, v in out.items()}
+    if out[_plead_key(out)] < 0:
+        out = _pneg(out)
     return out
 
 
 def _u_mul_h(m: dict, g: dict) -> dict:
-    if g == {0: _F1}:
+    if g == _UONE:
         return m
     return {eh: _u_mul(u, g) for eh, u in m.items()}
 
 
 def _pdiv_exact(a: dict, b: dict) -> dict:
-    """Exact division in Q[p, h] (b is known to divide a)."""
+    """Exact division in Z[p, h]; raises if b does not divide a."""
     if not a:
         return {}
     if len(b) == 1:
         (ep, eh), c = next(iter(b.items()))
-        return {(kp - ep, kh - eh): v / c for (kp, kh), v in a.items()}
+        out = {}
+        for (kp, kh), v in a.items():
+            q, rest = divmod(v, c)
+            if rest or kp < ep or kh < eh:
+                raise CancellationFailure("inexact monomial division")
+            out[(kp - ep, kh - eh)] = q
+        return out
     ma, mb = _h_major(a), _h_major(b)
     db = max(mb)
     lb = mb[db]
@@ -408,7 +412,7 @@ def _pdiv_exact(a: dict, b: dict) -> dict:
             prod = _u_mul(u, qc)
             cur = dict(ma.get(k, {}))
             for e, c in prod.items():
-                s = cur.get(e, _F0) - c
+                s = cur.get(e, 0) - c
                 if s:
                     cur[e] = s
                 else:
@@ -426,7 +430,7 @@ def _pdiv_exact(a: dict, b: dict) -> dict:
 
 
 class Scalar:
-    """An element of Q(p, h) in canonical reduced form."""
+    """An element of Q(p, h) in canonical primitive form over Z[p, h]."""
 
     __slots__ = ("num", "den", "_hash")
 
@@ -453,10 +457,8 @@ class Scalar:
 
     @staticmethod
     def _normalized(num: dict, den: dict) -> "Scalar":
-        lead = den[_plead_key(den)]
-        if lead != 1:
-            num = {k: v / lead for k, v in num.items()}
-            den = {k: v / lead for k, v in den.items()}
+        if den[_plead_key(den)] < 0:
+            num, den = _pneg(num), _pneg(den)
         return Scalar(num, den, _canonical=True)
 
     @classmethod
@@ -465,14 +467,14 @@ class Scalar:
             return ZERO
         if n == 1:
             return ONE
-        return cls(_pconst(n), dict(_PONE), _canonical=True)
+        return cls({(0, 0): int(n)}, dict(_PONE), _canonical=True)
 
     @classmethod
     def from_fraction(cls, q) -> "Scalar":
         q = Fraction(q)
         if not q:
             return ZERO
-        return cls(_pconst(q), dict(_PONE), _canonical=True)
+        return cls({(0, 0): q.numerator}, {(0, 0): q.denominator}, _canonical=True)
 
     @classmethod
     def monomial(cls, coeff, p_exp: int = 0, h_exp: int = 0) -> "Scalar":
@@ -482,7 +484,11 @@ class Scalar:
             return ZERO
         np_, dp = (p_exp, 0) if p_exp >= 0 else (0, -p_exp)
         nh, dh = (h_exp, 0) if h_exp >= 0 else (0, -h_exp)
-        return cls({(np_, nh): coeff}, {(dp, dh): _F1}, _canonical=True)
+        return cls(
+            {(np_, nh): coeff.numerator},
+            {(dp, dh): coeff.denominator},
+            _canonical=True,
+        )
 
     # -- predicates and accessors -------------------------------------------
 
@@ -496,13 +502,9 @@ class Scalar:
 
     def as_fraction(self) -> Fraction:
         """The value as a rational number; fails if p or h survive."""
-        if self.den != _PONE:
+        if set(self.den) != {(0, 0)} or set(self.num) - {(0, 0)}:
             raise ValueError(f"not a rational constant: {self}")
-        if not self.num:
-            return _F0
-        if set(self.num) != {(0, 0)}:
-            raise ValueError(f"not a rational constant: {self}")
-        return self.num[(0, 0)]
+        return Fraction(self.num.get((0, 0), 0), self.den[(0, 0)])
 
     def h_degree(self) -> int:
         return _pdeg_h(self.num)
@@ -548,7 +550,10 @@ class Scalar:
         if self.is_zero or other.is_zero:
             return ZERO
         num1, den1, num2, den2 = self.num, self.den, other.num, other.den
-        # cross-cancellation keeps the product reduced without a final GCD
+        # cross-cancellation by gcds over Z keeps the product reduced and
+        # primitive without a final GCD: by Gauss's lemma the content of a
+        # product is the product of the contents, and the contents left on
+        # each side share no factor
         if den2 != _PONE:
             g = _pgcd(num1, den2)
             if g != _PONE:
@@ -628,8 +633,11 @@ class Scalar:
 
     def substitute_h(self, value) -> "Scalar":
         value = Fraction(value)
-        num = _psub_h(self.num, value)
-        den = _psub_h(self.den, value)
+        # clear the denominator of h: scale num and den by it to one power
+        top, bottom = value.numerator, value.denominator
+        deg = max(_pdeg_h(self.num), _pdeg_h(self.den))
+        num = _psub_h(self.num, top, bottom, deg)
+        den = _psub_h(self.den, top, bottom, deg)
         return Scalar._make(num, den)
 
     def h_coefficients(self, upto: int) -> list:
@@ -673,6 +681,11 @@ H = Scalar.monomial(1, 0, 1)
 P = Scalar.monomial(1, 1, 0)
 
 
+def rational(n: int, d: int = 1) -> Scalar:
+    """The rational constant n/d."""
+    return Scalar.from_fraction(Fraction(n, d))
+
+
 def p_power(x) -> Scalar:
     """p^(2x) for a half-integer x, i.e. q^x with q = p^2.
 
@@ -681,7 +694,7 @@ def p_power(x) -> Scalar:
     the deformation parameter is a bug upstream and is rejected by
     :class:`~ospq.halfint.HalfInt` itself.
     """
-    x = x if isinstance(x, HalfInt) else HalfInt(x)
+    x = as_half(x)
     return Scalar.monomial(1, x.twice, 0)
 
 
@@ -726,31 +739,16 @@ def _is_atom(terms: list) -> bool:
 def scalar_to_string(s: Scalar) -> str:
     """Canonical string form with integer coefficients.
 
-    The reduced numerator and denominator are rescaled by a common
-    rational so every printed coefficient is an integer and the printed
-    pair is coprime, with the denominator's leading sign positive.  The
-    result parses back to an equal Scalar.
+    The stored form already has integer coefficients with no common
+    factor and a positive leading denominator coefficient, so it is
+    printed as it stands.  The result parses back to an equal Scalar.
     """
     if s.is_zero:
         return "0"
-    denom_lcm = 1
-    for c in list(s.num.values()) + list(s.den.values()):
-        denom_lcm = denom_lcm * c.denominator // _gcd_int(denom_lcm, c.denominator)
-    num = {k: c * denom_lcm for k, c in s.num.items()}
-    den = {k: c * denom_lcm for k, c in s.den.items()}
-    g = 0
-    for c in list(num.values()) + list(den.values()):
-        g = _gcd_int(g, abs(c.numerator))
-    if g > 1:
-        num = {k: c / g for k, c in num.items()}
-        den = {k: c / g for k, c in den.items()}
-    if den[_plead_key(den)] < 0:
-        num = {k: -c for k, c in num.items()}
-        den = {k: -c for k, c in den.items()}
-    nterms = _sorted_terms(num)
-    if den == _PONE:
+    nterms = _sorted_terms(s.num)
+    if s.den == _PONE:
         return _poly_to_string(nterms)
-    dterms = _sorted_terms(den)
+    dterms = _sorted_terms(s.den)
     nstr = _poly_to_string(nterms)
     if len(nterms) > 1:
         nstr = f"({nstr})"
@@ -758,12 +756,6 @@ def scalar_to_string(s: Scalar) -> str:
     if not _is_atom(dterms):
         dstr = f"({dstr})"
     return f"{nstr}/{dstr}"
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class _Parser:

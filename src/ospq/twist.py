@@ -34,15 +34,11 @@ from .r1 import inverse_map_words, r1_generators, x_nilpotency
 from .report import VerificationReport, series_residuals
 from .reps import classical_rep
 from .scalar import H as HPARAM
-from .scalar import ONE, Scalar
+from .scalar import ONE, Scalar, rational
 from .texpr import TensorExpression as TE
 from .texpr import tensor_product
 
 SERIES_DEPTH = 2
-
-
-def _fr(*args) -> Scalar:
-    return Scalar.from_fraction(Fraction(*args))
 
 
 def hdiag_twist_expression() -> TE:
@@ -52,8 +48,8 @@ def hdiag_twist_expression() -> TE:
     tail = TE.pure((("H",), ("X", "X"))) + TE.pure((("X", "X"), ("H",)))
     return (
         TE.unit(2)
-        + skew.scale(HPARAM * _fr(1, 2))
-        + (skew * skew + tail).scale(HPARAM * HPARAM * _fr(1, 8))
+        + skew.scale(HPARAM * rational(1, 2))
+        + (skew * skew + tail).scale(HPARAM * HPARAM * rational(1, 8))
     )
 
 
@@ -131,10 +127,6 @@ def _qmul(a, b, dim: int):
                     if brow[j]:
                         orow[j] += c * brow[j]
     return out
-
-
-def _qsub(a, b, dim: int):
-    return [[a[i][j] - b[i][j] for j in range(dim)] for i in range(dim)]
 
 
 def _qkron(a, b, dim: int):

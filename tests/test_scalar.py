@@ -6,13 +6,17 @@ regression in reduction, limits or printing cannot hide.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ospq.contraction import m_matrix
 from ospq.errors import DivisionByZero, PoleAtUnity
+from ospq.gmatrix import graded_kron, inverse
 from ospq.halfint import HalfInt
+from ospq.qrmatrix import universal_Rq
 from ospq.scalar import (
     H,
     ONE,
@@ -139,6 +143,13 @@ class TestSubstitution:
         coeffs = s.h_coefficients(3)
         assert coeffs == [S("1/(p+1)"), S("2/(p+1)"), S("3/(p+1)"), ZERO]
 
+    def test_as_fraction_with_constant_denominator(self):
+        assert S("3/2").as_fraction() == Fraction(3, 2)
+        assert (S("3*p") / S("4*p")).as_fraction() == Fraction(3, 4)
+        assert ZERO.as_fraction() == 0
+        with pytest.raises(ValueError):
+            S("1/(2*p)").as_fraction()
+
 
 # -- field axioms on randomized small scalars --------------------------------
 
@@ -201,3 +212,129 @@ def test_p_and_h_basics():
     assert P * P == S("p^2")
     assert (P - 1) * (P + 1) == S("p^2-1")
     assert (S("p^2-1") / S("p-1")) == S("p+1")
+
+
+# -- specialization oracle and canonical-form invariants ---------------------
+
+
+def _evaluate(poly: dict, p0: Fraction, h0: Fraction) -> Fraction:
+    return sum((c * p0**ep * h0**eh for (ep, eh), c in poly.items()), Fraction(0))
+
+
+def _at(s: Scalar, p0: Fraction, h0: Fraction) -> Fraction:
+    """s at (p, h) = (p0, h0); the point must be off the poles of s."""
+    den = _evaluate(s.den, p0, h0)
+    assume(den != 0)
+    return _evaluate(s.num, p0, h0) / den
+
+
+def _specialize(poly: dict, keep: int, value: Fraction) -> dict:
+    """Substitute ``value`` for one variable: a univariate dict in the other."""
+    out = {}
+    for key, c in poly.items():
+        e = key[keep]
+        out[e] = out.get(e, 0) + c * value ** key[1 - keep]
+    return {e: c for e, c in out.items() if c}
+
+
+def _gcd_degree(a: dict, b: dict) -> int:
+    """Degree of the univariate gcd over Q, by plain Euclid on Fractions."""
+    while b:
+        db = max(b)
+        a = dict(a)
+        while a and max(a) >= db:
+            da = max(a)
+            f = Fraction(a[da]) / b[db]
+            for e, c in b.items():
+                k = e + da - db
+                a[k] = a.get(k, 0) - f * c
+                if not a[k]:
+                    del a[k]
+        a, b = b, a
+    return max(a)
+
+
+def _assert_canonical(s: Scalar):
+    coeffs = [*s.num.values(), *s.den.values()]
+    assert all(type(c) is int for c in coeffs)
+    assert gcd(*coeffs) == 1
+    lead = max(s.den, key=lambda k: (k[1], k[0]))
+    assert s.den[lead] > 0
+    # A common factor of num and den survives every specialization of the
+    # variable it does not depend on (or of either, if it has both), so a
+    # reduced pair has a constant gcd at one point at least.
+    points = (Fraction(7, 11), Fraction(-13, 5), Fraction(17, 3))
+    for keep in (0, 1):
+        assert any(
+            _gcd_degree(_specialize(s.num, keep, v), _specialize(s.den, keep, v)) <= 0
+            for v in points
+        )
+
+
+_point = st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool)
+
+
+@settings(max_examples=80, deadline=None)
+@given(scalars(), scalars(), _point, _point, st.integers(min_value=-3, max_value=3))
+def test_operations_commute_with_specialization(a, b, p0, h0, n):
+    va, vb = _at(a, p0, h0), _at(b, p0, h0)
+    results = [(a + b, va + vb), (a - b, va - vb), (a * b, va * vb)]
+    if vb:
+        results.append((a / b, va / vb))
+    if va or n >= 0:
+        results.append((a**n, va**n))
+    for got, want in results:
+        _assert_canonical(got)
+        assert _at(got, p0, h0) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(scalars(), _point, _point)
+def test_substitutions_commute_with_specialization(a, p0, h0):
+    want = _at(a, p0, h0)
+    got = a.substitute_h(h0)
+    _assert_canonical(got)
+    assert _at(got, p0, Fraction(0)) == want
+    one = Fraction(1)
+    assume(_evaluate(a.den, one, h0) != 0)
+    limit = a.limit_p_to_1()
+    _assert_canonical(limit)
+    assert _at(limit, p0, h0) == _at(a, one, h0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scalars())
+def test_hash_follows_equality(a):
+    again = scalar_from_string(scalar_to_string(a))
+    assert again == a and hash(again) == hash(a)
+
+
+# Entries of the conjugated R-matrix at spins (1, 1) before the limit p -> 1:
+# reduced fractions whose denominators are products of p and cyclotomic
+# polynomials in p, printed as they were before integer coefficients.
+_CONTRACT_ONE_ONE = [
+    ((0, 8), "(p^16*h^2+p^12*h^2+p^8*h^2+p^4*h^2+p^2*h^2+h^2)/(p^19+p^17+p^11+p^9)"),
+    ((0, 16), "(-p^20*h^2-p^16*h^2-p^12*h^2+p^10*h^2-2*p^8*h^2-p^2*h^2-h^2)/(p^21+p^19+p^13+p^11)"),
+    ((0, 18), "(-p^18*h^3+p^12*h^3+p^8*h^3-p^6*h^3+p^2*h^3+h^3)/(p^23+2*p^21+p^19+p^15+2*p^13+p^11)"),
+    ((0, 24), "(p^10*h^4-p^4*h^4-p^2*h^4-h^4)/(p^30+2*p^28+p^26+2*p^22+4*p^20+2*p^18+p^14+2*p^12+p^10)"),
+    ((1, 19), "(p^8*h^3+2*p^4*h^3+p^2*h^3+2*h^3)/(p^16+2*p^14+p^12+p^8+2*p^6+p^4)"),
+    ((1, 21), "h^2/(p^12+p^4)"),
+    ((3, 19), "(2*p^8*h^2+2*p^4*h^2+2*h^2)/(p^14+p^12+p^6+p^4)"),
+    ((3, 23), "p^4*h^2/(p^8+1)"),
+    ((5, 17), "(p^6*h^2+p^2*h^2)/(p^10+p^8+p^2+1)"),
+    ((5, 23), "(-2*p^14*h^3-p^6*h^3-2*p^2*h^3-h^3)/(p^22+2*p^20+p^18+p^14+2*p^12+p^10)"),
+    ((2, 16), "(p^14*h-p^12*h+2*p^10*h-p^8*h-h)/p^11"),
+    ((6, 12), "(-p^6*h+p^4*h-2*p^2*h+h)/p^5"),
+]
+
+
+def test_printed_bytes_of_contraction_entries():
+    m = m_matrix(1)
+    big_m = graded_kron(m, m, b_op_parity=0)
+    big_minv = graded_kron(inverse(m), inverse(m), b_op_parity=0)
+    pre = big_minv @ (universal_Rq(1, 1) @ big_m)
+    for key, text in _CONTRACT_ONE_ONE:
+        entry = pre.entries[key]
+        _assert_canonical(entry)
+        assert scalar_to_string(entry) == text
+        assert scalar_from_string(text) == entry
