@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, product
 
 from .errors import Inconsistency
 from .gmatrix import GradedMatrix, graded_kron
@@ -39,6 +40,10 @@ from .texpr import TensorExpression as TE
 from .texpr import tensor_product
 
 SERIES_DEPTH = 2
+# The order-n ansatz has (2^(2n+1) - 1)^2 columns, about 16 times more
+# per order: 16,129 at order 3, which solves in well under a second,
+# and 261,121 at order 4.
+MAX_SERIES_ORDER = 3
 
 
 def hdiag_twist_expression() -> TE:
@@ -130,8 +135,7 @@ def _qmul(a, b, dim: int):
 
 
 def _qkron(a, b, dim: int):
-    big = dim * dim
-    out = [[Fraction(0)] * big for _ in range(big)]
+    out = _qzero(dim * dim)
     for i in range(dim):
         for j in range(dim):
             if a[i][j]:
@@ -151,11 +155,66 @@ def _leg_words(max_len: int):
     return words
 
 
-def _word_matrix(word, tables, dim: int):
-    out = [[Fraction(1) if i == j else Fraction(0) for j in range(dim)] for i in range(dim)]
-    for letter in word:
-        out = _qmul(out, tables[letter], dim)
-    return out
+def _word_classes(max_len: int, tables, dim: int):
+    """The distinct matrices of the leg words of at most max_len letters,
+    and each word's index among them.  A word's matrix is its prefix's
+    times its last letter."""
+    word_mat = {(): [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]}
+    classes = {}
+    word_class = {}
+    for word in _leg_words(max_len):
+        if word:
+            word_mat[word] = _qmul(word_mat[word[:-1]], tables[word[-1]], dim)
+        key = tuple(map(tuple, word_mat[word]))
+        word_class[word] = classes.setdefault(key, len(classes))
+    return list(classes), word_class
+
+
+def _ansatz_pairs(n: int):
+    """Pairs of leg words of at most 2n letters, by total length, then pair."""
+    pairs = product(_leg_words(2 * n), repeat=2)
+    return sorted(pairs, key=lambda pair: (len(pair[0]) + len(pair[1]), pair))
+
+
+def _ansatz_rows(pairs, mats, word_class, primitives, dim: int):
+    """Sparse coefficient rows of one order's system: the commutator with
+    each primitive in name order, then the two counit conditions.
+
+    Columns whose words have the same two matrices share one Kronecker
+    matrix, so its commutators are built once and scattered.  Returns
+    the rows, the distinct Kronecker matrices and each column's index
+    among them.
+    """
+    pair_dim = dim * dim
+    classes = {}
+    column_class = [
+        classes.setdefault((word_class[left], word_class[right]), len(classes))
+        for left, right in pairs
+    ]
+    krons = [_qkron(mats[a], mats[b], dim) for a, b in classes]
+    rows = []
+    for name in sorted(primitives):
+        prim = primitives[name]
+        commutators = []
+        for b in krons:
+            bp, pb = _qmul(b, prim, pair_dim), _qmul(prim, b, pair_dim)
+            entries = enumerate(zip(chain.from_iterable(bp), chain.from_iterable(pb)))
+            commutators.append([(k, x - y) for k, (x, y) in entries if x != y])
+        block = [{} for _ in range(pair_dim * pair_dim)]
+        for col, c in enumerate(column_class):
+            for flat, value in commutators[c]:
+                block[flat][col] = value
+        rows += block
+    for side in (0, 1):
+        block = [{} for _ in range(dim * dim)]
+        for col, pair in enumerate(pairs):
+            if not pair[side]:
+                unit = chain.from_iterable(mats[word_class[pair[1 - side]]])
+                for k, value in enumerate(unit):
+                    if value:
+                        block[k][col] = value
+        rows += block
+    return rows, krons, column_class
 
 
 def _h_slices(gm: GradedMatrix, dim: int, upto: int):
@@ -256,19 +315,18 @@ class TwistSeries:
         return out
 
 
-def _display_vectors(pairs_index, order: int):
-    """Coefficient vectors of the displayed series, per order."""
-    vectors = {n: [Fraction(0)] * len(pairs_index) for n in (1, 2) if n <= order}
+def _display_vector(pairs_index, n: int):
+    """Coefficient vector of the displayed series at order n."""
+    vector = [Fraction(0)] * len(pairs_index)
     for key, coeff in hdiag_twist_expression().terms.items():
-        taylor = coeff.h_coefficients(min(order, 2))
-        for n in vectors:
-            if n < len(taylor) and not taylor[n].is_zero:
-                if key not in pairs_index:
-                    raise Inconsistency(
-                        f"displayed twist term {key!r} lies outside the ansatz"
-                    )
-                vectors[n][pairs_index[key]] = taylor[n].as_fraction()
-    return vectors
+        value = coeff.h_coefficients(n)[n]
+        if not value.is_zero:
+            if key not in pairs_index:
+                raise Inconsistency(
+                    f"displayed twist term {key!r} lies outside the ansatz"
+                )
+            vector[pairs_index[key]] = value.as_fraction()
+    return vector
 
 
 @lru_cache(maxsize=None)
@@ -283,9 +341,15 @@ def series_twist(order: int) -> TwistSeries:
     variables to zero; when the displayed coefficient solves the same
     system it is preferred, so mismatches stay visible without
     contaminating later orders.
+
+    Orders above ``MAX_SERIES_ORDER`` raise ``ValueError`` at once.
     """
     if order < 1:
         raise ValueError("the series starts at order one")
+    if order > MAX_SERIES_ORDER:
+        raise ValueError(
+            f"series order {order} exceeds the cap of {MAX_SERIES_ORDER}"
+        )
     half = HalfInt(Fraction(1, 2))
     rep = r1_generators(half, "hdiag")
     cls = classical_rep(half)
@@ -304,7 +368,6 @@ def series_twist(order: int) -> TwistSeries:
                     f"dressed letter {name} is not h-free on the base module"
                 )
     alg = r1_algebra()
-    iden = _qfrom(rep.identity(), dim)
     words = inverse_map_words("hdiag", nilpotency=x_nilpotency(half))
     primitives = {}
     data = {}
@@ -319,60 +382,28 @@ def series_twist(order: int) -> TwistSeries:
             raise Inconsistency(
                 f"dressed coproduct of {name} does not start at the primitive"
             )
+    mats, word_class = _word_classes(2 * order, tables, dim)
     chosen = []
     chosen_mats = []
     kernel_dims = []
     display_matched = []
     for n in range(1, order + 1):
-        legs = _leg_words(2 * n)
-        pairs = sorted(_legs_pairs(legs), key=_pair_key)
+        pairs = _ansatz_pairs(n)
         pairs_index = {pair: k for k, pair in enumerate(pairs)}
-        columns = [
-            _qkron(
-                _word_matrix(left, tables, dim),
-                _word_matrix(right, tables, dim),
-                dim,
-            )
-            for left, right in pairs
-        ]
+        rows, krons, column_class = _ansatz_rows(
+            pairs, mats, word_class, primitives, dim
+        )
+        rhs = []
+        for name in sorted(primitives):
+            block = [-v for row in data[name][n] for v in row]
+            for k in range(1, n):
+                carried = _qmul(chosen_mats[k - 1], data[name][n - k], pair_dim)
+                block = [b - c for b, c in zip(block, chain.from_iterable(carried))]
+            rhs += block
+        rhs += [Fraction(0)] * (2 * dim * dim)
         system = _LinearSystem(len(pairs))
-        for name in sorted(words):
-            prim = primitives[name]
-            rhs = _qzero(pair_dim)
-            for k in range(n):
-                upper = data[name][n - k]
-                source = _iden_kron(pair_dim) if k == 0 else chosen_mats[k - 1]
-                contribution = _qmul(source, upper, pair_dim)
-                rhs = [
-                    [rhs[i][j] - contribution[i][j] for j in range(pair_dim)]
-                    for i in range(pair_dim)
-                ]
-            for i in range(pair_dim):
-                for j in range(pair_dim):
-                    coeffs = {}
-                    for col, bmat in enumerate(columns):
-                        value = sum(
-                            (
-                                bmat[i][k] * prim[k][j] - prim[i][k] * bmat[k][j]
-                                for k in range(pair_dim)
-                            ),
-                            Fraction(0),
-                        )
-                        if value:
-                            coeffs[col] = value
-                    system.add_row(coeffs, rhs[i][j])
-        for side in (0, 1):
-            for i in range(dim):
-                for j in range(dim):
-                    coeffs = {}
-                    for col, (left, right) in enumerate(pairs):
-                        outer, inner = (left, right) if side == 0 else (right, left)
-                        if outer:
-                            continue
-                        value = _word_matrix(inner, tables, dim)[i][j]
-                        if value:
-                            coeffs[col] = value
-                    system.add_row(coeffs, Fraction(0))
+        for coeffs, value in zip(rows, rhs):
+            system.add_row(coeffs, value)
         solved = system.solve()
         if solved is None:
             raise Inconsistency(
@@ -381,7 +412,7 @@ def series_twist(order: int) -> TwistSeries:
         solution, rank = solved
         kernel_dims.append(len(pairs) - rank)
         if n <= 2:
-            display = _display_vectors(pairs_index, order)[n]
+            display = _display_vector(pairs_index, n)
             matched = system.residual(display)
             display_matched.append(matched)
             if matched:
@@ -394,29 +425,13 @@ def series_twist(order: int) -> TwistSeries:
         mat = _qzero(pair_dim)
         for col, value in enumerate(solution):
             if value:
-                bmat = columns[col]
+                bmat = krons[column_class[col]]
                 for i in range(pair_dim):
                     for j in range(pair_dim):
                         if bmat[i][j]:
                             mat[i][j] += value * bmat[i][j]
         chosen_mats.append(mat)
     return TwistSeries(order, chosen, kernel_dims, display_matched)
-
-
-def _legs_pairs(legs):
-    return [(left, right) for left in legs for right in legs]
-
-
-def _pair_key(pair):
-    left, right = pair
-    return (len(left) + len(right), left, right)
-
-
-def _iden_kron(pair_dim: int):
-    return [
-        [Fraction(1) if i == j else Fraction(0) for j in range(pair_dim)]
-        for i in range(pair_dim)
-    ]
 
 
 def hdiag_twist_check(j1, j2, order: int = SERIES_DEPTH) -> VerificationReport:
@@ -427,8 +442,9 @@ def hdiag_twist_check(j1, j2, order: int = SERIES_DEPTH) -> VerificationReport:
     printed coefficients must match the solved system.
     """
     j1, j2 = HalfInt(j1), HalfInt(j2)
-    failures = hdiag_drinfeld_residuals(j1, j2)
+    # Solving first rejects an oversized order before any other work.
     series = series_twist(order)
+    failures = hdiag_drinfeld_residuals(j1, j2)
     for n, matched in enumerate(series.display_matched, start=1):
         if not matched:
             failures.append(

@@ -162,7 +162,7 @@ def test_criterion_10_disentanglement():
 
 
 def test_criterion_11_series_twist():
-    with criterion(11, 60.0):
+    with criterion(11, 10.0):
         series = series_twist(2)
         assert series.display_matched == [True, True]
         assert hdiag_twist_check(HALF, HALF).ok

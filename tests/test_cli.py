@@ -73,6 +73,15 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_oversized_series_order_exits_two(self, capsys):
+        # Refused before any solving: the order-4 ansatz has 261,121 columns.
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "twist", "--family", "hdiag", "--order", "4"
+        )
+        assert code == 2
+        assert out == ""
+        assert "exceeds the cap of 3" in err
+
 
 class TestMatrixEmission:
     def test_contract_json_round_trips(self, capsys):

@@ -1,6 +1,7 @@
 """Order-by-order checks for the Cartan-preserving twist series."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -13,7 +14,11 @@ from ospq.reps import classical_rep
 from ospq.scalar import H, scalar_from_string
 from ospq.texpr import TensorExpression as TE
 from ospq.twist import (
+    MAX_SERIES_ORDER,
     SERIES_DEPTH,
+    _ansatz_pairs,
+    _ansatz_rows,
+    _word_classes,
     hdiag_cocycle_check,
     hdiag_drinfeld_residuals,
     hdiag_twist_check,
@@ -88,6 +93,13 @@ class TestSeriesSolver:
         with pytest.raises(ValueError):
             series_twist(0)
 
+    def test_rejects_orders_above_the_cap(self):
+        # Raised before any work: order 4 alone has 261,121 columns.
+        with pytest.raises(ValueError, match="cap"):
+            series_twist(MAX_SERIES_ORDER + 1)
+        with pytest.raises(ValueError, match="cap"):
+            hdiag_twist_check(HALF, HALF, order=MAX_SERIES_ORDER + 1)
+
     def test_first_order_reproduces_the_display(self):
         series = series_twist(1)
         assert series.order == 1
@@ -120,3 +132,107 @@ class TestSeriesSolver:
 
     def test_expression_assembles_the_printed_series(self):
         assert series_twist(2).expression() == hdiag_twist_expression()
+
+
+def _dense(gm, dim):
+    out = [[Fraction(0)] * dim for _ in range(dim)]
+    for (i, j), value in gm.entries.items():
+        out[i][j] = value.as_fraction()
+    return out
+
+
+def _dense_mul(a, b):
+    size = len(a)
+    return [
+        [
+            sum((a[i][k] * b[k][j] for k in range(size)), Fraction(0))
+            for j in range(size)
+        ]
+        for i in range(size)
+    ]
+
+
+def _dense_word(word, tables, dim):
+    out = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+    for letter in word:
+        out = _dense_mul(out, tables[letter])
+    return out
+
+
+def _dense_kron(a, b):
+    dim = len(a)
+    return [
+        [a[i // dim][j // dim] * b[i % dim][j % dim] for j in range(dim * dim)]
+        for i in range(dim * dim)
+    ]
+
+
+class TestRowAssemblyOracle:
+    """The class-shared sparse rows against the dense per-column formula.
+
+    Every column's Kronecker matrix is rebuilt from its two words letter
+    by letter, and its coefficient in every commutator row is the dense
+    sum over the pair module (computed once per distinct matrix); equal
+    rows give the solver an equal system, hence an equal solution.
+    """
+
+    def test_rows_match_the_dense_formula(self):
+        rep = r1_generators(HALF, "hdiag")
+        cls = classical_rep(HALF)
+        dim = rep.dim
+        pair_dim = dim * dim
+        iden = rep.identity()
+        tables = {letter: _dense(rep.matrix(letter), dim) for letter in "HX"}
+        names = sorted(inverse_map_words("hdiag", nilpotency=x_nilpotency(HALF)))
+        assert names == ["e", "f", "h"]
+        primitives = {
+            name: _dense(
+                graded_kron(cls.matrix(name), iden, b_op_parity=0)
+                + graded_kron(iden, cls.matrix(name)),
+                pair_dim,
+            )
+            for name in names
+        }
+        mats, word_class = _word_classes(4, tables, dim)
+        dense_words = {}
+        commutators = {}
+        for n in (1, 2):
+            legs = [w for m in range(2 * n + 1) for w in product("HX", repeat=m)]
+            for word in legs:
+                dense_words.setdefault(word, _dense_word(word, tables, dim))
+            pairs = _ansatz_pairs(n)
+            assert pairs == sorted(
+                product(legs, repeat=2),
+                key=lambda p: (len(p[0]) + len(p[1]), p[0], p[1]),
+            )
+            rows, krons, column_class = _ansatz_rows(
+                pairs, mats, word_class, primitives, dim
+            )
+            assert len(rows) == len(names) * pair_dim * pair_dim + 2 * dim * dim
+            assert all(value for row in rows for value in row.values())
+            for col, (left, right) in enumerate(pairs):
+                lmat, rmat = dense_words[left], dense_words[right]
+                bmat = _dense_kron(lmat, rmat)
+                assert krons[column_class[col]] == bmat
+                key = tuple(map(tuple, bmat))
+                if key not in commutators:
+                    commutators[key] = [
+                        sum(
+                            (
+                                bmat[i][k] * prim[k][j] - prim[i][k] * bmat[k][j]
+                                for k in range(pair_dim)
+                            ),
+                            Fraction(0),
+                        )
+                        for prim in (primitives[name] for name in names)
+                        for i in range(pair_dim)
+                        for j in range(pair_dim)
+                    ]
+                expected = list(commutators[key])
+                for outer, inner in ((left, rmat), (right, lmat)):
+                    expected += [
+                        Fraction(0) if outer else inner[i][j]
+                        for i in range(dim)
+                        for j in range(dim)
+                    ]
+                assert [row.get(col, Fraction(0)) for row in rows] == expected
