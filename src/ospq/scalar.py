@@ -456,6 +456,28 @@ class Scalar:
         return Scalar._normalized(num, den)
 
     @staticmethod
+    def _over_monomial(num: dict, den: dict) -> "Scalar":
+        """num/den reduced, for a canonical one-term den.
+
+        The gcd of a polynomial and a monomial is their common monomial
+        times the integer gcd, so no polynomial GCD is needed.
+        """
+        if not num:
+            return ZERO
+        ((dp, dh), k), = den.items()
+        g = gcd(k, *num.values())
+        mp, mh = dp, dh
+        for ep, eh in num:
+            if ep < mp:
+                mp = ep
+            if eh < mh:
+                mh = eh
+        if g != 1 or mp or mh:
+            num = {(ep - mp, eh - mh): c // g for (ep, eh), c in num.items()}
+            den = {(dp - mp, dh - mh): k // g}
+        return Scalar(num, den, _canonical=True)
+
+    @staticmethod
     def _normalized(num: dict, den: dict) -> "Scalar":
         if den[_plead_key(den)] < 0:
             num, den = _pneg(num), _pneg(den)
@@ -474,6 +496,8 @@ class Scalar:
         q = Fraction(q)
         if not q:
             return ZERO
+        if q == 1:
+            return ONE
         return cls({(0, 0): q.numerator}, {(0, 0): q.denominator}, _canonical=True)
 
     @classmethod
@@ -482,6 +506,8 @@ class Scalar:
         coeff = Fraction(coeff)
         if not coeff:
             return ZERO
+        if coeff == 1 and not p_exp and not h_exp:
+            return ONE
         np_, dp = (p_exp, 0) if p_exp >= 0 else (0, -p_exp)
         nh, dh = (h_exp, 0) if h_exp >= 0 else (0, -h_exp)
         return cls(
@@ -523,6 +549,8 @@ class Scalar:
         if other.is_zero:
             return self
         if self.den == other.den:
+            if len(self.den) == 1:
+                return Scalar._over_monomial(_padd(self.num, other.num), self.den)
             return Scalar._make(_padd(self.num, other.num), self.den)
         num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
         return Scalar._make(num, _pmul(self.den, other.den))
@@ -547,9 +575,35 @@ class Scalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return ZERO
+        # the unit constructors and the monomial product below return the
+        # ONE object itself, so this identity test catches most units
+        if other is ONE:
+            return self
+        if self is ONE:
+            return other
         num1, den1, num2, den2 = self.num, self.den, other.num, other.den
+        if not num1 or not num2:
+            return ZERO
+        if len(den1) == 1 == len(den2) and len(num1) == 1 == len(num2):
+            # monomial times monomial: one integer gcd, exponents subtracted;
+            # a one-term denominator has a positive coefficient, so the
+            # result needs no sign fix
+            ((a1, b1), c1), = num1.items()
+            ((a2, b2), c2), = num2.items()
+            ((d1, e1), k1), = den1.items()
+            ((d2, e2), k2), = den2.items()
+            c, k = c1 * c2, k1 * k2
+            if k != 1:
+                g = gcd(c, k)
+                c, k = c // g, k // g
+            ep, eh = a1 + a2 - d1 - d2, b1 + b2 - e1 - e2
+            if c == k == 1 and not ep and not eh:
+                return ONE
+            return Scalar(
+                {(ep if ep > 0 else 0, eh if eh > 0 else 0): c},
+                {(-ep if ep < 0 else 0, -eh if eh < 0 else 0): k},
+                _canonical=True,
+            )
         # cross-cancellation by gcds over Z keeps the product reduced and
         # primitive without a final GCD: by Gauss's lemma the content of a
         # product is the product of the contents, and the contents left on

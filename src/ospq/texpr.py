@@ -16,7 +16,7 @@ table per leg.
 from __future__ import annotations
 
 from .errors import UnknownGenerator
-from .gmatrix import GradedMatrix, graded_kron
+from .gmatrix import GradedMatrix, graded_kron, tensor_parity
 from .scalar import ONE, Scalar
 
 ODD_LETTERS = frozenset({"e", "f", "E", "F"})
@@ -280,29 +280,60 @@ class TensorExpression:
         Each element of ``reps`` must expose ``matrix(name)`` and ``parity``.
         A word maps to the ordered matrix product of its letters;  legs are
         combined with the graded Kronecker product, the operator parity of
-        each new factor being the parity of its word.
+        each new factor being the parity of its word.  Each term's
+        coefficient scales its first leg, before the Kronecker products.
         """
         if len(reps) != self.nlegs:
             raise ValueError("need one representation per leg")
-        parity = []
-        for rep in reps:
-            parity.extend(rep.parity)
-        total = None
+        memos = [{} for _ in reps]
+        entries = {}
         for key, coeff in self.terms.items():
-            legs = []
-            for k, word in enumerate(key):
-                m = GradedMatrix.identity(reps[k].parity)
-                for name in word:
-                    m = m @ reps[k].matrix(name)
-                legs.append(m)
-            term = legs[0]
+            term = _word_matrix(memos[0], reps[0], key[0])
+            if coeff is not ONE:
+                term = term.scale(coeff)
             for k in range(1, self.nlegs):
-                term = graded_kron(term, legs[k], b_op_parity=word_parity(key[k]))
-            term = term.scale(coeff)
-            total = term if total is None else total + term
-        if total is None:
-            return GradedMatrix.zero(tuple(parity))
-        return total
+                leg = _word_matrix(memos[k], reps[k], key[k])
+                term = graded_kron(term, leg, b_op_parity=word_parity(key[k]))
+            for ij, val in term.entries.items():
+                cur = entries.get(ij)
+                if cur is not None:
+                    val = cur + val
+                    if val.is_zero:
+                        del entries[ij]
+                        continue
+                entries[ij] = val
+        out = GradedMatrix(tensor_parity([rep.parity for rep in reps]))
+        out.entries = entries
+        return out
+
+
+def _word_matrix(memo: dict, rep, word: tuple) -> GradedMatrix:
+    """The ordered product of the word's letter matrices in ``rep``.
+
+    ``memo`` holds the words already built; a word costs one product per
+    letter past its longest memoized prefix, and every new prefix is
+    memoized.  A one-letter word is the rep's own matrix: never mutate
+    the result.
+    """
+    m = memo.get(word)
+    if m is not None:
+        return m
+    if not word:
+        m = memo[word] = GradedMatrix.identity(rep.parity)
+        return m
+    n = len(word) - 1
+    while n and word[:n] not in memo:
+        n -= 1
+    if n:
+        m = memo[word[:n]]
+    else:
+        m = memo[word[:1]] = rep.matrix(word[0])
+        n = 1
+    while n < len(word):
+        m = m @ rep.matrix(word[n])
+        n += 1
+        memo[word[:n]] = m
+    return m
 
 
 def tensor_product(*exprs) -> TensorExpression:

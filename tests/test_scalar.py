@@ -23,6 +23,8 @@ from ospq.scalar import (
     P,
     ZERO,
     Scalar,
+    _padd,
+    _pmul,
     p_power,
     scalar_from_string,
     scalar_to_string,
@@ -338,3 +340,92 @@ def test_printed_bytes_of_contraction_entries():
         _assert_canonical(entry)
         assert scalar_to_string(entry) == text
         assert scalar_from_string(text) == entry
+
+
+# -- single-term fast paths against the general path --------------------------
+
+_exponent = st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def monomial_ratios(draw):
+    """(c/d) * p^a * h^b with exponents of either sign."""
+    c = draw(st.integers(min_value=-12, max_value=12).filter(bool))
+    d = draw(st.integers(min_value=1, max_value=12))
+    return Scalar.monomial(Fraction(c, d), draw(_exponent), draw(_exponent))
+
+
+@st.composite
+def over_one_monomial(draw, den):
+    """A canonical scalar whose denominator is exactly ``den``: a
+    polynomial numerator with no monomial factor and no integer factor
+    shared with the denominator's coefficient."""
+    (k,) = den.values()
+    num = {}
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        key = (draw(st.integers(0, 3)), draw(st.integers(0, 2)))
+        num[key] = draw(st.integers(min_value=-12, max_value=12).filter(bool))
+    mp = min(ep for ep, _ in num)
+    mh = min(eh for _, eh in num)
+    num = {(ep - mp, eh - mh): c for (ep, eh), c in num.items()}
+    while (g := gcd(k, *num.values())) > 1:
+        num = {key: c // g for key, c in num.items()}
+    return Scalar(num, dict(den), _canonical=True)
+
+
+@st.composite
+def same_monomial_den_pairs(draw):
+    """Two canonical scalars over one monomial denominator.  Half of the
+    pairs are built from their sum, which then carries a monomial and an
+    integer factor, so that the reduction of the sum has work to do."""
+    k = draw(st.integers(min_value=1, max_value=12))
+    den = {(draw(st.integers(0, 3)), draw(st.integers(0, 3))): k}
+    a = draw(over_one_monomial(den))
+    if draw(st.booleans()):
+        return a, draw(over_one_monomial(den))
+    c, i, j = draw(st.integers(1, 6)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    rest = draw(over_one_monomial({(0, 0): 1})).num
+    total = {(ep + i, eh + j): c * v for (ep, eh), v in rest.items()}
+    num = _padd(total, {key: -v for key, v in a.num.items()})
+    assume(num and gcd(k, *num.values()) == 1)
+    assume(min(ep for ep, _ in num) == 0 == min(eh for _, eh in num))
+    return a, Scalar(num, dict(den), _canonical=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomial_ratios(), monomial_ratios())
+def test_monomial_product_matches_general_path(a, b):
+    got = a * b
+    want = Scalar._make(_pmul(a.num, b.num), _pmul(a.den, b.den))
+    _assert_canonical(got)
+    assert (got.num, got.den) == (want.num, want.den)
+    assert scalar_to_string(got) == scalar_to_string(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(same_monomial_den_pairs())
+def test_equal_monomial_den_sum_matches_general_path(pair):
+    a, b = pair
+    _assert_canonical(a)
+    got = a + b
+    want = Scalar._make(_padd(a.num, b.num), a.den)
+    if not got.is_zero:
+        _assert_canonical(got)
+    assert (got.num, got.den) == (want.num, want.den)
+    assert scalar_to_string(got) == scalar_to_string(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(monomial_ratios(), scalars()))
+def test_one_is_returned_unchanged(x):
+    assert x * ONE is x
+    assert ONE * x is x
+    assert x * 1 is x
+
+
+def test_units_are_the_one_object():
+    assert Scalar.from_fraction(Fraction(3, 3)) is ONE
+    assert Scalar.monomial(1) is ONE
+    assert p_power(HalfInt(0)) is ONE
+    assert P * P.reciprocal() is ONE
+    assert S("2*h/3") * S("3/(2*h)") is ONE

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ospq.gmatrix import GradedMatrix, graded_kron
+from ospq.contraction import r2_generators
+from ospq.gmatrix import GradedMatrix, graded_kron, tensor_parity
+from ospq.halfint import HalfInt
+from ospq.hopf import q_algebra, r1_algebra, r2_algebra
+from ospq.r1 import r1_generators
+from ospq.reps import q_rep
 from ospq.scalar import H, ONE, Scalar
 from ospq.texpr import TensorExpression as TE
 from ospq.texpr import word_parity
@@ -96,6 +101,27 @@ class TestEvaluation:
         merged = x.mu(0)
         assert merged == TE.word(("e", "f"))
         assert merged.evaluate([REP]) == REP.matrix("e") @ REP.matrix("f")
+
+    @pytest.mark.parametrize("nlegs", [2, 3])
+    def test_empty_expression_is_the_zero_of_the_tensor_space(self, nlegs):
+        spin_one = q_rep(HalfInt(1))
+        reps = [spin_one] * nlegs
+        zero = TE(nlegs, {}).evaluate(reps)
+        assert zero.is_zero
+        assert zero.dim == 5**nlegs
+        assert zero.parity == tensor_parity([spin_one.parity] * nlegs)
+        unit = TE.unit(nlegs).evaluate(reps)
+        assert zero @ unit == zero
+        assert zero + unit == unit
+
+    def test_result_is_never_a_rep_matrix(self):
+        e = REP.matrix("e")
+        before = dict(e.entries)
+        for expr in (TE.letter("e"), TE.word(("e",)) + TE.word(("e",))):
+            got = expr.evaluate([REP])
+            assert got is not e and got.entries is not e.entries
+            got.entries.clear()
+        assert e.entries == before
 
 
 WORD_LETTERS = st.lists(st.sampled_from(["e", "f", "h"]), min_size=0, max_size=2)
@@ -238,3 +264,84 @@ class TestScalarCoefficients:
         y = TE.letter("f").scale(H)
         prod = x * y
         assert prod == TE.word(("e", "f")).scale(H * H)
+
+
+# -- differential oracle: evaluate against the plain per-term evaluation ----
+
+
+def reference_evaluate(expr, reps):
+    """One term at a time: every word from the identity, the Kronecker
+    product of the legs, then the coefficient, then a running sum."""
+    total = GradedMatrix.zero(tensor_parity([rep.parity for rep in reps]))
+    for key, coeff in expr.terms.items():
+        legs = []
+        for k, word in enumerate(key):
+            m = GradedMatrix.identity(reps[k].parity)
+            for name in word:
+                m = m @ reps[k].matrix(name)
+            legs.append(m)
+        term = legs[0]
+        for k in range(1, expr.nlegs):
+            term = graded_kron(term, legs[k], b_op_parity=word_parity(key[k]))
+        total = total + term.scale(coeff)
+    return total
+
+
+def hopf_suite_expressions(algebra, reps):
+    """(label, expression, legs) for everything the five Hopf suites evaluate."""
+    rep1, rep2, rep3 = reps
+    out = []
+    for rep in (rep1, rep2):
+        for label, expr in algebra.relations:
+            out.append((f"relation {label}", expr, [rep]))
+        for name in algebra.letters:
+            x = TE.letter(name)
+            d = x.coproduct(0, algebra.delta)
+            out.append((f"left counit {name}", d.counit(0, algebra.eps) - x, [rep]))
+            out.append((f"right counit {name}", d.counit(1, algebra.eps) - x, [rep]))
+            for leg in (0, 1):
+                folded = d.antipode(leg, algebra.smap).mu(0)
+                out.append((f"antipode {leg} {name}", folded, [rep]))
+    for label, expr in algebra.relations:
+        out.append((f"coproduct {label}", expr.coproduct(0, algebra.delta), [rep1, rep2]))
+    for name in algebra.letters:
+        d = TE.letter(name).coproduct(0, algebra.delta)
+        diff = d.coproduct(0, algebra.delta) - d.coproduct(1, algebra.delta)
+        out.append((f"coassociativity {name}", diff, [rep1, rep2, rep3]))
+    return out
+
+
+HALF_J, ONE_J = HalfInt.from_twice(1), HalfInt(1)
+HOPF_CASES = {
+    "q": (q_algebra, q_rep),
+    "r2": (r2_algebra, r2_generators),
+    "r1-minimal": (r1_algebra, lambda j: r1_generators(j, "minimal")),
+    "r1-hdiag": (r1_algebra, lambda j: r1_generators(j, "hdiag")),
+}
+
+
+class TestEvaluateOracle:
+    @pytest.mark.parametrize("case", sorted(HOPF_CASES))
+    def test_hopf_suite_expressions_match_reference(self, case):
+        algebra_of, rep_of = HOPF_CASES[case]
+        half, one = rep_of(HALF_J), rep_of(ONE_J)
+        # mixed spins, so a leg evaluated in the wrong rep cannot agree
+        nonzero = total = 0
+        for reps in ([half, one, half], [one, half, one]):
+            for label, expr, legs in hopf_suite_expressions(algebra_of(), reps):
+                # the suites' expressions vanish in a rep, but every other
+                # term of one mostly does not, so a fault cannot cancel out
+                alternate = TE(expr.nlegs, dict(list(expr.terms.items())[::2]))
+                for part in (expr, alternate):
+                    got = part.evaluate(legs)
+                    want = reference_evaluate(part, legs)
+                    assert got.parity == want.parity, label
+                    assert got.entries == want.entries, label
+                nonzero += not got.is_zero  # the alternate's value
+                total += 1
+        assert nonzero > total // 2
+
+    @given(expressions())
+    @settings(max_examples=40, deadline=None)
+    def test_random_expressions_match_reference(self, expr):
+        assert expr.evaluate([REP, REP]) == reference_evaluate(expr, [REP, REP])
