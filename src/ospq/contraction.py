@@ -7,9 +7,11 @@ the residual deformation parameter h.  The same limit applied to the
 conjugated Cartan exponential produces the Jordanian group-like
 generator, which also has a closed form in the classical generators.
 
-Everything here is matrix-level and exact; the limit is a polynomial
-evaluation after gcd reduction, so a genuine pole raises instead of
-being approximated.
+Everything here is matrix-level and exact.  The contraction expands
+R_q, M and M^-1 as truncated Laurent series in t = p - 1
+(:mod:`ospq.laurent`) and keeps the t^0 coefficient of the product, so the
+poles that cancel are never reduced away as fractions; a genuine pole
+raises instead of being approximated.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .gmatrix import (
 )
 from .halfint import HalfInt, as_half
 from .hopf import r2_algebra
+from .laurent import Laurent, valuation_floor
 from .nilfun import nil_log_unit, unit_power, unit_sqrt
 from .report import VerificationReport, matrix_residuals
 from .reps import (
@@ -32,6 +35,7 @@ from .reps import (
     bracket,
     classical_rep,
     q_rep,
+    rep_dim,
     rep_parity,
     weight_twice,
 )
@@ -112,15 +116,29 @@ class ContractionResult:
         self.log = tuple(log)
 
 
+# The largest (4 j1 + 1)(4 j2 + 1) that ``contract`` accepts, that of the
+# pair (3, 3), which takes 7 to 8 s on 2 cores; (5/2, 5/2), at 121, takes
+# about 2.3 s, and the cost grows about threefold per half-spin step.
+MAX_CONTRACT_DIM = 169
+
+
 def contract(j1, j2, source: str = "universal", log_cancellation: bool = False):
     """Contract the standard R-matrix at spins (j1, j2).
 
     ``source`` chooses between conjugating the universal R-matrix and the
     closed three-block form (the latter only exists for j1 = 1/2).  With
     ``log_cancellation`` the result records, per entry, the worst pole
-    order that appeared among the summands before cancellation.
+    order that appeared among the summands before cancellation.  Pairs
+    whose product dimension exceeds ``MAX_CONTRACT_DIM`` raise
+    ``ValueError`` at once.
     """
     j1, j2 = as_half(j1), as_half(j2)
+    dim = rep_dim(j1) * rep_dim(j2)
+    if dim > MAX_CONTRACT_DIM:
+        raise ValueError(
+            f"spins ({j1}, {j2}) give dimension {dim}, "
+            f"which exceeds the cap of {MAX_CONTRACT_DIM}"
+        )
     if source == "half-j-formula":
         if j1 != HalfInt.from_twice(1):
             raise ValueError("the closed block form needs j1 = 1/2")
@@ -134,31 +152,42 @@ def contract(j1, j2, source: str = "universal", log_cancellation: bool = False):
     m1, m2 = m_matrix(j1), m_matrix(j2)
     big_m = graded_kron(m1, m2, b_op_parity=0)
     big_minv = graded_kron(inverse(m1), inverse(m2), b_op_parity=0)
-    right = rq @ big_m
-    pre = big_minv @ right
+    # fr, fm and fi bound the valuations at p = 1 of the entries of R_q, M
+    # and M^-1 from below, and valuations add, so v(R_q M) >= fr + fm.  The
+    # t^0 coefficient of M^-1 (R_q M) is exact once M^-1 is known below
+    # t^(1 - fr - fm) and R_q M below t^(1 - fi); R_q M is known that far
+    # once R_q is known below t^(1 - fi - fm) and M below t^(1 - fi - fr).
+    fr, fm, fi = (_floor(x) for x in (rq, big_m, big_minv))
+    # each Scalar operand is freed once its series is built, to keep the peak low
+    right = _expand(rq, 1 - fi - fm) @ _expand(big_m, 1 - fi - fr)
+    del rq, big_m
+    left = _expand(big_minv, 1 - fr - fm)
+    del big_minv
 
     log = []
     if log_cancellation:
-        rows = {}
-        for (i, k), val in big_minv.entries.items():
-            rows.setdefault(i, []).append((k, val))
+        # valuations add, so a summand's pole order is -(v(left) + v(right))
         cols = {}
         for (k, jj), val in right.entries.items():
-            cols.setdefault(k, []).append((jj, val))
+            cols.setdefault(k, []).append((jj, val.val))
         worst = {}
-        for i, row in rows.items():
-            for k, lv in row:
-                for jj, rv in cols.get(k, ()):
-                    order = (lv * rv).pole_order_at_p1()
-                    key = (i, jj)
-                    if order > worst.get(key, 0):
-                        worst[key] = order
-        for key in sorted(worst):
-            if worst[key] > 0:
-                log.append((key[0], key[1], worst[key]))
+        for (i, k), lv in left.entries.items():
+            for jj, rv in cols.get(k, ()):
+                order = -(lv.val + rv)
+                if order > worst.get((i, jj), 0):
+                    worst[(i, jj)] = order
+        log = [(i, jj, order) for (i, jj), order in sorted(worst.items())]
 
-    contracted = pre.map_entries(lambda s: s.limit_p_to_1())
+    contracted = (left @ right).map_entries(Laurent.limit)
     return ContractionResult(j1, j2, "universal", contracted, log)
+
+
+def _floor(m: GradedMatrix) -> int:
+    return min(valuation_floor(s) for s in m.entries.values())
+
+
+def _expand(m: GradedMatrix, prec: int) -> GradedMatrix:
+    return m.map_entries(lambda s: Laurent.from_scalar(s, prec))
 
 
 # -- classical-side closed forms ---------------------------------------------

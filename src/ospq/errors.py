@@ -13,6 +13,10 @@ class PoleAtUnity(ArithmeticError):
     """A scalar has a genuine pole at p = 1, so the classical limit fails."""
 
 
+class PrecisionShortfall(ArithmeticError):
+    """A truncated series was asked for a coefficient beyond its precision."""
+
+
 class BadSeriesHead(ArithmeticError):
     """A series root or reciprocal was requested with an unusable head term."""
 

@@ -20,6 +20,18 @@ costs
 with |x| and |z| read off entrywise from row and column parities.  This
 single rule covers every leg placement used by the Yang-Baxter, RLL and
 triangularity checks.
+
+Entries are usually :class:`~ospq.scalar.Scalar`, but ``@``, ``+``, ``-``,
+``map_entries`` and ``graded_kron`` ask of an entry only this protocol:
+
+* ``is_zero``, a property that is True only for an exact zero: such an
+  entry is dropped, and an absent entry is read as an exact zero;
+* ``a + b``, ``a - b``, ``-a`` and ``a * b`` between two entries of the
+  same type.
+
+``scale``, ``from_rows``, ``identity``, ``entry``, ``inverse`` and the
+JSON form need ``Scalar`` entries.  :class:`~ospq.laurent.Laurent`, the
+truncated series of the contraction, is the second entry type.
 """
 
 from __future__ import annotations
@@ -81,11 +93,6 @@ class GradedMatrix:
             elif par != this:
                 return None
         return 0 if par is None else par
-
-    def to_dense(self):
-        return [
-            [self.entry(i, j) for j in range(self.dim)] for i in range(self.dim)
-        ]
 
     # -- ring operations -------------------------------------------------------
 

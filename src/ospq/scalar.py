@@ -516,6 +516,15 @@ class Scalar:
             _canonical=True,
         )
 
+    @classmethod
+    def from_h_laurent(cls, coeffs: dict, den: int) -> "Scalar":
+        """sum of c * h^e / den over {e: c}: int c, e of either sign, den > 0."""
+        if not coeffs:
+            return ZERO
+        low = min(min(coeffs), 0)
+        num = {(0, e - low): c for e, c in coeffs.items()}
+        return Scalar._over_monomial(num, {(0, -low): den})
+
     # -- predicates and accessors -------------------------------------------
 
     @property

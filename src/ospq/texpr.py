@@ -153,7 +153,7 @@ class TensorExpression:
         ``delta_table`` maps each generator name to its two-leg image; the
         image of a word is the graded product of the letter images.
         """
-        out = TensorExpression(self.nlegs + 1, {})
+        acc = {}
         for key, coeff in self.terms.items():
             img = TensorExpression.unit(2)
             for name in key[leg]:
@@ -161,7 +161,6 @@ class TensorExpression:
                     img = img * delta_table[name]
                 except KeyError:
                     raise UnknownGenerator(name) from None
-            acc = dict(out.terms)
             for (wa, wb), d in img.terms.items():
                 words = list(key)
                 words[leg : leg + 1] = [wa, wb]
@@ -173,8 +172,7 @@ class TensorExpression:
                     acc.pop(nk, None)
                 else:
                     acc[nk] = tot
-            out = TensorExpression(self.nlegs + 1, acc)
-        return out
+        return TensorExpression(self.nlegs + 1, acc)
 
     def antipode(self, leg: int, s_table) -> "TensorExpression":
         """Apply the antipode to one leg.
@@ -183,7 +181,7 @@ class TensorExpression:
         produces (-1)^{sum_{i<j} |g_i||g_j|} S(g_k)...S(g_1), each letter
         image taken from ``s_table`` (a one-leg expression).
         """
-        out = TensorExpression(self.nlegs, {})
+        acc = {}
         for key, coeff in self.terms.items():
             word = key[leg]
             sign = 0
@@ -197,7 +195,6 @@ class TensorExpression:
                     img = img * s_table[name]
                 except KeyError:
                     raise UnknownGenerator(name) from None
-            acc = dict(out.terms)
             for (w,), d in img.terms.items():
                 words = list(key)
                 words[leg] = w
@@ -211,8 +208,7 @@ class TensorExpression:
                     acc.pop(nk, None)
                 else:
                     acc[nk] = tot
-            out = TensorExpression(self.nlegs, acc)
-        return out
+        return TensorExpression(self.nlegs, acc)
 
     def counit(self, leg: int, eps_table) -> "TensorExpression":
         """Apply the counit to one leg, dropping it."""

@@ -82,6 +82,13 @@ class TestExitCodes:
         assert out == ""
         assert "exceeds the cap of 3" in err
 
+    def test_oversized_contraction_exits_two(self, capsys):
+        # Refused before any work: (5, 5) has dimension 441.
+        code, out, err = run_cli(capsys, "contract", "--j1", "5", "--j2", "5")
+        assert code == 2
+        assert out == ""
+        assert "exceeds the cap of 169" in err
+
 
 class TestMatrixEmission:
     def test_contract_json_round_trips(self, capsys):

@@ -9,7 +9,9 @@ from fractions import Fraction
 
 import pytest
 
+import ospq.contraction
 from ospq.contraction import (
+    MAX_CONTRACT_DIM,
     ContractionResult,
     L_inverse,
     L_operator,
@@ -26,16 +28,25 @@ from ospq.contraction import (
     tilde_t,
     tilde_t_routes,
 )
-from ospq.gmatrix import GradedMatrix, embed_pair, inverse
+from ospq.errors import PoleAtUnity, PrecisionShortfall
+from ospq.gmatrix import (
+    GradedMatrix,
+    embed_pair,
+    graded_kron,
+    inverse,
+    swap_conjugate,
+)
 from ospq.halfint import HalfInt
 from ospq.hopf import r2_algebra, relations_residuals
-from ospq.qrmatrix import ybe_check
+from ospq.laurent import Laurent, valuation_floor
+from ospq.qrmatrix import universal_Rq, ybe_check
 from ospq.reps import GeneratorTable, classical_rep, q_rep, rep_parity
 from ospq.scalar import H, ONE, Scalar, scalar_from_string
 
 HALF = HalfInt.from_twice(1)
 ONEJ = HalfInt(1)
 THREEHALF = HalfInt.from_twice(3)
+TWOJ = HalfInt(2)
 
 
 def mat_from_rows(parity, rows):
@@ -159,9 +170,120 @@ class TestCancellationLog:
             assert res.matrix.dim == (2 * j1.twice + 1) * (2 * j2.twice + 1)
 
 
+def scalar_route(j1, j2):
+    """The contraction over Q(p, h), as ``contract`` computed it before the
+    series route: conjugate, take each entry's limit, and log the pole
+    order of every summand product."""
+    rq = universal_Rq(j1, j2)
+    m1, m2 = m_matrix(j1), m_matrix(j2)
+    big_m = graded_kron(m1, m2, b_op_parity=0)
+    big_minv = graded_kron(inverse(m1), inverse(m2), b_op_parity=0)
+    right = rq @ big_m
+    pre = big_minv @ right
+    cols = {}
+    for (k, jj), val in right.entries.items():
+        cols.setdefault(k, []).append((jj, val))
+    worst = {}
+    for (i, k), lv in big_minv.entries.items():
+        for jj, rv in cols.get(k, ()):
+            order = (lv * rv).pole_order_at_p1()
+            if order > worst.get((i, jj), 0):
+                worst[(i, jj)] = order
+    log = tuple((i, jj, d) for (i, jj), d in sorted(worst.items()) if d > 0)
+    return pre.map_entries(lambda s: s.limit_p_to_1()), log
+
+
+def vanishes_at_one(s: Scalar) -> bool:
+    at_one = {}
+    for (_, eh), c in s.num.items():
+        at_one[eh] = at_one.get(eh, 0) + c
+    return not any(at_one.values())
+
+
+SMALL_PAIRS = [
+    (a, b) for a in (HALF, ONEJ, THREEHALF) for b in (HALF, ONEJ, THREEHALF)
+]
+
+
+class TestLaurentRoute:
+    @pytest.mark.parametrize("pair", SMALL_PAIRS, ids=lambda p: f"{p[0]},{p[1]}")
+    def test_matches_scalar_route(self, pair):
+        res = contract(*pair, log_cancellation=True)
+        matrix, log = scalar_route(*pair)
+        assert res.matrix.to_json_dict() == matrix.to_json_dict()
+        assert res.log == log
+
+    @pytest.mark.parametrize("pair", SMALL_PAIRS, ids=lambda p: f"{p[0]},{p[1]}")
+    def test_bridge_valuations_are_pole_orders(self, pair):
+        m1, m2 = m_matrix(pair[0]), m_matrix(pair[1])
+        for big in (
+            graded_kron(m1, m2, b_op_parity=0),
+            graded_kron(inverse(m1), inverse(m2), b_op_parity=0),
+        ):
+            for s in big.entries.values():
+                order = s.pole_order_at_p1()
+                assert valuation_floor(s) == -order
+                if not vanishes_at_one(s):
+                    assert Laurent.from_scalar(s, 1).val == -order
+
+    def test_perturbed_bridge_raises(self, monkeypatch):
+        # one entry of M given an extra 1/(p - 1): the conjugation is still a
+        # conjugation, but its poles no longer cancel
+        built = m_matrix
+
+        def perturbed(j):
+            m = built(j)
+            entries = dict(m.entries)
+            key = min(k for k in entries if k[0] != k[1])
+            entries[key] = entries[key] / scalar_from_string("p-1")
+            return GradedMatrix(m.parity, entries)
+
+        monkeypatch.setattr(ospq.contraction, "m_matrix", perturbed)
+        for pair in ((HALF, HALF), (ONEJ, HALF), (ONEJ, THREEHALF)):
+            with pytest.raises(PoleAtUnity):
+                contract(*pair)
+
+    def test_coefficient_at_or_beyond_precision_raises(self):
+        series = Laurent.from_scalar(scalar_from_string("1/(p-1)"), 0)
+        assert series.coefficient(-1) == {0: 1}
+        for k in (0, 3):
+            with pytest.raises(PrecisionShortfall):
+                series.coefficient(k)
+        # 1/(p-1) known below t^1 squares to a series known below t^0 only,
+        # so its limit must refuse instead of reading a zero
+        x = Laurent.from_scalar(scalar_from_string("1/(p-1)"), 1)
+        square = x * x
+        assert square.prec == 0
+        with pytest.raises(PrecisionShortfall):
+            square.limit()
+
+
+class TestLargeSpins:
+    def test_two_two_is_p_free_identity_at_h_zero_and_unitary(self):
+        r = contract(TWOJ, TWOJ).matrix
+        assert all(
+            ep == 0 for s in r.entries.values() for ep, _ in (*s.num, *s.den)
+        )
+        ident = GradedMatrix.identity(r.parity)
+        assert r.map_entries(lambda s: s.substitute_h(0)) == ident
+        par = rep_parity(TWOJ)
+        assert swap_conjugate(r, par, par) @ r == ident
+
+    def test_oversized_pair_refused_before_any_work(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("work started on an oversized pair")
+
+        monkeypatch.setattr(ospq.contraction, "m_matrix", forbidden)
+        assert MAX_CONTRACT_DIM == 13 * 13
+        for pair in ((HalfInt(3), HalfInt.from_twice(7)), (HalfInt(5), HalfInt(5))):
+            for source in ("universal", "half-j-formula"):
+                with pytest.raises(ValueError, match="exceeds the cap of 169"):
+                    contract(*pair, source=source)
+
+
 class TestSources:
     def test_formula_equals_universal(self):
-        for j in (HALF, ONEJ, THREEHALF):
+        for j in (HALF, ONEJ, THREEHALF, TWOJ, HalfInt.from_twice(5), HalfInt(3)):
             a = contract(HALF, j)
             b = contract(HALF, j, source="half-j-formula")
             assert a.matrix == b.matrix
