@@ -18,13 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .gmatrix import (
-    GradedMatrix,
-    embed_pair,
-    graded_kron,
-    inverse,
-    tensor_parity,
-)
+from .gmatrix import GradedMatrix, block_matrix, embed_pair, graded_kron, inverse
 from .halfint import HalfInt, as_half
 from .hopf import r2_algebra
 from .laurent import Laurent, valuation_floor
@@ -254,7 +248,6 @@ def _half_j_formula(j) -> GradedMatrix:
     """Closed three-block form of the contracted R-matrix for j1 = 1/2."""
     j = as_half(j)
     rep = r2_generators(j)
-    d = rep.dim
     quarter = HPARAM * rational(1, 4)
     big_t, big_tinv = rep.matrix("T"), rep.matrix("Tinv")
     e = rep.matrix("E")
@@ -275,13 +268,7 @@ def _half_j_formula(j) -> GradedMatrix:
             big_tinv,
         ],
     ]
-    parity = tensor_parity(((0, 1, 0), rep.parity))
-    entries = {}
-    for a in range(3):
-        for b in range(3):
-            for (i, k), val in blocks[a][b].entries.items():
-                entries[(a * d + i, b * d + k)] = val
-    return GradedMatrix(parity, entries)
+    return block_matrix((0, 1, 0), blocks)
 
 
 # -- the L-operator and its Hopf behaviour ------------------------------------
@@ -320,16 +307,8 @@ def l_inverse_words():
     ]
 
 
-def _assemble_blocks(blocks, rep) -> GradedMatrix:
-    d = rep.dim
-    parity = tensor_parity(((0, 1, 0), rep.parity))
-    entries = {}
-    for a in range(3):
-        for b in range(3):
-            m = blocks[a][b].evaluate([rep])
-            for (i, k), val in m.entries.items():
-                entries[(a * d + i, b * d + k)] = val
-    return GradedMatrix(parity, entries)
+def _assemble_blocks(words, rep) -> GradedMatrix:
+    return block_matrix((0, 1, 0), [[w.evaluate([rep]) for w in row] for row in words])
 
 
 def L_operator(j) -> GradedMatrix:
@@ -347,19 +326,6 @@ def L_operator(j) -> GradedMatrix:
 
         raise Inconsistency("L-operator disagrees with the contracted R-matrix")
     return ell
-
-
-def L_inverse(j) -> GradedMatrix:
-    j = as_half(j)
-    rep = r2_generators(j)
-    linv = _assemble_blocks(l_inverse_words(), rep)
-    ell = _assemble_blocks(l_operator_words(), rep)
-    ident = GradedMatrix.identity(linv.parity)
-    if ell @ linv != ident or linv @ ell != ident:
-        from .errors import Inconsistency
-
-        raise Inconsistency("closed-form inverse failed to invert L")
-    return linv
 
 
 def rll_check(j) -> VerificationReport:

@@ -21,6 +21,13 @@ with |x| and |z| read off entrywise from row and column parities.  This
 single rule covers every leg placement used by the Yang-Baxter, RLL and
 triangularity checks.
 
+``graded_primitive`` builds the primitive coproduct a (x) 1 + 1 (x) b, and
+``block_matrix`` lays a table of blocks out on V_outer (x) V_inner without
+signs, the form in which the spin-(1/2, j) R-matrices are written.
+
+Outside this module a matrix is never written after it is built (a test
+parses the package to pin this), so matrices may be shared and hashed.
+
 Entries are usually :class:`~ospq.scalar.Scalar`, but ``@``, ``+``, ``-``,
 ``map_entries`` and ``graded_kron`` ask of an entry only this protocol:
 
@@ -29,9 +36,10 @@ Entries are usually :class:`~ospq.scalar.Scalar`, but ``@``, ``+``, ``-``,
 * ``a + b``, ``a - b``, ``-a`` and ``a * b`` between two entries of the
   same type.
 
-``scale``, ``from_rows``, ``identity``, ``entry``, ``inverse`` and the
-JSON form need ``Scalar`` entries.  :class:`~ospq.laurent.Laurent`, the
-truncated series of the contraction, is the second entry type.
+``scale``, ``from_rows``, ``identity``, ``graded_primitive``, ``entry``,
+``inverse`` and the JSON form need ``Scalar`` entries.
+:class:`~ospq.laurent.Laurent`, the truncated series of the contraction,
+is the second entry type.
 """
 
 from __future__ import annotations
@@ -243,6 +251,26 @@ def tensor_parity(parities) -> tuple:
     for par in parities:
         out = [(x + p) % 2 for x in out for p in par]
     return tuple(out)
+
+
+def graded_primitive(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
+    """The primitive coproduct a (x) 1 + 1 (x) b; b must be homogeneous."""
+    one_a, one_b = GradedMatrix.identity(a.parity), GradedMatrix.identity(b.parity)
+    return graded_kron(a, one_b, b_op_parity=0) + graded_kron(one_a, b)
+
+
+def block_matrix(outer_parity, blocks) -> GradedMatrix:
+    """The matrix whose (a, b) block is ``blocks[a][b]``, on the space
+    V_outer (x) V_inner; every block acts on the same inner space."""
+    inner = blocks[0][0].parity
+    d = len(inner)
+    entries = {
+        (a * d + i, b * d + k): val
+        for a, row in enumerate(blocks)
+        for b, block in enumerate(row)
+        for (i, k), val in block.entries.items()
+    }
+    return GradedMatrix(tensor_parity((outer_parity, inner)), entries)
 
 
 def embed_pair(r: GradedMatrix, parities, legs) -> GradedMatrix:

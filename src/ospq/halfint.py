@@ -46,10 +46,6 @@ class HalfInt:
             return cls.from_twice(int(numpart))
         return cls(int(text))
 
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
     def as_fraction(self) -> Fraction:
         return Fraction(self.twice, 2)
 

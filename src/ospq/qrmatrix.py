@@ -12,7 +12,7 @@ the second-factor generators, which `rq_half_j` builds directly.
 
 from __future__ import annotations
 
-from .gmatrix import GradedMatrix, embed_pair, graded_kron, tensor_parity
+from .gmatrix import GradedMatrix, block_matrix, embed_pair, graded_kron, tensor_parity
 from .halfint import HalfInt, as_half
 from .reps import plus_factorial, q_rep, rep_parity, weight_twice
 from .scalar import ONE, P, p_power, scalar_to_string
@@ -60,7 +60,6 @@ def rq_half_j(j) -> GradedMatrix:
     """Spin (1/2, j) R-matrix in closed block form over the spin-j module."""
     j = as_half(j)
     rep = q_rep(j)
-    d = rep.dim
     omega = P**2 - P**-2  # q - q^{-1}
     f = rep.matrix("f")
     big_t, big_tinv = rep.matrix("t"), rep.matrix("tinv")
@@ -76,13 +75,7 @@ def rq_half_j(j) -> GradedMatrix:
         [zero, ident, (halfinv @ f).scale(omega * P**-1)],
         [zero, zero, big_tinv],
     ]
-    parity = tensor_parity(((0, 1, 0), rep.parity))
-    entries = {}
-    for a in range(3):
-        for b in range(3):
-            for (i, k), val in blocks[a][b].entries.items():
-                entries[(a * d + i, b * d + k)] = val
-    return GradedMatrix(parity, entries)
+    return block_matrix((0, 1, 0), blocks)
 
 
 def ybe_check(r12, r13, r23, parities):

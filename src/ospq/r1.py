@@ -25,7 +25,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .gmatrix import GradedMatrix, graded_kron, inverse, swap_conjugate
+from .gmatrix import (
+    GradedMatrix,
+    graded_kron,
+    graded_primitive,
+    inverse,
+    swap_conjugate,
+)
 from .halfint import HalfInt
 from .hopf import r1_algebra
 from .nilfun import nil_exp, nil_log_unit, unit_power
@@ -265,13 +271,9 @@ def twist_property_check(j1, j2) -> VerificationReport:
         failures += matrix_residuals(f"{{e,f}}=-h:{tag}", ee @ ff + ff @ ee + hh)
     gmat = twist_matrix(rep1, rep2)
     ginv = inverse(gmat)
-    iden1 = rep1.identity()
-    iden2 = rep2.identity()
     for name, word in words.items():
         dressed = word.coproduct(0, alg.delta).evaluate([rep1, rep2])
-        primitive = graded_kron(
-            word.evaluate([rep1]), iden2, b_op_parity=0
-        ) + graded_kron(iden1, word.evaluate([rep2]))
+        primitive = graded_primitive(word.evaluate([rep1]), word.evaluate([rep2]))
         failures += matrix_residuals(
             f"primitive:{name}", gmat @ dressed @ ginv - primitive
         )

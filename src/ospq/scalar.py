@@ -531,10 +531,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return not self.num
 
-    @property
-    def is_one(self) -> bool:
-        return self.num == _PONE and self.den == _PONE
-
     def as_fraction(self) -> Fraction:
         """The value as a rational number; fails if p or h survive."""
         if set(self.den) != {(0, 0)} or set(self.num) - {(0, 0)}:

@@ -25,10 +25,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, product
+from itertools import product
 
 from .errors import Inconsistency
-from .gmatrix import GradedMatrix, graded_kron
+from .gmatrix import GradedMatrix, graded_kron, graded_primitive
 from .halfint import HalfInt
 from .hopf import r1_algebra
 from .r1 import inverse_map_words, r1_generators, x_nilpotency
@@ -58,10 +58,6 @@ def hdiag_twist_expression() -> TE:
     )
 
 
-def _classical_primitive(mat, iden1, iden2) -> GradedMatrix:
-    return graded_kron(mat, iden2, b_op_parity=0) + graded_kron(iden1, mat)
-
-
 def hdiag_drinfeld_residuals(j1, j2) -> list:
     """Residuals of the undressing property for the displayed series.
 
@@ -75,14 +71,11 @@ def hdiag_drinfeld_residuals(j1, j2) -> list:
     cls1, cls2 = classical_rep(j1), classical_rep(j2)
     alg = r1_algebra()
     gmat = hdiag_twist_expression().evaluate([rep1, rep2])
-    iden1, iden2 = rep1.identity(), rep2.identity()
     failures = []
     bound = max(x_nilpotency(HalfInt(j1)), x_nilpotency(HalfInt(j2)))
     for name, word in inverse_map_words("hdiag", nilpotency=bound).items():
         dressed = word.coproduct(0, alg.delta).evaluate([rep1, rep2])
-        primitive = graded_kron(
-            cls1.matrix(name), iden2, b_op_parity=0
-        ) + graded_kron(iden1, cls2.matrix(name))
+        primitive = graded_primitive(cls1.matrix(name), cls2.matrix(name))
         failures += series_residuals(
             f"undress:{name}", gmat @ dressed - primitive @ gmat, SERIES_DEPTH
         )
@@ -108,42 +101,10 @@ def hdiag_cocycle_check(j1, j2, j3) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def _qzero(dim: int):
-    return [[Fraction(0)] * dim for _ in range(dim)]
-
-
-def _qfrom(gm: GradedMatrix, dim: int):
-    out = _qzero(dim)
-    for (row, col), value in gm.entries.items():
-        out[row][col] = value.as_fraction()
-    return out
-
-
-def _qmul(a, b, dim: int):
-    out = _qzero(dim)
-    for i in range(dim):
-        arow = a[i]
-        orow = out[i]
-        for k in range(dim):
-            c = arow[k]
-            if c:
-                brow = b[k]
-                for j in range(dim):
-                    if brow[j]:
-                        orow[j] += c * brow[j]
-    return out
-
-
-def _qkron(a, b, dim: int):
-    out = _qzero(dim * dim)
-    for i in range(dim):
-        for j in range(dim):
-            if a[i][j]:
-                for k in range(dim):
-                    for l in range(dim):
-                        if b[k][l]:
-                            out[i * dim + k][j * dim + l] = a[i][j] * b[k][l]
-    return out
+def _flat(gm: GradedMatrix) -> dict:
+    """A constant matrix's nonzero entries as rationals, keyed by their
+    row-major position."""
+    return {i * gm.dim + j: v.as_fraction() for (i, j), v in gm.entries.items()}
 
 
 def _leg_words(max_len: int):
@@ -155,18 +116,17 @@ def _leg_words(max_len: int):
     return words
 
 
-def _word_classes(max_len: int, tables, dim: int):
+def _word_classes(max_len: int, tables, parity):
     """The distinct matrices of the leg words of at most max_len letters,
     and each word's index among them.  A word's matrix is its prefix's
     times its last letter."""
-    word_mat = {(): [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]}
+    word_mat = {(): GradedMatrix.identity(parity)}
     classes = {}
     word_class = {}
     for word in _leg_words(max_len):
         if word:
-            word_mat[word] = _qmul(word_mat[word[:-1]], tables[word[-1]], dim)
-        key = tuple(map(tuple, word_mat[word]))
-        word_class[word] = classes.setdefault(key, len(classes))
+            word_mat[word] = word_mat[word[:-1]] @ tables[word[-1]]
+        word_class[word] = classes.setdefault(word_mat[word], len(classes))
     return list(classes), word_class
 
 
@@ -176,7 +136,7 @@ def _ansatz_pairs(n: int):
     return sorted(pairs, key=lambda pair: (len(pair[0]) + len(pair[1]), pair))
 
 
-def _ansatz_rows(pairs, mats, word_class, primitives, dim: int):
+def _ansatz_rows(pairs, mats, word_class, primitives):
     """Sparse coefficient rows of one order's system: the commutator with
     each primitive in name order, then the two counit conditions.
 
@@ -185,46 +145,40 @@ def _ansatz_rows(pairs, mats, word_class, primitives, dim: int):
     the rows, the distinct Kronecker matrices and each column's index
     among them.
     """
-    pair_dim = dim * dim
     classes = {}
     column_class = [
         classes.setdefault((word_class[left], word_class[right]), len(classes))
         for left, right in pairs
     ]
-    krons = [_qkron(mats[a], mats[b], dim) for a, b in classes]
+    # H and X are even, so the ungraded Kronecker product is the graded one.
+    krons = [graded_kron(mats[a], mats[b], b_op_parity=0) for a, b in classes]
     rows = []
     for name in sorted(primitives):
         prim = primitives[name]
-        commutators = []
-        for b in krons:
-            bp, pb = _qmul(b, prim, pair_dim), _qmul(prim, b, pair_dim)
-            entries = enumerate(zip(chain.from_iterable(bp), chain.from_iterable(pb)))
-            commutators.append([(k, x - y) for k, (x, y) in entries if x != y])
-        block = [{} for _ in range(pair_dim * pair_dim)]
+        commutators = [_flat(b @ prim - prim @ b) for b in krons]
+        block = [{} for _ in range(prim.dim ** 2)]
         for col, c in enumerate(column_class):
-            for flat, value in commutators[c]:
+            for flat, value in commutators[c].items():
                 block[flat][col] = value
         rows += block
+    units = [_flat(mat) for mat in mats]
     for side in (0, 1):
-        block = [{} for _ in range(dim * dim)]
+        block = [{} for _ in range(mats[0].dim ** 2)]
         for col, pair in enumerate(pairs):
             if not pair[side]:
-                unit = chain.from_iterable(mats[word_class[pair[1 - side]]])
-                for k, value in enumerate(unit):
-                    if value:
-                        block[k][col] = value
+                for flat, value in units[word_class[pair[1 - side]]].items():
+                    block[flat][col] = value
         rows += block
     return rows, krons, column_class
 
 
-def _h_slices(gm: GradedMatrix, dim: int, upto: int):
+def _h_slices(gm: GradedMatrix, upto: int):
     """Taylor coefficient matrices of an h-polynomial matrix."""
-    slices = [_qzero(dim) for _ in range(upto + 1)]
-    for (row, col), value in gm.entries.items():
+    slices = [{} for _ in range(upto + 1)]
+    for key, value in gm.entries.items():
         for order, coeff in enumerate(value.h_coefficients(upto)):
-            if not coeff.is_zero:
-                slices[order][row][col] = coeff.as_fraction()
-    return slices
+            slices[order][key] = coeff
+    return [GradedMatrix(gm.parity, entries) for entries in slices]
 
 
 class _LinearSystem:
@@ -353,16 +307,11 @@ def series_twist(order: int) -> TwistSeries:
     half = HalfInt(Fraction(1, 2))
     rep = r1_generators(half, "hdiag")
     cls = classical_rep(half)
-    dim = rep.dim
-    pair_dim = dim * dim
-    tables = {
-        "H": _qfrom(rep.matrix("H"), dim),
-        "X": _qfrom(rep.matrix("X"), dim),
-    }
+    tables = {name: rep.matrix(name) for name in ("H", "X")}
     # On this module the dressed H and X matrices carry no h at all,
     # which is what keeps the orders of the ansatz separated.
-    for name in ("H", "X"):
-        for value in rep.matrix(name).entries.values():
+    for name, table in tables.items():
+        for value in table.entries.values():
             if value.h_degree() != 0:
                 raise Inconsistency(
                     f"dressed letter {name} is not h-free on the base module"
@@ -372,17 +321,14 @@ def series_twist(order: int) -> TwistSeries:
     primitives = {}
     data = {}
     for name, word in words.items():
-        prim = _classical_primitive(
-            cls.matrix(name), rep.identity(), rep.identity()
-        )
-        primitives[name] = _qfrom(prim, pair_dim)
+        primitives[name] = graded_primitive(cls.matrix(name), cls.matrix(name))
         dressed = word.coproduct(0, alg.delta).evaluate([rep, rep])
-        data[name] = _h_slices(dressed, pair_dim, order)
+        data[name] = _h_slices(dressed, order)
         if data[name][0] != primitives[name]:
             raise Inconsistency(
                 f"dressed coproduct of {name} does not start at the primitive"
             )
-    mats, word_class = _word_classes(2 * order, tables, dim)
+    mats, word_class = _word_classes(2 * order, tables, rep.parity)
     chosen = []
     chosen_mats = []
     kernel_dims = []
@@ -390,20 +336,17 @@ def series_twist(order: int) -> TwistSeries:
     for n in range(1, order + 1):
         pairs = _ansatz_pairs(n)
         pairs_index = {pair: k for k, pair in enumerate(pairs)}
-        rows, krons, column_class = _ansatz_rows(
-            pairs, mats, word_class, primitives, dim
-        )
-        rhs = []
-        for name in sorted(primitives):
-            block = [-v for row in data[name][n] for v in row]
+        rows, krons, column_class = _ansatz_rows(pairs, mats, word_class, primitives)
+        rhs = {}
+        for offset, name in enumerate(sorted(primitives)):
+            block = -data[name][n]
             for k in range(1, n):
-                carried = _qmul(chosen_mats[k - 1], data[name][n - k], pair_dim)
-                block = [b - c for b, c in zip(block, chain.from_iterable(carried))]
-            rhs += block
-        rhs += [Fraction(0)] * (2 * dim * dim)
+                block = block - chosen_mats[k - 1] @ data[name][n - k]
+            base = offset * block.dim ** 2
+            rhs.update((base + flat, v) for flat, v in _flat(block).items())
         system = _LinearSystem(len(pairs))
-        for coeffs, value in zip(rows, rhs):
-            system.add_row(coeffs, value)
+        for k, coeffs in enumerate(rows):
+            system.add_row(coeffs, rhs.get(k, Fraction(0)))
         solved = system.solve()
         if solved is None:
             raise Inconsistency(
@@ -422,14 +365,13 @@ def series_twist(order: int) -> TwistSeries:
             if solution[k]:
                 expr = expr + TE.pure((left, right), Scalar.from_fraction(solution[k]))
         chosen.append(expr)
-        mat = _qzero(pair_dim)
+        weights = [Fraction(0)] * len(krons)
         for col, value in enumerate(solution):
             if value:
-                bmat = krons[column_class[col]]
-                for i in range(pair_dim):
-                    for j in range(pair_dim):
-                        if bmat[i][j]:
-                            mat[i][j] += value * bmat[i][j]
+                weights[column_class[col]] += value
+        mat = GradedMatrix.zero(krons[0].parity)
+        for kron, weight in zip(krons, weights):
+            mat = mat + kron.scale(Scalar.from_fraction(weight))
         chosen_mats.append(mat)
     return TwistSeries(order, chosen, kernel_dims, display_matched)
 

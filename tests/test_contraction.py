@@ -13,13 +13,14 @@ import ospq.contraction
 from ospq.contraction import (
     MAX_CONTRACT_DIM,
     ContractionResult,
-    L_inverse,
     L_operator,
+    _assemble_blocks,
     contract,
     eq2_series,
     eta,
     frt_hopf_check,
     identity_check,
+    l_inverse_words,
     m_matrix,
     q_cartan_power,
     r2_generators,
@@ -384,7 +385,7 @@ class TestLOperator:
     def test_inverse_closed_form(self):
         for j in (HALF, ONEJ, THREEHALF):
             ell = L_operator(j)
-            linv = L_inverse(j)
+            linv = _assemble_blocks(l_inverse_words(), r2_generators(j))
             ident = GradedMatrix.identity(ell.parity)
             assert ell @ linv == ident
             assert linv @ ell == ident

@@ -4,17 +4,22 @@ The sign conventions here decide the fate of every R-matrix check, so
 the tests pin them down on the smallest possible cases worked by hand.
 """
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ospq.errors import NonHomogeneous, NotNilpotent
+import ospq
 from ospq.gmatrix import (
     GradedMatrix,
+    block_matrix,
     embed_pair,
     graded_kron,
+    graded_primitive,
     inverse,
     swap_conjugate,
     tensor_parity,
@@ -76,6 +81,39 @@ class TestKronSigns:
                         )
                         rhs = graded_kron(a @ c, b @ d).scale(sign)
                         assert lhs == rhs
+
+
+class TestBlocksAndPrimitives:
+    def test_block_matrix_places_blocks_without_signs(self):
+        # Block (a, b) sits at rows a*d.., cols b*d..: the ungraded
+        # Kronecker product of the outer unit matrix with the block.
+        outer = (0, 1)
+        blocks = [[DIAG, E01], [E10, GradedMatrix.zero((0, 1))]]
+        got = block_matrix(outer, blocks)
+        assert got.parity == tensor_parity((outer, (0, 1)))
+        want = GradedMatrix.zero(got.parity)
+        for a in range(2):
+            for b in range(2):
+                unit = GradedMatrix(outer, {(a, b): ONE})
+                want = want + graded_kron(unit, blocks[a][b], b_op_parity=0)
+        assert got == want
+        # E01 in block (0, 1) keeps its sign, though a graded product
+        # with the odd block would flip it in the odd outer column.
+        assert got.entry(0, 3) == ONE
+
+    def test_primitive_carries_the_odd_second_leg_sign(self):
+        got = graded_primitive(DIAG, E01)
+        minus = Scalar.from_int(-1)
+        # DIAG (x) 1 on the diagonal, 1 (x) E01 above it with the sign of
+        # the odd first-leg column.
+        assert got.entries == {
+            (0, 0): ONE,
+            (1, 1): ONE,
+            (2, 2): minus,
+            (3, 3): minus,
+            (0, 1): ONE,
+            (2, 3): minus,
+        }
 
 
 class TestSwap:
@@ -222,3 +260,68 @@ def test_json_round_trip():
     m2 = GradedMatrix.from_json_dict(m.to_json_dict())
     assert m2 == m
     assert m2.parity == m.parity
+
+
+# -- matrices are immutable once built --------------------------------------
+
+_MUTATORS = {"pop", "update", "setdefault", "clear", "popitem"}
+
+
+def _entries_writes(source: str):
+    """Qualified names of the functions that store into, delete from or
+    call a mutating method on some ``.entries`` attribute, once per site."""
+    hits = []
+
+    def is_entries(node):
+        return isinstance(node, ast.Attribute) and node.attr == "entries"
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        writes = isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del))
+        if writes and (
+            is_entries(node)
+            or isinstance(node, ast.Subscript) and is_entries(node.value)
+        ):
+            hits.append(".".join(scope))
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _MUTATORS
+            and is_entries(node.func.value)
+        ):
+            hits.append(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return hits
+
+
+class TestImmutableByContract:
+    """Outside ``gmatrix.py`` a built matrix is never written, so caches
+    may hand out shared matrices."""
+
+    def test_detector_sees_every_kind_of_write(self):
+        source = (
+            "def f(m, n):\n"
+            "    m.entries[0, 0] = 1\n"
+            "    del m.entries[0, 0]\n"
+            "    m.entries = {}\n"
+            "    m.entries.pop((0, 0))\n"
+            "    n.entries.update({})\n"
+            "    m.entries[1, 1] += 1\n"
+            "    x = dict(m.entries)\n"
+            "    x[0] = m.entries.get((0, 0))\n"
+        )
+        assert _entries_writes(source) == ["f"] * 6
+
+    def test_only_evaluate_fills_its_own_new_matrix(self):
+        package = Path(ospq.__file__).parent
+        hits = {}
+        for path in sorted(package.glob("*.py")):
+            if path.name != "gmatrix.py":
+                for site in _entries_writes(path.read_text()):
+                    hits.setdefault(f"{path.stem}:{site}", 0)
+                    hits[f"{path.stem}:{site}"] += 1
+        assert hits == {"texpr:TensorExpression.evaluate": 1}

@@ -32,8 +32,3 @@ def test_ordering_and_str():
     assert sorted(map(str, sorted(vals))) == sorted(["-1/2", "0", "1", "3/2"])
     assert str(HalfInt.parse("3/2")) == "3/2"
     assert str(HalfInt(2)) == "2"
-
-
-def test_integrality():
-    assert HalfInt(1).is_integer
-    assert not HalfInt.parse("1/2").is_integer

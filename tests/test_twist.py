@@ -1,5 +1,7 @@
 """Order-by-order checks for the Cartan-preserving twist series."""
 
+import hashlib
+import json
 from fractions import Fraction
 from itertools import product
 
@@ -11,7 +13,7 @@ from ospq.hopf import r1_algebra
 from ospq.r1 import inverse_map_words, r1_generators, x_nilpotency
 from ospq.report import series_residuals
 from ospq.reps import classical_rep
-from ospq.scalar import H, scalar_from_string
+from ospq.scalar import H, ONE, scalar_from_string, scalar_to_string
 from ospq.texpr import TensorExpression as TE
 from ospq.twist import (
     MAX_SERIES_ORDER,
@@ -41,7 +43,7 @@ class TestDisplayedSeries:
 
     def test_series_head_is_the_unit(self):
         g = hdiag_twist_expression()
-        assert g.terms[((), ())].is_one
+        assert g.terms[((), ())] == ONE
 
     def test_series_depth_is_two(self):
         # The printed form stops at h^2, and every order-by-order check
@@ -130,6 +132,26 @@ class TestSeriesSolver:
         # equation count and the rank all at once.
         assert series_twist(2).kernel_dimensions == [41, 953]
 
+    def test_third_order_is_pinned(self):
+        # Order 3 is the only one whose right-hand side carries both lower
+        # solved orders.  The digest is of the coefficient strings in the
+        # benchmark's canonical form, as the earlier dense-Fraction solver
+        # produced them.
+        series = series_twist(3)
+        assert series.kernel_dimensions == [41, 953, 16121]
+        assert series.display_matched == [True, True]
+        canonical = [
+            [
+                [[list(word) for word in key], scalar_to_string(value)]
+                for key, value in sorted(coeff.terms.items())
+            ]
+            for coeff in series.coefficients
+        ]
+        text = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "f255db12a0def9a0126590a463a3dc380b1ef2128d456e235f57da491844b334"
+        )
+
     def test_expression_assembles_the_printed_series(self):
         assert series_twist(2).expression() == hdiag_twist_expression()
 
@@ -182,38 +204,39 @@ class TestRowAssemblyOracle:
         dim = rep.dim
         pair_dim = dim * dim
         iden = rep.identity()
-        tables = {letter: _dense(rep.matrix(letter), dim) for letter in "HX"}
+        tables = {letter: rep.matrix(letter) for letter in "HX"}
+        dense_tables = {letter: _dense(m, dim) for letter, m in tables.items()}
         names = sorted(inverse_map_words("hdiag", nilpotency=x_nilpotency(HALF)))
         assert names == ["e", "f", "h"]
         primitives = {
-            name: _dense(
-                graded_kron(cls.matrix(name), iden, b_op_parity=0)
-                + graded_kron(iden, cls.matrix(name)),
-                pair_dim,
-            )
+            name: graded_kron(cls.matrix(name), iden, b_op_parity=0)
+            + graded_kron(iden, cls.matrix(name))
             for name in names
         }
-        mats, word_class = _word_classes(4, tables, dim)
+        dense_primitives = {
+            name: _dense(prim, pair_dim) for name, prim in primitives.items()
+        }
+        mats, word_class = _word_classes(4, tables, rep.parity)
         dense_words = {}
         commutators = {}
         for n in (1, 2):
             legs = [w for m in range(2 * n + 1) for w in product("HX", repeat=m)]
             for word in legs:
-                dense_words.setdefault(word, _dense_word(word, tables, dim))
+                dense_words.setdefault(word, _dense_word(word, dense_tables, dim))
             pairs = _ansatz_pairs(n)
             assert pairs == sorted(
                 product(legs, repeat=2),
                 key=lambda p: (len(p[0]) + len(p[1]), p[0], p[1]),
             )
             rows, krons, column_class = _ansatz_rows(
-                pairs, mats, word_class, primitives, dim
+                pairs, mats, word_class, primitives
             )
             assert len(rows) == len(names) * pair_dim * pair_dim + 2 * dim * dim
             assert all(value for row in rows for value in row.values())
             for col, (left, right) in enumerate(pairs):
                 lmat, rmat = dense_words[left], dense_words[right]
                 bmat = _dense_kron(lmat, rmat)
-                assert krons[column_class[col]] == bmat
+                assert _dense(krons[column_class[col]], pair_dim) == bmat
                 key = tuple(map(tuple, bmat))
                 if key not in commutators:
                     commutators[key] = [
@@ -224,7 +247,7 @@ class TestRowAssemblyOracle:
                             ),
                             Fraction(0),
                         )
-                        for prim in (primitives[name] for name in names)
+                        for prim in (dense_primitives[name] for name in names)
                         for i in range(pair_dim)
                         for j in range(pair_dim)
                     ]
