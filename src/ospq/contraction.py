@@ -17,6 +17,7 @@ raises instead of being approximated.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .gmatrix import GradedMatrix, block_matrix, embed_pair, graded_kron, inverse
 from .halfint import HalfInt, as_half
@@ -66,11 +67,18 @@ def eq2_series(x: GradedMatrix) -> GradedMatrix:
             raise ArithmeticError("series argument was not nilpotent")
 
 
+@lru_cache(maxsize=None)
 def m_matrix(j) -> GradedMatrix:
     """The contraction bridge on the spin-j module."""
     rep = q_rep(as_half(j))
     e2 = rep.matrix("e") @ rep.matrix("e")
     return eq2_series(e2.scale(eta()))
+
+
+@lru_cache(maxsize=None)
+def m_inverse(j) -> GradedMatrix:
+    """The inverse of the contraction bridge on the spin-j module."""
+    return inverse(m_matrix(j))
 
 
 def q_cartan_power(j, alpha) -> GradedMatrix:
@@ -85,16 +93,13 @@ def q_cartan_power(j, alpha) -> GradedMatrix:
     return GradedMatrix(parity, entries)
 
 
+@lru_cache(maxsize=None)
 def script_t(j, alpha) -> GradedMatrix:
     """The shifted-exponential quotient E(eta e^2)^-1 E(q^{2 alpha} eta e^2)."""
     j = as_half(j)
-    alpha = as_half(alpha)
-    rep = q_rep(j)
-    e2 = rep.matrix("e") @ rep.matrix("e")
-    base = eq2_series(e2.scale(eta()))
-    shift = p_power(alpha * 2)  # q^{2 alpha}
-    shifted = eq2_series(e2.scale(eta() * shift))
-    return inverse(base) @ shifted
+    e = q_rep(j).matrix("e")
+    shift = p_power(as_half(alpha) * 2)  # q^{2 alpha}
+    return m_inverse(j) @ eq2_series((e @ e).scale(eta() * shift))
 
 
 class ContractionResult:
@@ -209,6 +214,7 @@ def tilde_t(j) -> GradedMatrix:
     return routes["closed"]
 
 
+@lru_cache(maxsize=None)
 def r2_generators(j) -> GeneratorTable:
     """Jordanian generators on the spin-j module, via the classical ones."""
     j = as_half(j)
@@ -386,7 +392,8 @@ def frt_hopf_check(j1, j2) -> VerificationReport:
 def identity_check(j, n: int) -> VerificationReport:
     """Reordering identities for f e^{2n} and f^2 e^{2n}, plus the
     conjugation rules of the shifted-exponential quotients and the dual
-    construction of the Jordanian group-like element."""
+    construction of the Jordanian group-like element.  The part that does
+    not depend on n is computed once per spin."""
     j = as_half(j)
     rep = q_rep(j)
     e, f = rep.matrix("e"), rep.matrix("f")
@@ -438,11 +445,20 @@ def identity_check(j, n: int) -> VerificationReport:
         )
     )
     fails += matrix_residuals(f"f^2.e^{2 * n}", lhs2 - rhs2)
+    fails += _spin_identity_failures(j)
+    return VerificationReport("identities", {"j": j, "n": n}, fails)
 
+
+@lru_cache(maxsize=None)
+def _spin_identity_failures(j) -> tuple:
+    """The failures of the identities of ``identity_check`` that do not
+    depend on n: the bridge conjugation and additivity rules, the shift
+    identity, the quotient difference and the tilde blocks."""
+    fails = []
     half = HalfInt.from_twice(1)
     alphas = [HalfInt(1), HalfInt(-1), half, -half]
     big_m = m_matrix(j)
-    big_minv = inverse(big_m)
+    big_minv = m_inverse(j)
     for alpha in alphas:
         lhs = big_minv @ q_cartan_power(j, alpha) @ big_m
         rhs = script_t(j, alpha) @ q_cartan_power(j, alpha)
@@ -464,6 +480,7 @@ def identity_check(j, n: int) -> VerificationReport:
             )
 
     # Shift identity of the base-q^2 exponential on the nilpotent argument.
+    e = q_rep(j).matrix("e")
     e2 = e @ e
     arg = e2.scale(eta())
     lhs = eq2_series(arg.scale(p_power(HalfInt(2)))) - eq2_series(
@@ -498,4 +515,4 @@ def identity_check(j, n: int) -> VerificationReport:
     fails += matrix_residuals(
         "tilde-half-power", unit_power(big_t, Fraction(1, 2)) - half_limit
     )
-    return VerificationReport("identities", {"j": j, "n": n}, fails)
+    return tuple(fails)

@@ -19,6 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .gmatrix import GradedMatrix
+from .halfint import as_half
 from .report import VerificationReport, matrix_residuals
 from .scalar import H as HPARAM
 from .scalar import ONE, P, rational
@@ -357,20 +358,12 @@ def hopf_suite_failures(algebra: HopfAlgebra, reps) -> list:
     return fails
 
 
-def _rep_triple(builder, spins):
-    cache = {}
-    reps = []
-    for j in spins:
-        if j not in cache:
-            cache[j] = builder(j)
-        reps.append(cache[j])
-    return reps
-
-
 def r2_hopf_check(j1, j2, j3) -> VerificationReport:
     from .contraction import r2_generators
 
-    reps = _rep_triple(r2_generators, (j1, j2, j3))
+    # lru_cache keys a lone int apart from the equal HalfInt, and the
+    # suite tells repeated spins apart by identity
+    reps = [r2_generators(as_half(j)) for j in (j1, j2, j3)]
     fails = hopf_suite_failures(r2_algebra(), reps)
     return VerificationReport(
         "hopf-r2", {"j1": j1, "j2": j2, "j3": j3}, fails
@@ -380,7 +373,7 @@ def r2_hopf_check(j1, j2, j3) -> VerificationReport:
 def r1_hopf_check(j1, j2, j3, family: str = "minimal") -> VerificationReport:
     from .r1 import r1_generators
 
-    reps = _rep_triple(lambda j: r1_generators(j, family), (j1, j2, j3))
+    reps = [r1_generators(j, family) for j in (j1, j2, j3)]
     fails = hopf_suite_failures(r1_algebra(), reps)
     return VerificationReport(
         "r1-hopf", {"j1": j1, "j2": j2, "j3": j3, "family": family}, fails

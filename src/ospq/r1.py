@@ -24,6 +24,7 @@ disentanglement identity behind that closed form.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .gmatrix import (
     GradedMatrix,
@@ -55,6 +56,7 @@ def _require_family(family: str) -> None:
         raise ValueError(f"unknown dressing family {family!r}")
 
 
+@lru_cache(maxsize=None)
 def r1_generators(j, family: str = "minimal") -> GeneratorTable:
     """Dressed generator matrices on the spin-j module.
 

@@ -16,6 +16,7 @@ the fraction field over p = q^{1/2}.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import BadBracketArg, Inconsistency, UnknownGenerator
 from .gmatrix import GradedMatrix
@@ -84,7 +85,10 @@ def plus_factorial(n: int) -> Scalar:
 
 
 class GeneratorTable:
-    """Named generator matrices of one representation on one graded space."""
+    """Named generator matrices of one representation on one graded space.
+
+    The builders cache their tables, so one table is shared by every
+    caller: neither it nor its matrices are written once built."""
 
     __slots__ = ("variant", "j", "parity", "matrices")
 
@@ -149,6 +153,7 @@ def weight_twice(j, k: int) -> int:
     return as_half(j).twice - k
 
 
+@lru_cache(maxsize=None)
 def classical_rep(j) -> GeneratorTable:
     j = as_half(j)
     dim = rep_dim(j)
@@ -173,6 +178,7 @@ def classical_rep(j) -> GeneratorTable:
     )
 
 
+@lru_cache(maxsize=None)
 def q_rep(j) -> GeneratorTable:
     j = as_half(j)
     dim = rep_dim(j)

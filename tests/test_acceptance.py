@@ -180,7 +180,7 @@ def test_criterion_12_ode_oracle():
 
 
 def test_criterion_13_operator_identities():
-    with criterion(13, 60.0):
+    with criterion(13, 10.0):
         for j in (HALF, ONEJ, THREEHALF):
             for n in (1, 2, 3):
                 assert identity_check(j, n).ok

@@ -5,6 +5,7 @@ displays and frozen here as strings; the code under test must reproduce
 them entry for entry with h kept symbolic.
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from ospq.contraction import (
     ContractionResult,
     L_operator,
     _assemble_blocks,
+    _spin_identity_failures,
     contract,
     eq2_series,
     eta,
@@ -48,6 +50,24 @@ HALF = HalfInt.from_twice(1)
 ONEJ = HalfInt(1)
 THREEHALF = HalfInt.from_twice(3)
 TWOJ = HalfInt(2)
+
+
+def clear_package_caches():
+    """Empty every ``lru_cache`` in the package, so the next call is cold."""
+    for name, module in list(sys.modules.items()):
+        if name == "ospq" or name.startswith("ospq."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty caches before the test, and again after it, so that nothing a
+    patched builder made stays cached for later tests."""
+    clear_package_caches()
+    yield
+    clear_package_caches()
 
 
 def mat_from_rows(parity, rows):
@@ -227,7 +247,7 @@ class TestLaurentRoute:
                 if not vanishes_at_one(s):
                     assert Laurent.from_scalar(s, 1).val == -order
 
-    def test_perturbed_bridge_raises(self, monkeypatch):
+    def test_perturbed_bridge_raises(self, monkeypatch, cold_caches):
         # one entry of M given an extra 1/(p - 1): the conjugation is still a
         # conjugation, but its poles no longer cancel
         built = m_matrix
@@ -270,7 +290,7 @@ class TestLargeSpins:
         par = rep_parity(TWOJ)
         assert swap_conjugate(r, par, par) @ r == ident
 
-    def test_oversized_pair_refused_before_any_work(self, monkeypatch):
+    def test_oversized_pair_refused_before_any_work(self, monkeypatch, cold_caches):
         def forbidden(*args):
             raise AssertionError("work started on an oversized pair")
 
@@ -375,6 +395,42 @@ class TestIdentities:
         report = identity_check(HalfInt.from_twice(twice_j), n)
         assert report.failures == []
         assert report.status == "pass"
+
+    def test_cold_caches_give_the_warm_report(self):
+        keys = [(j, n) for j in (HALF, ONEJ, THREEHALF) for n in (1, 2, 3)]
+        for key in keys:
+            identity_check(*key)  # fills the caches
+        warm = {key: identity_check(*key).to_json_dict() for key in keys}
+        for key in keys:
+            clear_package_caches()
+            assert identity_check(*key).to_json_dict() == warm[key]
+
+    def test_perturbed_quotient_breaks_conjugation_and_additivity(
+        self, monkeypatch, cold_caches
+    ):
+        built = script_t
+
+        # only spin 1 is perturbed, so a block cached under the wrong spin
+        # shows as a pass at spin 1 or a failure at spin 1/2
+        def perturbed(j, alpha):
+            m = built(j, alpha)
+            if j != ONEJ:
+                return m
+            entries = dict(m.entries)
+            entries[(0, 0)] = entries[(0, 0)] + H
+            return GradedMatrix(m.parity, entries)
+
+        monkeypatch.setattr(ospq.contraction, "script_t", perturbed)
+        assert identity_check(HALF, 1).ok
+        report = identity_check(ONEJ, 1)
+        labels = {label.split(":")[0] for label, _, _ in report.failures}
+        assert {"conjugation", "additivity"} <= labels
+
+    def test_n_free_blocks_are_built_once_per_spin(self, cold_caches):
+        for n in (1, 2, 3):
+            assert identity_check(THREEHALF, n).ok
+        assert _spin_identity_failures.cache_info().misses == 1
+        assert q_rep.cache_info().misses == 1
 
 
 class TestLOperator:

@@ -262,33 +262,35 @@ def test_json_round_trip():
     assert m2.parity == m.parity
 
 
-# -- matrices are immutable once built --------------------------------------
+# -- matrices and generator tables are immutable once built ------------------
 
 _MUTATORS = {"pop", "update", "setdefault", "clear", "popitem"}
+_SHARED = {"entries", "matrices"}
 
 
-def _entries_writes(source: str):
+def _shared_writes(source: str):
     """Qualified names of the functions that store into, delete from or
-    call a mutating method on some ``.entries`` attribute, once per site."""
+    call a mutating method on some ``.entries`` or ``.matrices``
+    attribute, once per site."""
     hits = []
 
-    def is_entries(node):
-        return isinstance(node, ast.Attribute) and node.attr == "entries"
+    def is_shared(node):
+        return isinstance(node, ast.Attribute) and node.attr in _SHARED
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = scope + (node.name,)
         writes = isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del))
         if writes and (
-            is_entries(node)
-            or isinstance(node, ast.Subscript) and is_entries(node.value)
+            is_shared(node)
+            or isinstance(node, ast.Subscript) and is_shared(node.value)
         ):
             hits.append(".".join(scope))
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
             and node.func.attr in _MUTATORS
-            and is_entries(node.func.value)
+            and is_shared(node.func.value)
         ):
             hits.append(".".join(scope))
         for child in ast.iter_child_nodes(node):
@@ -299,12 +301,13 @@ def _entries_writes(source: str):
 
 
 class TestImmutableByContract:
-    """Outside ``gmatrix.py`` a built matrix is never written, so caches
-    may hand out shared matrices."""
+    """Outside ``gmatrix.py`` a built matrix is never written, and no
+    generator table is written after its constructor, so caches may hand
+    out shared matrices and tables."""
 
     def test_detector_sees_every_kind_of_write(self):
         source = (
-            "def f(m, n):\n"
+            "def f(m, n, t):\n"
             "    m.entries[0, 0] = 1\n"
             "    del m.entries[0, 0]\n"
             "    m.entries = {}\n"
@@ -313,15 +316,27 @@ class TestImmutableByContract:
             "    m.entries[1, 1] += 1\n"
             "    x = dict(m.entries)\n"
             "    x[0] = m.entries.get((0, 0))\n"
+            "    t.matrices['Y'] = m\n"
+            "    del t.matrices['Y']\n"
+            "    t.matrices = {}\n"
+            "    t.matrices.setdefault('Y', m)\n"
+            "    t.matrices['Y'] += m\n"
+            "    y = {**t.matrices}\n"
+            "    y['Y'] = t.matrices.get('Y')\n"
         )
-        assert _entries_writes(source) == ["f"] * 6
+        assert _shared_writes(source) == ["f"] * 11
 
     def test_only_evaluate_fills_its_own_new_matrix(self):
         package = Path(ospq.__file__).parent
         hits = {}
         for path in sorted(package.glob("*.py")):
             if path.name != "gmatrix.py":
-                for site in _entries_writes(path.read_text()):
+                for site in _shared_writes(path.read_text()):
                     hits.setdefault(f"{path.stem}:{site}", 0)
                     hits[f"{path.stem}:{site}"] += 1
-        assert hits == {"texpr:TensorExpression.evaluate": 1}
+        # besides evaluate, the one write is a table's constructor setting
+        # its own dict
+        assert hits == {
+            "texpr:TensorExpression.evaluate": 1,
+            "reps:GeneratorTable.__init__": 1,
+        }
