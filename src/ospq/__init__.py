@@ -33,18 +33,16 @@ from .r1 import (
     universal_Rh_r1,
 )
 from .report import VerificationReport
-from .reps import RepSpec, build_rep, classical_rep, q_rep
+from .reps import classical_rep, q_rep
 from .scalar import Scalar, p_power, scalar_from_string, scalar_to_string
 from .twist import hdiag_twist_check, series_twist
 
 __all__ = [
     "GradedMatrix",
     "HalfInt",
-    "RepSpec",
     "Scalar",
     "VerificationReport",
     "antipode_check",
-    "build_rep",
     "classical_rep",
     "cocycle_check",
     "contract",

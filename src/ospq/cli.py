@@ -21,7 +21,13 @@ import time
 from fractions import Fraction
 from importlib import resources
 
-from .contraction import contract, frt_hopf_check, identity_check, rll_check
+from .contraction import (
+    contract,
+    frt_hopf_check,
+    identity_check,
+    r2_generators,
+    rll_check,
+)
 from .gmatrix import GradedMatrix
 from .halfint import HalfInt
 from .hopf import r1_hopf_check, r1_relations_check, r2_hopf_check
@@ -31,22 +37,23 @@ from .r1 import (
     antipode_check,
     cocycle_check,
     disentangle_check,
+    r1_generators,
     triangularity_check,
     twist_property_check,
     universal_Rh_r1,
 )
 from .report import VerificationReport, matrix_residuals
-from .reps import RepSpec, build_rep, rep_parity
+from .reps import classical_rep, q_rep, rep_parity
 from .scalar import scalar_to_string
 from .twist import SERIES_DEPTH, hdiag_cocycle_check, hdiag_twist_check
 
-#: short names accepted by ``rep --variant``, mapped to the registry names
-VARIANT_ALIASES = {
-    "classical": "classical",
-    "q": "q-deformed",
-    "r2": "jordanian-r2",
-    "r1-minimal": "jordanian-r1-minimal",
-    "r1-hdiag": "jordanian-r1-hdiag",
+#: short names accepted by ``rep --variant``, mapped to the one-spin builders
+REP_BUILDERS = {
+    "classical": classical_rep,
+    "q": q_rep,
+    "r2": r2_generators,
+    "r1-minimal": lambda j: r1_generators(j, "minimal"),
+    "r1-hdiag": lambda j: r1_generators(j, "hdiag"),
 }
 
 R_KINDS = ("q", "contracted", "r1")
@@ -335,15 +342,14 @@ def _emit_reports(reports, args) -> int:
 
 
 def _cmd_rep(args) -> int:
-    variant = VARIANT_ALIASES[args.variant]
-    rep = build_rep(RepSpec(variant, args.j))
+    rep = REP_BUILDERS[args.variant](args.j)
     matrices = {
         name: _substituted(rep.matrix(name), args.h) for name in sorted(rep.names())
     }
     if args.format == "json":
         _print_json(
             {
-                "variant": variant,
+                "variant": rep.variant,
                 "j": str(args.j),
                 "dim": rep.dim,
                 "generators": {
@@ -411,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     rep = sub.add_parser("rep", help="emit the generator matrices of a representation")
-    rep.add_argument("--variant", choices=sorted(VARIANT_ALIASES), required=True)
+    rep.add_argument("--variant", choices=sorted(REP_BUILDERS), required=True)
     rep.add_argument("--j", type=_half, required=True)
     rep.add_argument("--format", choices=("json", "pretty"), default="json")
     rep.add_argument("--h", type=_rational, metavar="RATIONAL", default=None)

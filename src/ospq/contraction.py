@@ -20,10 +20,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .gmatrix import GradedMatrix, block_matrix, embed_pair, graded_kron, inverse
-from .halfint import HalfInt, as_half
+from .halfint import HalfInt, as_half, spin_cache
 from .hopf import r2_algebra
 from .laurent import Laurent, valuation_floor
-from .nilfun import nil_log_unit, unit_power, unit_sqrt
+from .nilfun import nil_log_unit, nil_series, unit_power, unit_sqrt
 from .report import VerificationReport, matrix_residuals
 from .reps import (
     GeneratorTable,
@@ -54,28 +54,18 @@ def q2_factorial(n: int) -> Scalar:
 
 def eq2_series(x: GradedMatrix) -> GradedMatrix:
     """The base-q^2 exponential of a nilpotent matrix argument."""
-    total = GradedMatrix.identity(x.parity)
-    power = total
-    n = 0
-    while True:
-        n += 1
-        power = power @ x
-        if power.is_zero:
-            return total
-        total = total + power.scale(q2_factorial(n).reciprocal())
-        if n > x.dim:
-            raise ArithmeticError("series argument was not nilpotent")
+    return nil_series(x, lambda n: q2_factorial(n).reciprocal())
 
 
-@lru_cache(maxsize=None)
+@spin_cache
 def m_matrix(j) -> GradedMatrix:
     """The contraction bridge on the spin-j module."""
-    rep = q_rep(as_half(j))
+    rep = q_rep(j)
     e2 = rep.matrix("e") @ rep.matrix("e")
     return eq2_series(e2.scale(eta()))
 
 
-@lru_cache(maxsize=None)
+@spin_cache
 def m_inverse(j) -> GradedMatrix:
     """The inverse of the contraction bridge on the spin-j module."""
     return inverse(m_matrix(j))
@@ -125,7 +115,8 @@ def contract(j1, j2, source: str = "universal", log_cancellation: bool = False):
     """Contract the standard R-matrix at spins (j1, j2).
 
     ``source`` chooses between conjugating the universal R-matrix and the
-    closed three-block form (the latter only exists for j1 = 1/2).  With
+    closed three-block form, the L-operator words evaluated on the
+    Jordanian generators (the latter only exists for j1 = 1/2).  With
     ``log_cancellation`` the result records, per entry, the worst pole
     order that appeared among the summands before cancellation.  Pairs
     whose product dimension exceeds ``MAX_CONTRACT_DIM`` raise
@@ -141,7 +132,8 @@ def contract(j1, j2, source: str = "universal", log_cancellation: bool = False):
     if source == "half-j-formula":
         if j1 != HalfInt.from_twice(1):
             raise ValueError("the closed block form needs j1 = 1/2")
-        return ContractionResult(j1, j2, source, _half_j_formula(j2))
+        matrix = _assemble_blocks(l_operator_words(), r2_generators(j2))
+        return ContractionResult(j1, j2, source, matrix)
     if source != "universal":
         raise ValueError(f"unknown contraction source {source!r}")
 
@@ -193,12 +185,10 @@ def _expand(m: GradedMatrix, prec: int) -> GradedMatrix:
 
 
 def tilde_t_routes(j) -> dict:
-    """The Jordanian group-like element, by closed form and by limit."""
+    """The Jordanian group-like element, by closed form (the ``T`` of
+    ``r2_generators``) and by limit."""
     j = as_half(j)
-    cl = classical_rep(j)
-    e2 = cl.matrix("e") @ cl.matrix("e")
-    root = unit_sqrt(GradedMatrix.identity(cl.parity) + (e2 @ e2).scale(HPARAM**2))
-    closed = e2.scale(HPARAM) + root
+    closed = r2_generators(j).matrix("T")
     limited = (script_t(j, 1) @ q_cartan_power(j, 1)).map_entries(
         lambda s: s.limit_p_to_1()
     )
@@ -214,10 +204,9 @@ def tilde_t(j) -> GradedMatrix:
     return routes["closed"]
 
 
-@lru_cache(maxsize=None)
+@spin_cache
 def r2_generators(j) -> GeneratorTable:
     """Jordanian generators on the spin-j module, via the classical ones."""
-    j = as_half(j)
     cl = classical_rep(j)
     ident = GradedMatrix.identity(cl.parity)
     e, f, h = cl.matrix("e"), cl.matrix("f"), cl.matrix("h")
@@ -248,33 +237,6 @@ def r2_generators(j) -> GeneratorTable:
         "Y": y,
     }
     return GeneratorTable("jordanian-r2", j, cl.parity, mats)
-
-
-def _half_j_formula(j) -> GradedMatrix:
-    """Closed three-block form of the contracted R-matrix for j1 = 1/2."""
-    j = as_half(j)
-    rep = r2_generators(j)
-    quarter = HPARAM * rational(1, 4)
-    big_t, big_tinv = rep.matrix("T"), rep.matrix("Tinv")
-    e = rep.matrix("E")
-    blocks = [
-        [
-            big_t,
-            (rep.matrix("Thalf") @ e).scale(HPARAM),
-            -(rep.matrix("H").scale(HPARAM)) + (big_t - big_tinv).scale(quarter),
-        ],
-        [
-            GradedMatrix.zero(rep.parity),
-            rep.identity(),
-            -((rep.matrix("Tinvhalf") @ e).scale(HPARAM)),
-        ],
-        [
-            GradedMatrix.zero(rep.parity),
-            GradedMatrix.zero(rep.parity),
-            big_tinv,
-        ],
-    ]
-    return block_matrix((0, 1, 0), blocks)
 
 
 # -- the L-operator and its Hopf behaviour ------------------------------------
@@ -323,10 +285,9 @@ def L_operator(j) -> GradedMatrix:
     Also asserts agreement with the universal-source contraction, which is
     the fundamental exchange-algebra consistency statement.
     """
-    j = as_half(j)
-    rep = r2_generators(j)
-    ell = _assemble_blocks(l_operator_words(), rep)
-    contracted = contract(HalfInt.from_twice(1), j).matrix
+    half = HalfInt.from_twice(1)
+    ell = contract(half, j, source="half-j-formula").matrix
+    contracted = contract(half, j).matrix
     if ell != contracted:
         from .errors import Inconsistency
 
@@ -398,25 +359,18 @@ def identity_check(j, n: int) -> VerificationReport:
     rep = q_rep(j)
     e, f = rep.matrix("e"), rep.matrix("f")
     t, tinv = rep.matrix("t"), rep.matrix("tinv")
-    ident = rep.identity()
     fails = []
 
     q = P**2
     qp1 = q + ONE
     omega = q - q.reciprocal()
-    def epow(k):
-        m = ident
-        for _ in range(k):
-            m = m @ e
-        return m
-
     c_plus = bracket("curly", n, base=2)
     c_minus = bracket("curly", n, base=-2)
-    lhs1 = f @ epow(2 * n)
+    lhs1 = f @ e ** (2 * n)
     rhs1 = (
-        epow(2 * n) @ f
-        - (epow(2 * n - 1) @ t).scale(q / qp1 * c_plus)
-        - (epow(2 * n - 1) @ tinv).scale(c_minus / qp1)
+        e ** (2 * n) @ f
+        - (e ** (2 * n - 1) @ t).scale(q / qp1 * c_plus)
+        - (e ** (2 * n - 1) @ tinv).scale(c_minus / qp1)
     )
     fails += matrix_residuals(f"f.e^{2 * n}", lhs1 - rhs1)
 
@@ -427,20 +381,20 @@ def identity_check(j, n: int) -> VerificationReport:
     cm_prev = bracket("curly", n - 1, base=-2)
     two_plus = bracket("curly", 2, base=2)
     two_minus = bracket("curly", 2, base=-2)
-    lhs2 = f @ f @ epow(2 * n)
+    lhs2 = f @ f @ e ** (2 * n)
     rhs2 = (
-        epow(2 * n) @ f @ f
-        + (epow(2 * n - 1) @ t @ f).scale(q * ratio * c_plus)
-        - (epow(2 * n - 1) @ tinv @ f).scale(ratio * c_minus / q)
-        + (epow(2 * n - 2) @ t @ t).scale(
+        e ** (2 * n) @ f @ f
+        + (e ** (2 * n - 1) @ t @ f).scale(q * ratio * c_plus)
+        - (e ** (2 * n - 1) @ tinv @ f).scale(ratio * c_minus / q)
+        + (e ** (2 * n - 2) @ t @ t).scale(
             (q / qp1)
             * (c4_plus / omega - (q**2) * ratio * cp_prev * c_plus / two_plus)
         )
-        - (epow(2 * n - 2) @ tinv @ tinv).scale(
+        - (e ** (2 * n - 2) @ tinv @ tinv).scale(
             (ONE / qp1)
             * (c4_minus / omega - ratio * cm_prev * c_minus / (two_minus * q**2))
         )
-        - epow(2 * n - 2).scale(
+        - (e ** (2 * n - 2)).scale(
             (q / qp1**3) * (q * c_plus + c_minus)
         )
     )
@@ -449,7 +403,7 @@ def identity_check(j, n: int) -> VerificationReport:
     return VerificationReport("identities", {"j": j, "n": n}, fails)
 
 
-@lru_cache(maxsize=None)
+@spin_cache
 def _spin_identity_failures(j) -> tuple:
     """The failures of the identities of ``identity_check`` that do not
     depend on n: the bridge conjugation and additivity rules, the shift
@@ -497,22 +451,15 @@ def _spin_identity_failures(j) -> tuple:
     # the defining difference relation, and the square root of its half.
     routes = tilde_t_routes(j)
     fails += matrix_residuals("tilde-closed-vs-limit", routes["closed"] - routes["limit"])
-    cl = classical_rep(j)
-    ce2 = cl.matrix("e") @ cl.matrix("e")
-    big_t = routes["closed"]
-    big_tinv = ce2.scale(-HPARAM) + unit_sqrt(
-        GradedMatrix.identity(cl.parity) + (ce2 @ ce2).scale(HPARAM**2)
-    )
+    r2 = r2_generators(j)
+    ce2 = r2.matrix("E") @ r2.matrix("E")
+    big_t, big_tinv = r2.matrix("T"), r2.matrix("Tinv")
     fails += matrix_residuals(
         "tilde-difference", big_t - big_tinv - ce2.scale(HPARAM + HPARAM)
     )
-    fails += matrix_residuals(
-        "tilde-inverse", big_t @ big_tinv - GradedMatrix.identity(cl.parity)
-    )
+    fails += matrix_residuals("tilde-inverse", big_t @ big_tinv - r2.identity())
     half_limit = (script_t(j, half) @ q_cartan_power(j, half)).map_entries(
         lambda s: s.limit_p_to_1()
     )
-    fails += matrix_residuals(
-        "tilde-half-power", unit_power(big_t, Fraction(1, 2)) - half_limit
-    )
+    fails += matrix_residuals("tilde-half-power", r2.matrix("Thalf") - half_limit)
     return tuple(fails)

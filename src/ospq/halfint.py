@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, wraps
 
 
 class HalfInt:
@@ -112,3 +113,21 @@ class HalfInt:
 def as_half(x) -> HalfInt:
     """x as a HalfInt; a HalfInt passes through unchanged."""
     return x if isinstance(x, HalfInt) else HalfInt(x)
+
+
+def spin_cache(fn):
+    """``lru_cache`` for a one-spin builder, keyed by the spin as a HalfInt.
+
+    ``lru_cache`` keys a lone int apart from the equal HalfInt, so
+    ``fn(1)`` and ``fn(HalfInt(1))`` would build the spin twice; here both
+    share one entry.  ``cache_info`` and ``cache_clear`` are those of the
+    underlying cache."""
+    cached = lru_cache(maxsize=None)(fn)
+
+    @wraps(fn)
+    def by_spin(j):
+        return cached(as_half(j))
+
+    by_spin.cache_info = cached.cache_info
+    by_spin.cache_clear = cached.cache_clear
+    return by_spin

@@ -19,7 +19,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .gmatrix import GradedMatrix
-from .halfint import as_half
 from .report import VerificationReport, matrix_residuals
 from .scalar import H as HPARAM
 from .scalar import ONE, P, rational
@@ -361,9 +360,7 @@ def hopf_suite_failures(algebra: HopfAlgebra, reps) -> list:
 def r2_hopf_check(j1, j2, j3) -> VerificationReport:
     from .contraction import r2_generators
 
-    # lru_cache keys a lone int apart from the equal HalfInt, and the
-    # suite tells repeated spins apart by identity
-    reps = [r2_generators(as_half(j)) for j in (j1, j2, j3)]
+    reps = [r2_generators(j) for j in (j1, j2, j3)]
     fails = hopf_suite_failures(r2_algebra(), reps)
     return VerificationReport(
         "hopf-r2", {"j1": j1, "j2": j2, "j3": j3}, fails

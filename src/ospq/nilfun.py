@@ -16,7 +16,7 @@ from .gmatrix import GradedMatrix, inverse
 from .scalar import Scalar
 
 
-def _power_series(n: GradedMatrix, coeff_at) -> GradedMatrix:
+def nil_series(n: GradedMatrix, coeff_at) -> GradedMatrix:
     """sum_k coeff_at(k) * n^k for nilpotent n, k from 0 up."""
     out = GradedMatrix.identity(n.parity).scale(_as_scalar(coeff_at(0)))
     term = GradedMatrix.identity(n.parity)
@@ -40,13 +40,13 @@ def nil_exp(n: GradedMatrix) -> GradedMatrix:
     fact = [Fraction(1)]
     for k in range(1, n.dim + 1):
         fact.append(fact[-1] / k)
-    return _power_series(n, lambda k: fact[k])
+    return nil_series(n, lambda k: fact[k])
 
 
 def nil_log_unit(m: GradedMatrix) -> GradedMatrix:
     """log of a unipotent matrix (identity plus nilpotent)."""
     n = m - GradedMatrix.identity(m.parity)
-    return _power_series(
+    return nil_series(
         n, lambda k: Fraction((-1) ** (k + 1), k) if k else Fraction(0)
     )
 
@@ -63,7 +63,7 @@ def unit_power(m: GradedMatrix, r) -> GradedMatrix:
     binom = [Fraction(1)]
     for k in range(1, m.dim + 1):
         binom.append(binom[-1] * (r - (k - 1)) / k)
-    w = _power_series(n, lambda k: binom[k])
+    w = nil_series(n, lambda k: binom[k])
     check_lhs = w**r.denominator
     check_rhs = m**r.numerator if r.numerator >= 0 else inverse(m ** (-r.numerator))
     if check_lhs != check_rhs:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from .report import VerificationReport
 from .scalar import H as HPARAM
 from .scalar import rational, scalar_to_string
-from .series import PowerSeries, series_sqrt
+from .series import PowerSeries
 
 #: extra working orders, consumed by derivatives and divisions that
 #: factor out a zero at the origin
@@ -67,7 +67,7 @@ def direct_residuals(family: str, order: int) -> dict:
     else:
         raise ValueError(f"unknown dressing family {family!r}")
     phi1p = phi1.derivative()
-    rho = series_sqrt(1 + (b * b) * h2 * _pow4(phi1))
+    rho = (1 + (b * b) * h2 * _pow4(phi1)).sqrt()
     phi2 = (rho * phi1) / (phi1 + b * phi1p * 2)
     phi2p = phi2.derivative()
     phi3 = phi1.reciprocal()
@@ -76,7 +76,7 @@ def direct_residuals(family: str, order: int) -> dict:
     u1p = u1.derivative()
     u2 = _divide(1 - rho * phi2, (b * phi1) * 2)
     u2p = u2.derivative()
-    rho_print = series_sqrt(1 + (b * b) * h2 * _pow4(phi2))
+    rho_print = (1 + (b * b) * h2 * _pow4(phi2)).sqrt()
     cube1 = phi1 * phi1 * phi1
     out = {
         "eq1": (phi1 + b * phi1p * 2) * phi2 - rho * phi1,

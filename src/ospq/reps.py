@@ -16,23 +16,13 @@ the fraction field over p = q^{1/2}.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import BadBracketArg, Inconsistency, UnknownGenerator
 from .gmatrix import GradedMatrix
-from .halfint import HalfInt, as_half
+from .halfint import HalfInt, as_half, spin_cache
 from .scalar import ONE, Scalar, p_power
 
 HALF = HalfInt.from_twice(1)
-
-VARIANTS = (
-    "classical",
-    "q-deformed",
-    "jordanian-r2",
-    "jordanian-r1-minimal",
-    "jordanian-r1-hdiag",
-)
-
 
 def bracket(kind: str, x, base: int = 1) -> Scalar:
     """Evaluate one of the four deformation brackets at ``x``, base q^base."""
@@ -115,31 +105,6 @@ class GeneratorTable:
         return GradedMatrix.identity(self.parity)
 
 
-class RepSpec:
-    """Pointer to one finite-dimensional representation: variant plus spin."""
-
-    __slots__ = ("variant", "j")
-
-    def __init__(self, variant: str, j):
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown representation variant {variant!r}")
-        self.variant = variant
-        self.j = as_half(j)
-        if self.j.twice < 0:
-            raise ValueError("spin must be nonnegative")
-
-    def __eq__(self, other):
-        if not isinstance(other, RepSpec):
-            return NotImplemented
-        return self.variant == other.variant and self.j == other.j
-
-    def __hash__(self):
-        return hash((self.variant, self.j))
-
-    def __repr__(self):
-        return f"RepSpec({self.variant!r}, {self.j})"
-
-
 def rep_dim(j) -> int:
     return 2 * as_half(j).twice + 1
 
@@ -153,9 +118,8 @@ def weight_twice(j, k: int) -> int:
     return as_half(j).twice - k
 
 
-@lru_cache(maxsize=None)
+@spin_cache
 def classical_rep(j) -> GeneratorTable:
-    j = as_half(j)
     dim = rep_dim(j)
     parity = rep_parity(j)
     e = GradedMatrix(parity, {(k - 1, k): ONE for k in range(1, dim)})
@@ -178,9 +142,8 @@ def classical_rep(j) -> GeneratorTable:
     )
 
 
-@lru_cache(maxsize=None)
+@spin_cache
 def q_rep(j) -> GeneratorTable:
-    j = as_half(j)
     dim = rep_dim(j)
     parity = rep_parity(j)
     e = GradedMatrix(parity, {(k - 1, k): ONE for k in range(1, dim)})
@@ -217,23 +180,3 @@ def q_rep(j) -> GeneratorTable:
         "tinv": GradedMatrix(parity, tinv_entries),
     }
     return GeneratorTable("q-deformed", j, parity, mats)
-
-
-def build_rep(spec: RepSpec) -> GeneratorTable:
-    if spec.variant == "classical":
-        return classical_rep(spec.j)
-    if spec.variant == "q-deformed":
-        return q_rep(spec.j)
-    if spec.variant == "jordanian-r2":
-        from .contraction import r2_generators
-
-        return r2_generators(spec.j)
-    if spec.variant == "jordanian-r1-minimal":
-        from .r1 import r1_generators
-
-        return r1_generators(spec.j, "minimal")
-    if spec.variant == "jordanian-r1-hdiag":
-        from .r1 import r1_generators
-
-        return r1_generators(spec.j, "hdiag")
-    raise ValueError(f"unknown representation variant {spec.variant!r}")

@@ -540,9 +540,6 @@ class Scalar:
     def h_degree(self) -> int:
         return _pdeg_h(self.num)
 
-    def den_is_h_free(self) -> bool:
-        return _pdeg_h(self.den) <= 0
-
     # -- field operations ----------------------------------------------------
 
     def __add__(self, other):
@@ -706,7 +703,7 @@ class Scalar:
         this package needs: representation entries whose h dependence is
         polynomial).
         """
-        if not self.den_is_h_free():
+        if _pdeg_h(self.den) > 0:
             raise ValueError(f"denominator depends on h: {self}")
         out = []
         for k in range(upto + 1):
@@ -735,7 +732,6 @@ def _coerce(x):
 
 ZERO = Scalar({}, dict(_PONE), _canonical=True)
 ONE = Scalar(dict(_PONE), dict(_PONE), _canonical=True)
-TWO = Scalar.from_int(2)
 H = Scalar.monomial(1, 0, 1)
 P = Scalar.monomial(1, 1, 0)
 

@@ -189,7 +189,3 @@ def _to_scalar(x):
     if isinstance(x, Fraction):
         return Scalar.from_fraction(x)
     raise TypeError(f"cannot use {x!r} as a series coefficient")
-
-
-def series_sqrt(s: PowerSeries) -> PowerSeries:
-    return s.sqrt()

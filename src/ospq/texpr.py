@@ -39,6 +39,8 @@ class TensorExpression:
     __slots__ = ("nlegs", "terms")
 
     def __init__(self, nlegs, terms=None):
+        # Cancelled terms are dropped here and nowhere else: the operations
+        # sum into a plain dict and build their result through this.
         self.nlegs = nlegs
         self.terms = {}
         if terms:
@@ -80,12 +82,7 @@ class TensorExpression:
         self._require_same_shape(other)
         acc = dict(self.terms)
         for key, coeff in other.terms.items():
-            cur = acc.get(key)
-            tot = coeff if cur is None else cur + coeff
-            if tot.is_zero:
-                acc.pop(key, None)
-            else:
-                acc[key] = tot
+            acc[key] = acc[key] + coeff if key in acc else coeff
         return TensorExpression(self.nlegs, acc)
 
     def __sub__(self, other: "TensorExpression") -> "TensorExpression":
@@ -116,12 +113,7 @@ class TensorExpression:
                 coeff = ucoeff * wcoeff
                 if sign:
                     coeff = -coeff
-                cur = acc.get(key)
-                tot = coeff if cur is None else cur + coeff
-                if tot.is_zero:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = tot
+                acc[key] = acc[key] + coeff if key in acc else coeff
         return TensorExpression(self.nlegs, acc)
 
     @property
@@ -166,12 +158,7 @@ class TensorExpression:
                 words[leg : leg + 1] = [wa, wb]
                 nk = tuple(words)
                 c = coeff * d
-                cur = acc.get(nk)
-                tot = c if cur is None else cur + c
-                if tot.is_zero:
-                    acc.pop(nk, None)
-                else:
-                    acc[nk] = tot
+                acc[nk] = acc[nk] + c if nk in acc else c
         return TensorExpression(self.nlegs + 1, acc)
 
     def antipode(self, leg: int, s_table) -> "TensorExpression":
@@ -202,12 +189,7 @@ class TensorExpression:
                 c = coeff * d
                 if sign:
                     c = -c
-                cur = acc.get(nk)
-                tot = c if cur is None else cur + c
-                if tot.is_zero:
-                    acc.pop(nk, None)
-                else:
-                    acc[nk] = tot
+                acc[nk] = acc[nk] + c if nk in acc else c
         return TensorExpression(self.nlegs, acc)
 
     def counit(self, leg: int, eps_table) -> "TensorExpression":
@@ -222,15 +204,8 @@ class TensorExpression:
                     raise UnknownGenerator(name) from None
                 if c.is_zero:
                     break
-            if c.is_zero:
-                continue
             nk = tuple(key[:leg] + key[leg + 1 :])
-            cur = acc.get(nk)
-            tot = c if cur is None else cur + c
-            if tot.is_zero:
-                acc.pop(nk, None)
-            else:
-                acc[nk] = tot
+            acc[nk] = acc[nk] + c if nk in acc else c
         return TensorExpression(self.nlegs - 1, acc)
 
     def mu(self, leg: int) -> "TensorExpression":
@@ -241,12 +216,7 @@ class TensorExpression:
             merged = words[leg] + words[leg + 1]
             words[leg : leg + 2] = [merged]
             nk = tuple(words)
-            cur = acc.get(nk)
-            tot = coeff if cur is None else cur + coeff
-            if tot.is_zero:
-                acc.pop(nk, None)
-            else:
-                acc[nk] = tot
+            acc[nk] = acc[nk] + coeff if nk in acc else coeff
         return TensorExpression(self.nlegs - 1, acc)
 
     # -- evaluation ----------------------------------------------------------
@@ -349,10 +319,5 @@ def tensor_product(*exprs) -> TensorExpression:
                 nxt.append((prefix + key, coeff * c))
         stack = nxt
     for key, coeff in stack:
-        cur = out.get(key)
-        tot = coeff if cur is None else cur + coeff
-        if tot.is_zero:
-            out.pop(key, None)
-        else:
-            out[key] = tot
+        out[key] = out[key] + coeff if key in out else coeff
     return TensorExpression(nlegs, out)

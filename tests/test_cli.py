@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line front end."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -188,6 +189,108 @@ class TestMatrixEmission:
         assert code == 0
         payload = json.loads(out)
         assert payload["dim"] == 9
+
+
+class TestRepVariants:
+    @pytest.mark.parametrize(
+        "alias, variant",
+        [
+            ("classical", "classical"),
+            ("q", "q-deformed"),
+            ("r2", "jordanian-r2"),
+            ("r1-minimal", "jordanian-r1-minimal"),
+            ("r1-hdiag", "jordanian-r1-hdiag"),
+        ],
+    )
+    def test_alias_reaches_its_builder(self, capsys, alias, variant):
+        code, out, _ = run_cli(
+            capsys, "rep", "--variant", alias, "--j", "1", "--format", "json"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["variant"] == variant
+        assert payload["dim"] == 5
+
+    def test_unknown_variant_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "rep", "--variant", "exotic", "--j", "1")
+        assert code == 2
+        assert out == ""
+        assert "invalid choice" in err
+
+    def test_negative_spin_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "rep", "--variant", "classical", "--j=-1/2")
+        assert code == 2
+        assert out == ""
+        assert "cannot be negative" in err
+
+
+# The exit code and the SHA-256 of stdout of each invocation, run with
+# ``--format json``.  A refactor must leave these bytes as they are; a
+# change meant to alter an output updates its digest here and says why.
+PINNED_BYTES = [
+    (
+        ("contract", "--j1", "1/2", "--j2", "3/2", "--source", "formula"),
+        0,
+        "a1875f22c0df90491278cd9f20a479e5890b1764f83d87264b6029a6fe9f7d75",
+    ),
+    (
+        ("contract", "--j1", "1/2", "--j2", "1", "--log-cancellation"),
+        0,
+        "e6a7fe2e69fbdb2562ae2a9818e3c57c616954544c1bdb372a13a1d647007391",
+    ),
+    (
+        ("verify", "--suite", "identities", "--j", "1/2", "1", "3/2", "--order", "3"),
+        0,
+        "7a3b0f7e69ad1cabc9670a4fd76b42003d2fa49c3a507b1fef3f42c159a83c8a",
+    ),
+    (
+        ("verify", "--suite", "rll", "--j", "1/2", "1", "3/2"),
+        0,
+        "27cd4a5ed464dc0f3f33439cfa9a12e35e72ea2c6acbc3216ffebdd161aac410",
+    ),
+    (
+        ("verify", "--suite", "frt-hopf", "--j", "1/2", "1"),
+        0,
+        "9ffc2fc7738e800c5fde068bd446ad19bd2504058cdb2796b4706d4ab6a9345d",
+    ),
+    (
+        ("rep", "--variant", "classical", "--j", "1"),
+        0,
+        "1d34ba55e14da5ff1d82a486e63a0a7fa7da4f385cf06fe9cdb79eb1e43e473e",
+    ),
+    (
+        ("rep", "--variant", "q", "--j", "1"),
+        0,
+        "5e78de949a3bcffbcdaa1c860a27866f35724574ae9185471eb60acf6782efff",
+    ),
+    (
+        ("rep", "--variant", "r2", "--j", "1"),
+        0,
+        "7815390f0c2c260bd64402ba395f763e62a0c265e9b78de7ff3b6b22af4313eb",
+    ),
+    (
+        ("rep", "--variant", "r1-minimal", "--j", "1"),
+        0,
+        "29d4938124b71300137bb1cb332900afd1af49623a39f93b4453972ad400492d",
+    ),
+    (
+        ("rep", "--variant", "r1-hdiag", "--j", "1"),
+        0,
+        "9ddea27a03f67bd30536637c0bd2b9d9d9d75718c9db99d4bf4b2041db4bbae4",
+    ),
+]
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize(
+        "argv, code, digest",
+        PINNED_BYTES,
+        ids=[" ".join(argv) for argv, _, _ in PINNED_BYTES],
+    )
+    def test_stdout_digest_and_exit_code(self, capsys, argv, code, digest):
+        got_code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert got_code == code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestDeterminism:

@@ -23,6 +23,7 @@ from ospq.contraction import (
     frt_hopf_check,
     identity_check,
     l_inverse_words,
+    m_inverse,
     m_matrix,
     q_cartan_power,
     r2_generators,
@@ -431,6 +432,35 @@ class TestIdentities:
             assert identity_check(THREEHALF, n).ok
         assert _spin_identity_failures.cache_info().misses == 1
         assert q_rep.cache_info().misses == 1
+
+    def test_perturbed_jordanian_t_breaks_the_tilde_blocks(
+        self, monkeypatch, cold_caches
+    ):
+        # the closed route of the group-like element is the T of the
+        # Jordanian table, so a fault there must show against the limit
+        built = r2_generators
+
+        def perturbed(j):
+            rep = built(j)
+            mats = dict(rep.matrices)
+            mats["T"] = mats["T"] + GradedMatrix(rep.parity, {(0, 0): H})
+            return GeneratorTable(rep.variant, rep.j, rep.parity, mats)
+
+        monkeypatch.setattr(ospq.contraction, "r2_generators", perturbed)
+        report = identity_check(1, 1)
+        labels = {label for label, _, _ in report.failures}
+        assert "tilde-closed-vs-limit" in labels
+
+
+@pytest.mark.parametrize(
+    "builder",
+    [q_rep, classical_rep, r2_generators, m_matrix, m_inverse, _spin_identity_failures],
+    ids=lambda b: b.__name__,
+)
+def test_int_and_halfint_spins_share_one_cache_entry(builder, cold_caches):
+    first = builder(1)
+    assert builder(HalfInt(1)) is first
+    assert builder.cache_info().misses == 1
 
 
 class TestLOperator:

@@ -6,9 +6,7 @@ from ospq.errors import BadBracketArg
 from ospq.gmatrix import GradedMatrix
 from ospq.halfint import HalfInt
 from ospq.reps import (
-    RepSpec,
     bracket,
-    build_rep,
     classical_rep,
     plus_factorial,
     q_rep,
@@ -180,29 +178,6 @@ class TestQRep:
         assert f.entry(4, 3) == P**2 + P**-2
 
 
-class TestRepSpec:
-    def test_dispatch(self):
-        spec = RepSpec("classical", HalfInt(1))
-        rep = build_rep(spec)
-        assert rep.variant == "classical"
-        assert rep.dim == 5
-        spec = RepSpec("q-deformed", HalfInt.parse("1/2"))
-        assert build_rep(spec).variant == "q-deformed"
-
-    def test_rejects_unknown_variant(self):
-        with pytest.raises(ValueError):
-            RepSpec("exotic", HalfInt(1))
-
-    def test_rejects_negative_spin(self):
-        with pytest.raises(ValueError):
-            RepSpec("classical", HalfInt.parse("-1/2"))
-
-    def test_equality_and_hash(self):
-        a = RepSpec("classical", HalfInt(1))
-        b = RepSpec("classical", HalfInt(1))
-        assert a == b
-        assert hash(a) == hash(b)
-
-    def test_helpers(self):
-        assert rep_dim(HalfInt.parse("3/2")) == 7
-        assert rep_parity(HalfInt.parse("1/2")) == (0, 1, 0)
+def test_helpers():
+    assert rep_dim(HalfInt.parse("3/2")) == 7
+    assert rep_parity(HalfInt.parse("1/2")) == (0, 1, 0)

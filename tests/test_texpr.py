@@ -14,7 +14,7 @@ from ospq.r1 import r1_generators
 from ospq.reps import q_rep
 from ospq.scalar import H, ONE, Scalar
 from ospq.texpr import TensorExpression as TE
-from ospq.texpr import word_parity
+from ospq.texpr import tensor_product, word_parity
 
 
 def sc(n):
@@ -256,6 +256,49 @@ class TestHopfMaps:
 
         with pytest.raises(UnknownGenerator):
             TE.word(("zz",)).coproduct(0, DELTA)
+
+
+def stores_no_zero(x):
+    return all(not coeff.is_zero for coeff in x.terms.values())
+
+
+class TestNoStoredZeros:
+    """Every operation sums into a plain dict and leaves the dropping of
+    cancelled terms to the constructor."""
+
+    @given(expressions(), expressions())
+    @settings(max_examples=60, deadline=None)
+    def test_no_operation_stores_a_zero(self, a, b):
+        assert not (a - a).terms
+        built = [
+            a + b,
+            (a + b) - b,
+            a * b - b * a,
+            (a - b) * (a + b),
+            tensor_product(a, b),
+            tensor_product(a, TE.unit(1), b),
+            a.coproduct(0, DELTA),
+            (a * b).coproduct(1, DELTA),
+            a.antipode(0, SMAP),
+            (a - b).antipode(1, SMAP),
+            a.counit(0, EPS),
+            (a + b).counit(1, EPS),
+            a.mu(0),
+            (a - b).mu(0),
+        ]
+        for x in built:
+            assert stores_no_zero(x)
+
+    def test_cancelling_terms_leave_no_key(self):
+        # e (x) f and ef (x) 1 merge under mu, e^2 (x) 1 dies under the
+        # counit of the second leg, and the cross terms of Delta(e^2) cancel
+        x = TE.pure((("e",), ("f",))) - TE.pure((("e", "f"), ()))
+        assert x.mu(0).is_zero
+        assert TE.pure((("e", "e"), ("h",))).counit(1, EPS).is_zero
+        assert TE.word(("e", "e")).coproduct(0, DELTA).terms.keys() == {
+            (("e", "e"), ()),
+            ((), ("e", "e")),
+        }
 
 
 class TestScalarCoefficients:
