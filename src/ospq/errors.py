@@ -6,7 +6,7 @@ here, so callers never need to match on message strings.
 
 
 class DivisionByZero(ZeroDivisionError):
-    """Division by the zero scalar or a zero series head."""
+    """Division by the zero scalar, or by a series with no known nonzero coefficient."""
 
 
 class PoleAtUnity(ArithmeticError):
@@ -18,7 +18,7 @@ class PrecisionShortfall(ArithmeticError):
 
 
 class BadSeriesHead(ArithmeticError):
-    """A series root or reciprocal was requested with an unusable head term."""
+    """A series reciprocal or rational power met an unusable lowest term."""
 
 
 class NonHomogeneous(ValueError):

@@ -1,4 +1,7 @@
-"""Truncated Laurent series in t = p - 1 with coefficients in Q[h].
+"""Truncated Laurent series in one variable with coefficients in Q[h].
+
+The variable is t = p - 1 for the contraction and b or s for the
+differential systems of :mod:`ospq.ode`.
 
 The contraction keeps only the p -> 1 limit of M^-1 R_q M, and the
 summands of that product have poles at p = 1 that all cancel.  Expanding
@@ -16,13 +19,14 @@ split once and inverted once per precision (:func:`_split_at_one`,
 
 A :class:`Laurent` knows its coefficients below an absolute precision
 ``prec`` and nothing above it.  Every operation sets the precision it can
-vouch for: min(N1, N2) for a sum and min(N1 + v2, N2 + v1) for a product,
-where v is the valuation, the lowest exponent with a nonzero coefficient
-(the precision itself when none is known).  A coefficient asked for at or
-beyond the precision raises :class:`~ospq.errors.PrecisionShortfall`, so a
-shortfall can never pass for a zero.  The series implements the entry
-protocol of :class:`~ospq.gmatrix.GradedMatrix`, so matrices of them
-multiply with the ordinary ``@``.
+vouch for: min(N1, N2) for a sum, min(N1 + v2, N2 + v1) for a product,
+N - 2v for a reciprocal and N - 1 for a derivative, where v is the
+valuation, the lowest exponent with a nonzero coefficient (the precision
+itself when none is known).  A coefficient asked for at or beyond the
+precision raises :class:`~ospq.errors.PrecisionShortfall`, so a shortfall
+can never pass for a zero.  The series implements the entry protocol of
+:class:`~ospq.gmatrix.GradedMatrix`, so matrices of them multiply with the
+ordinary ``@``.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
 
-from .errors import PoleAtUnity, PrecisionShortfall
+from .errors import BadSeriesHead, DivisionByZero, PoleAtUnity, PrecisionShortfall
 from .scalar import Scalar
 
 
@@ -77,6 +81,11 @@ class Laurent:
                     terms.pop(key, None)
         return cls(terms, den, prec)
 
+    @classmethod
+    def variable(cls, prec: int) -> "Laurent":
+        """The variable t itself, known below t^prec."""
+        return cls({(1, 0): 1} if prec > 1 else {}, 1, prec)
+
     # -- the GradedMatrix entry protocol ---------------------------------------
 
     @property
@@ -85,7 +94,9 @@ class Laurent:
         # known coefficients all cancel stays in its matrix with its precision.
         return False
 
-    def __add__(self, other: "Laurent") -> "Laurent":
+    def __add__(self, other) -> "Laurent":
+        if not isinstance(other, Laurent):
+            other = _constant(other, self.prec)
         prec = min(self.prec, other.prec)
         da, db = self.den, other.den
         if da == db:
@@ -103,13 +114,21 @@ class Laurent:
                     del out[k]
         return Laurent(out, da * sa, prec)
 
+    __radd__ = __add__
+
     def __neg__(self) -> "Laurent":
         return Laurent({k: -c for k, c in self.terms.items()}, self.den, self.prec)
 
-    def __sub__(self, other: "Laurent") -> "Laurent":
+    def __sub__(self, other) -> "Laurent":
         return self + (-other)
 
-    def __mul__(self, other: "Laurent") -> "Laurent":
+    def __rsub__(self, other) -> "Laurent":
+        return (-self) + other
+
+    def __mul__(self, other) -> "Laurent":
+        if not isinstance(other, Laurent):
+            # known below t^(N - v), so that the product is known below t^N
+            other = _constant(other, self.prec - self.val)
         prec = min(self.prec + other.val, other.prec + self.val)
         out = {}
         right = sorted(other.terms.items())
@@ -130,6 +149,87 @@ class Laurent:
             out = {k: c // g for k, c in out.items()}
             den //= g
         return Laurent(out, den, prec)
+
+    __rmul__ = __mul__
+
+    # -- the operations of the differential systems ----------------------------
+
+    def __truediv__(self, other: "Laurent") -> "Laurent":
+        return self * other.reciprocal()
+
+    def reciprocal(self) -> "Laurent":
+        """1 / self, of valuation -v and known below t^(N - 2v).
+
+        The lowest known coefficient must be a nonzero rational free of h.
+        """
+        v = self.val
+        if not self.terms:
+            raise DivisionByZero("reciprocal of a series with no known nonzero term")
+        head = self._numerators(v)
+        if set(head) != {0}:
+            raise BadSeriesHead(f"reciprocal needs an h-free lowest term, got {head}")
+        # self = t^v (a + sum_i unit[i] t^i) / den; invert the bracket term by term
+        a = head[0]
+        unit = [{} for _ in range(self.prec - v)]
+        for (t, e), c in self.terms.items():
+            unit[t - v][e] = c
+        inv = [{0: Fraction(self.den, a)}]
+        for k in range(1, len(unit)):
+            acc = {}
+            for i in range(1, k + 1):
+                for ea, ca in unit[i].items():
+                    for eb, cb in inv[k - i].items():
+                        acc[ea + eb] = acc.get(ea + eb, 0) - ca * cb
+            inv.append({e: c / a for e, c in acc.items() if c})
+        den = lcm(*(c.denominator for coeff in inv for c in coeff.values()))
+        terms = {
+            (k - v, e): c.numerator * (den // c.denominator)
+            for k, coeff in enumerate(inv)
+            for e, c in coeff.items()
+        }
+        return Laurent(terms, den, self.prec - 2 * v)
+
+    def derivative(self) -> "Laurent":
+        """d/dt, known below t^(N - 1)."""
+        return Laurent(
+            {(t - 1, e): t * c for (t, e), c in self.terms.items() if t},
+            self.den,
+            self.prec - 1,
+        )
+
+    def rational_power(self, r) -> "Laurent":
+        """self^r for self = 1 + u, u = O(t): sum C(r, k) u^k, finite below t^N."""
+        if self.val < 0 or self._numerators(0) != {0: self.den}:
+            raise BadSeriesHead(f"a rational power needs 1 + O(t), got {self!r}")
+        r = Fraction(r)
+        u = self - 1
+        out = power = _constant(1, self.prec)
+        binom = Fraction(1)
+        for k in range(1, self.prec):
+            binom = binom * (r - (k - 1)) / k
+            if not binom:
+                break
+            power = power * u
+            out = out + power * binom
+        return out
+
+    def sqrt(self) -> "Laurent":
+        return self.rational_power(Fraction(1, 2))
+
+    def truncate(self, prec: int) -> "Laurent":
+        """The same series known only below t^prec."""
+        if prec > self.prec:
+            raise PrecisionShortfall(
+                f"truncation to t^{prec} asked of a series known below t^{self.prec}"
+            )
+        terms = {k: c for k, c in self.terms.items() if k[0] < prec}
+        return Laurent(terms, self.den, prec)
+
+    def first_nonzero(self):
+        """(exponent, Scalar coefficient) of the lowest known nonzero term, or None."""
+        if not self.terms:
+            return None
+        return self.val, Scalar.from_h_laurent(self._numerators(self.val), self.den)
 
     # -- reading coefficients --------------------------------------------------
 
@@ -185,12 +285,15 @@ def _unit_inverse(d: tuple, n: int):
 
     Returned as integer numerators over one common denominator.
     """
+    if n <= 0:
+        return (), 1
     u = _split_at_one(d)[1]
-    head = Fraction(1, u[0])
-    inv = []
-    for k in range(n):
-        # u * inv = 1, read at t^k
-        acc = sum(u[i] * inv[k - i] for i in range(1, min(k, len(u) - 1) + 1))
-        inv.append(((k == 0) - acc) * head)
-    den = lcm(*(w.denominator for w in inv))
-    return tuple(w.numerator * (den // w.denominator) for w in inv), den
+    inv = Laurent({(k, 0): c for k, c in enumerate(u[:n]) if c}, 1, n).reciprocal()
+    return tuple(inv.terms.get((k, 0), 0) for k in range(n)), inv.den
+
+
+def _constant(c, prec: int) -> Laurent:
+    """An int, Fraction or Scalar expanded by ``from_scalar`` below t^prec."""
+    if not isinstance(c, Scalar):
+        c = Scalar.from_fraction(c)
+    return Laurent.from_scalar(c, prec)

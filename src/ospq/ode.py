@@ -8,8 +8,10 @@ system in the group-like variable for (psi1, psi2, psi3, w1, w2).
 Given phi1 (respectively psi1), the remaining four functions have
 closed solutions.  This module plugs each family's generating function
 and the solved expressions into all twelve equations and expands every
-residual as an exact truncated power series; each residual must vanish
-identically through the requested order.
+residual as an exact truncated :class:`~ospq.laurent.Laurent` series in
+b or s; each residual must vanish identically through the requested
+order, and one known through fewer orders raises
+:class:`~ospq.errors.PrecisionShortfall`.
 
 The third direct equation needs care.  As printed, its radical is
 built from the fourth power of phi2, while the radical in every other
@@ -22,10 +24,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .laurent import Laurent
 from .report import VerificationReport
 from .scalar import H as HPARAM
 from .scalar import rational, scalar_to_string
-from .series import PowerSeries
 
 #: extra working orders, consumed by derivatives and divisions that
 #: factor out a zero at the origin
@@ -34,21 +36,15 @@ GUARD = 4
 RADICAL_READINGS = ("phi1", "phi2")
 
 
-def _divide(num: PowerSeries, den: PowerSeries) -> PowerSeries:
-    """Series division that cancels a common zero at the origin first."""
-    lead = den.first_nonzero()
-    if lead is None:
-        raise ZeroDivisionError("series division by zero")
-    drop = lead[0]
-    if drop:
-        if any(not c.is_zero for c in num.coeffs[:drop]):
-            raise ArithmeticError("numerator does not vanish fast enough")
-        num = PowerSeries(num.var, num.coeffs[drop:])
-        den = PowerSeries(den.var, den.coeffs[drop:])
-    return num / den
+def _divide(num: Laurent, den: Laurent) -> Laurent:
+    """num / den, where den may vanish at the origin if num vanishes as fast."""
+    quotient = num / den
+    if quotient.val < 0:
+        raise ArithmeticError("numerator does not vanish fast enough")
+    return quotient
 
 
-def _pow4(series: PowerSeries) -> PowerSeries:
+def _pow4(series: Laurent) -> Laurent:
     sq = series * series
     return sq * sq
 
@@ -59,7 +55,7 @@ def direct_residuals(family: str, order: int) -> dict:
     The third equation appears twice, once per radical reading.
     """
     h2 = HPARAM * HPARAM
-    b = PowerSeries.variable("b", order + GUARD)
+    b = Laurent.variable(order + GUARD + 1)
     if family == "minimal":
         phi1 = (1 - b * (HPARAM + HPARAM)).rational_power(Fraction(-1, 4))
     elif family == "hdiag":
@@ -94,12 +90,12 @@ def direct_residuals(family: str, order: int) -> dict:
         - b * phi1p * (phi3 - b * u2 * 2)
         + (b * b) * _pow4(phi1) * h2,
     }
-    return {label: series.truncate(order) for label, series in out.items()}
+    return {label: series.truncate(order + 1) for label, series in out.items()}
 
 
 def inverse_residuals(family: str, order: int) -> dict:
     """Residual series of the six inverse equations, keyed by label."""
-    s = PowerSeries.variable("s", order + GUARD)
+    s = Laurent.variable(order + GUARD + 1)
     t = 1 + s
     ti = t.reciprocal()
     if family == "minimal":
@@ -141,10 +137,10 @@ def inverse_residuals(family: str, order: int) -> dict:
         * (w1 * 4 + (t + ti) * w2 - (t - ti) * psi3 * HPARAM)
         + t * (t - ti) * psi1p * ((t - ti) * w2 * 2 - (t + ti) * psi3 * HPARAM),
     }
-    return {label: series.truncate(order) for label, series in out.items()}
+    return {label: series.truncate(order + 1) for label, series in out.items()}
 
 
-def _first_nonzero_note(series: PowerSeries) -> str:
+def _first_nonzero_note(series: Laurent) -> str:
     lead = series.first_nonzero()
     if lead is None:
         return "0"

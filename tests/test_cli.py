@@ -278,6 +278,16 @@ PINNED_BYTES = [
         0,
         "9ddea27a03f67bd30536637c0bd2b9d9d9d75718c9db99d4bf4b2041db4bbae4",
     ),
+    (
+        ("verify", "--suite", "ode", "--family", "minimal", "--order", "12"),
+        0,
+        "429f65e8665d84d7f5a58eda75c42e5a28a4799f87daa2f2b0466e3f3057dc37",
+    ),
+    (
+        ("verify", "--suite", "ode", "--family", "hdiag", "--order", "12"),
+        0,
+        "bfc384cdb5497d1642625130f8e4d3775b042d7dbb36cd6897c9bd8594165579",
+    ),
 ]
 
 

@@ -9,8 +9,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ospq.errors import NonHomogeneous, NotNilpotent
 import ospq
@@ -25,7 +23,7 @@ from ospq.gmatrix import (
     tensor_parity,
 )
 from ospq.nilfun import nil_exp, nil_log_unit, unit_power, unit_sqrt
-from ospq.scalar import ONE, ZERO, Scalar
+from ospq.scalar import ONE, Scalar
 
 
 def M(parity, rows):

@@ -1,20 +1,23 @@
-"""Truncated Laurent series about p = 1, checked against the Scalar field.
+"""Truncated Laurent series over Q[h], checked against the Scalar field.
 
 The oracle is independent of the series code: a series read back as the
 Scalar sum of c * (p - 1)^t * h^e must differ from the value it claims to
 expand by a multiple of (p - 1)^prec, which ``Scalar.pole_order_at_p1``
-decides by synthetic division over Z[p, h].
+decides by synthetic division over Z[p, h].  The fixed cases below check
+the operations of the differential systems against binomial coefficients
+worked out independently.
 """
 
 from fractions import Fraction
+from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ospq.errors import PoleAtUnity
+from ospq.errors import BadSeriesHead, DivisionByZero, PoleAtUnity, PrecisionShortfall
 from ospq.laurent import Laurent, valuation_floor
-from ospq.scalar import ONE, P, ZERO, Scalar, scalar_from_string
+from ospq.scalar import H, ONE, P, ZERO, Scalar, scalar_from_string
 
 T = P - ONE
 
@@ -31,10 +34,33 @@ def back(series: Laurent) -> Scalar:
     return total
 
 
+def vanishes_below(value: Scalar, prec: int) -> bool:
+    """value is a multiple of (p - 1)^prec."""
+    rest = value / T**prec
+    return rest.is_zero or rest.pole_order_at_p1() == 0
+
+
 def agrees_below_prec(value: Scalar, series: Laurent) -> bool:
     """value - back(series) vanishes at p = 1 to order series.prec."""
-    rest = (value - back(series)) / T**series.prec
-    return rest.is_zero or rest.pole_order_at_p1() == 0
+    return vanishes_below(value - back(series), series.prec)
+
+
+def d_dp(x: Scalar) -> Scalar:
+    """The derivative in p, by the quotient rule on num/den."""
+
+    def poly(terms):
+        return sum((Scalar.monomial(c, a, e) for (a, e), c in terms.items()), ZERO)
+
+    def prime(terms):
+        return poly({(a - 1, e): a * c for (a, e), c in terms.items() if a})
+
+    num, den = poly(x.num), poly(x.den)
+    return (prime(x.num) * den - num * prime(x.den)) / (den * den)
+
+
+def same(a: Laurent, b: Laurent) -> bool:
+    """No known coefficient of a - b is nonzero."""
+    return (a - b).first_nonzero() is None
 
 
 # Denominators h^b * d(p), d a product of the factors the bridge and R_q use.
@@ -119,3 +145,134 @@ def test_surviving_pole_raises():
 def test_mixed_denominator_is_refused():
     with pytest.raises(ValueError):
         Laurent.from_scalar(S("1/(p+h)"), 1)
+
+
+# -- the operations of the differential systems -------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(expandable(), _prec)
+def test_reciprocal_agrees_below_the_precision_it_claims(x, prec):
+    series = Laurent.from_scalar(x, prec)
+    assume(series.first_nonzero() is not None)
+    v = series.val
+    if set(series.coefficient(v)) != {0}:
+        with pytest.raises(BadSeriesHead):
+            series.reciprocal()
+        return
+    inv = series.reciprocal()
+    assert (inv.val, inv.prec) == (-v, prec - 2 * v)
+    assert agrees_below_prec(x.reciprocal(), inv)
+
+
+@settings(max_examples=60, deadline=None)
+@given(expandable(), _prec)
+def test_derivative_agrees_below_the_precision_it_claims(x, prec):
+    d = Laurent.from_scalar(x, prec).derivative()
+    assert d.prec == prec - 1
+    assert agrees_below_prec(d_dp(x), d)
+
+
+_exponents = st.sampled_from(
+    [Fraction(n, d) for n, d in ((1, 2), (-1, 2), (1, 3), (-1, 4), (3, 2), (2, 1))]
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(expandable(), _exponents, st.integers(min_value=1, max_value=4))
+def test_rational_power_agrees_below_the_precision_it_claims(w, r, prec):
+    # x = 1 + O(t); y = x^(m/n) read back must satisfy y^n = x^m to that order
+    x = ONE + w * T ** (1 - min(valuation_floor(w), 0))
+    y = Laurent.from_scalar(x, prec).rational_power(r)
+    r = Fraction(r)
+    assert y.prec == prec
+    assert vanishes_below(back(y) ** r.denominator - x**r.numerator, prec)
+
+
+def test_sqrt_of_one_plus_x_matches_binomial_theorem():
+    got = (1 + Laurent.variable(11)).sqrt()
+    # independent oracle: C(1/2, k) = (-1)^(k-1) * C(2k, k) / (4^k * (2k-1))
+    for k in range(11):
+        if k == 0:
+            expect = Fraction(1)
+        else:
+            expect = Fraction((-1) ** (k - 1) * comb(2 * k, k), 4**k * (2 * k - 1))
+        assert got.coefficient(k) == {0: expect}
+    assert got.prec == 11
+
+
+def test_sqrt_squares_back():
+    x = Laurent.variable(13)
+    s = 1 + x * 3 - x * x * 2
+    r = s.sqrt()
+    assert same(r * r, s)
+    assert (r * r).prec == 13
+
+
+def test_sqrt_rejects_bad_head():
+    x = Laurent.variable(5)
+    for bad in (x + 2, x, x + H, x.reciprocal() + 1):
+        with pytest.raises(BadSeriesHead):
+            bad.sqrt()
+
+
+def test_rational_power_composes():
+    s = 1 + Laurent.variable(11)
+    third = s.rational_power(Fraction(1, 3))
+    assert same(third * third * third, s)
+    assert same(s.rational_power(Fraction(-1, 2)) * s.sqrt(), s - s + 1)
+
+
+def test_reciprocal_geometric_series():
+    x = Laurent.variable(10)
+    inv = (1 - x).reciprocal()
+    assert inv.prec == 10
+    assert all(inv.coefficient(k) == {0: 1} for k in range(10))
+    pole = x.reciprocal()
+    assert (pole.val, pole.prec, pole.coefficient(-1)) == (-1, 8, {0: 1})
+    with pytest.raises(DivisionByZero):
+        (x - x).reciprocal()
+    with pytest.raises(BadSeriesHead):
+        (x * H + x * x).reciprocal()
+
+
+def test_derivative():
+    x = Laurent.variable(7)
+    d = (5 + x * 2 + x * x * 7).derivative()
+    assert d.prec == 6
+    assert d.coefficient(0) == {0: 2}
+    assert d.coefficient(1) == {0: 14}
+    assert all(d.coefficient(k) == {} for k in range(2, 6))
+
+
+def test_truncation_tracks_shorter_operand():
+    a = Laurent.variable(4)
+    b = Laurent.variable(10)
+    assert (a + b).prec == 4
+    # a product also gains the other operand's valuation
+    assert (a * b).prec == 5
+
+
+def test_truncate_beyond_the_precision_raises():
+    x = Laurent.variable(6)
+    short = (x + x * x).truncate(2)
+    assert short.prec == 2
+    assert short.first_nonzero() == (1, ONE)
+    with pytest.raises(PrecisionShortfall):
+        short.coefficient(2)
+    with pytest.raises(PrecisionShortfall):
+        x.truncate(7)
+
+
+def test_scalar_coefficients_allowed():
+    s = 1 + Laurent.variable(3) * S("h^2/2")
+    assert (s * s).coefficient(1) == {2: 1}
+
+
+def test_first_nonzero():
+    x = Laurent.variable(6)
+    assert (x * x * 3).first_nonzero() == (2, Scalar.from_int(3))
+    assert (x * S("h/2")).first_nonzero() == (1, S("h/2"))
+    assert (x * 0).first_nonzero() is None
+    assert Laurent.variable(2).first_nonzero() == (1, ONE)
+    assert Laurent.variable(1).first_nonzero() is None
