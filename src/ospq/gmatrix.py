@@ -38,8 +38,8 @@ Entries are usually :class:`~ospq.scalar.Scalar`, but ``@``, ``+``, ``-``,
 
 ``scale``, ``from_rows``, ``identity``, ``graded_primitive``, ``entry``,
 ``inverse`` and the JSON form need ``Scalar`` entries.
-:class:`~ospq.laurent.Laurent`, the truncated series of the contraction,
-is the second entry type.
+:class:`~ospq.laurent.Laurent`, the truncated Laurent series in t = p - 1
+on which the contraction and the ODE oracle run, is the second entry type.
 """
 
 from __future__ import annotations

@@ -16,7 +16,8 @@ Everything returns exact residuals; an empty failure list is a pass.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, wraps
+from types import MappingProxyType
 
 from .gmatrix import GradedMatrix
 from .report import VerificationReport, matrix_residuals
@@ -38,17 +39,20 @@ def acomm(a: TE, b: TE) -> TE:
 
 
 class HopfAlgebra:
-    """Letter-level presentation of one Hopf superalgebra."""
+    """Letter-level presentation of one Hopf superalgebra.
+
+    Its relations and tables are read-only once built, so the suites may
+    cache their residuals by the algebra itself."""
 
     __slots__ = ("name", "letters", "relations", "delta", "smap", "eps")
 
     def __init__(self, name, letters, relations, delta, smap, eps):
         self.name = name
         self.letters = tuple(letters)
-        self.relations = list(relations)
-        self.delta = dict(delta)
-        self.smap = dict(smap)
-        self.eps = dict(eps)
+        self.relations = tuple(relations)
+        self.delta = MappingProxyType(dict(delta))
+        self.smap = MappingProxyType(dict(smap))
+        self.eps = MappingProxyType(dict(eps))
 
 
 def _group_like(name: str) -> TE:
@@ -279,6 +283,27 @@ def q_algebra() -> HopfAlgebra:
 # -- the five suites ---------------------------------------------------------
 
 
+def _suite_cache(suite):
+    """Cache a suite's residuals, as a tuple, by its algebra and its legs.
+
+    Each suite depends on nothing else, so a sweep over triples runs each
+    single-leg suite once per table and the coproduct homomorphism once
+    per ordered pair.  The arguments hash by identity, which is sound
+    because neither an algebra nor a generator table is written once
+    built.  Each call returns a fresh list; ``cache_info`` and
+    ``cache_clear`` are those of the underlying cache."""
+    cached = lru_cache(maxsize=None)(lambda *legs: tuple(suite(*legs)))
+
+    @wraps(suite)
+    def residuals(*legs) -> list:
+        return list(cached(*legs))
+
+    residuals.cache_info = cached.cache_info
+    residuals.cache_clear = cached.cache_clear
+    return residuals
+
+
+@_suite_cache
 def relations_residuals(algebra: HopfAlgebra, rep) -> list:
     fails = []
     for label, expr in algebra.relations:
@@ -286,6 +311,7 @@ def relations_residuals(algebra: HopfAlgebra, rep) -> list:
     return fails
 
 
+@_suite_cache
 def delta_homomorphy_residuals(algebra: HopfAlgebra, rep1, rep2) -> list:
     fails = []
     for label, expr in algebra.relations:
@@ -294,6 +320,7 @@ def delta_homomorphy_residuals(algebra: HopfAlgebra, rep1, rep2) -> list:
     return fails
 
 
+@_suite_cache
 def coassociativity_residuals(algebra: HopfAlgebra, rep1, rep2, rep3) -> list:
     fails = []
     for name in algebra.letters:
@@ -304,6 +331,7 @@ def coassociativity_residuals(algebra: HopfAlgebra, rep1, rep2, rep3) -> list:
     return fails
 
 
+@_suite_cache
 def counit_residuals(algebra: HopfAlgebra, rep) -> list:
     fails = []
     for name in algebra.letters:
@@ -316,6 +344,7 @@ def counit_residuals(algebra: HopfAlgebra, rep) -> list:
     return fails
 
 
+@_suite_cache
 def antipode_residuals(algebra: HopfAlgebra, rep) -> list:
     fails = []
     ident = GradedMatrix.identity(rep.parity)

@@ -554,6 +554,19 @@ class Scalar:
             if len(self.den) == 1:
                 return Scalar._over_monomial(_padd(self.num, other.num), self.den)
             return Scalar._make(_padd(self.num, other.num), self.den)
+        if len(self.den) == 1 == len(other.den):
+            # two monomial denominators: sum over their lcm, each numerator
+            # shifted and scaled up to it, with no polynomial GCD
+            ((p1, h1), k1), = self.den.items()
+            ((p2, h2), k2), = other.den.items()
+            g = gcd(k1, k2)
+            lp, lh = max(p1, p2), max(h1, h2)
+            c1, c2 = k2 // g, k1 // g
+            num = _padd(
+                {(ep + lp - p1, eh + lh - h1): v * c1 for (ep, eh), v in self.num.items()},
+                {(ep + lp - p2, eh + lh - h2): v * c2 for (ep, eh), v in other.num.items()},
+            )
+            return Scalar._over_monomial(num, {(lp, lh): c2 * k2})
         num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
         return Scalar._make(num, _pmul(self.den, other.den))
 

@@ -240,27 +240,44 @@ class TensorExpression:
             return ZERO
         return total
 
-    def evaluate(self, reps) -> GradedMatrix:
+    def evaluate(self, reps, _memos=None) -> GradedMatrix:
         """Evaluate in the given representations, one table per leg.
 
         Each element of ``reps`` must expose ``matrix(name)`` and ``parity``.
         A word maps to the ordered matrix product of its letters;  legs are
         combined with the graded Kronecker product, the operator parity of
-        each new factor being the parity of its word.  Each term's
-        coefficient scales its first leg, before the Kronecker products.
+        each new factor being the parity of its word.  The graded Kronecker
+        product is linear in its first factor once the second factor and
+        its parity are fixed, so the terms are grouped by their last-leg
+        word: each group's shorter-leg sum is evaluated first (recursively,
+        sharing the word memos in ``_memos``) and costs one Kronecker
+        product.  On one leg each coefficient scales its word's matrix.
         """
         if len(reps) != self.nlegs:
             raise ValueError("need one representation per leg")
-        memos = [{} for _ in reps]
+        if _memos is None:
+            _memos = [{} for _ in reps]
+        last = self.nlegs - 1
+        if last:
+            groups = {}
+            for key, coeff in self.terms.items():
+                groups.setdefault(key[last], {})[key[:last]] = coeff
+            parts = (
+                graded_kron(
+                    TensorExpression(last, heads).evaluate(reps[:last], _memos[:last]),
+                    _word_matrix(_memos[last], reps[last], word),
+                    b_op_parity=word_parity(word),
+                )
+                for word, heads in groups.items()
+            )
+        else:
+            parts = []
+            for (word,), coeff in self.terms.items():
+                m = _word_matrix(_memos[0], reps[0], word)
+                parts.append(m if coeff is ONE else m.scale(coeff))
         entries = {}
-        for key, coeff in self.terms.items():
-            term = _word_matrix(memos[0], reps[0], key[0])
-            if coeff is not ONE:
-                term = term.scale(coeff)
-            for k in range(1, self.nlegs):
-                leg = _word_matrix(memos[k], reps[k], key[k])
-                term = graded_kron(term, leg, b_op_parity=word_parity(key[k]))
-            for ij, val in term.entries.items():
+        for part in parts:
+            for ij, val in part.entries.items():
                 cur = entries.get(ij)
                 if cur is not None:
                     val = cur + val

@@ -288,6 +288,21 @@ PINNED_BYTES = [
         0,
         "bfc384cdb5497d1642625130f8e4d3775b042d7dbb36cd6897c9bd8594165579",
     ),
+    (
+        ("verify", "--suite", "hopf-r2", "--j", "1/2", "1", "1"),
+        0,
+        "ce9f042b2c73bee920e9dfeb5476124d96cadfe3a59664ce6afad28b2613e8db",
+    ),
+    (
+        ("verify", "--suite", "r1-hopf", "--j", "1", "1/2", "1", "--family", "hdiag"),
+        0,
+        "d36f71a3e2e5d883796aef1745470985bb957846784e3ff512942d68e755b6c8",
+    ),
+    (
+        ("verify", "--suite", "r1-relations", "--j", "1/2", "1", "3/2"),
+        0,
+        "4b1f08486c9ac376a44c897a8628ebab8d345041e46d1f2dc05501ccb56360be",
+    ),
 ]
 
 

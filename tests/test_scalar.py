@@ -429,3 +429,30 @@ def test_units_are_the_one_object():
     assert p_power(HalfInt(0)) is ONE
     assert P * P.reciprocal() is ONE
     assert S("2*h/3") * S("3/(2*h)") is ONE
+
+
+@st.composite
+def different_monomial_den_pairs(draw):
+    """Two canonical scalars over two different one-term denominators:
+    either two monomial ratios, or a monomial ratio and a polynomial over
+    a monomial, in either order."""
+    a = draw(monomial_ratios())
+    if draw(st.booleans()):
+        b = draw(monomial_ratios())
+    else:
+        k = draw(st.integers(min_value=1, max_value=12))
+        b = draw(over_one_monomial({(draw(st.integers(0, 3)), draw(st.integers(0, 3))): k}))
+    assume(a.den != b.den)
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(different_monomial_den_pairs())
+def test_different_monomial_den_sum_matches_general_path(pair):
+    a, b = pair
+    got = a + b
+    want = Scalar._make(_padd(_pmul(a.num, b.den), _pmul(b.num, a.den)), _pmul(a.den, b.den))
+    if not got.is_zero:
+        _assert_canonical(got)
+    assert (got.num, got.den) == (want.num, want.den)
+    assert scalar_to_string(got) == scalar_to_string(want)

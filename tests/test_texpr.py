@@ -1,11 +1,13 @@
 """Tensor-expression algebra: grading signs, Hopf maps, evaluation."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ospq.texpr as texpr
 from ospq.contraction import r2_generators
 from ospq.gmatrix import GradedMatrix, graded_kron, tensor_parity
 from ospq.halfint import HalfInt
@@ -363,6 +365,21 @@ HOPF_CASES = {
 }
 
 
+def every_other_term(expr):
+    """Half of the expression's terms: the suites' expressions vanish in a
+    representation, but such a part mostly does not, so a fault in the
+    evaluation cannot cancel out."""
+    return TE(expr.nlegs, dict(list(expr.terms.items())[::2]))
+
+
+def assert_grouped_matches_flat(expr, legs, label=""):
+    got = expr.evaluate(legs)
+    want = reference_evaluate(expr, legs)
+    assert got.parity == want.parity, label
+    assert got.entries == want.entries, label
+    return got
+
+
 class TestEvaluateOracle:
     @pytest.mark.parametrize("case", sorted(HOPF_CASES))
     def test_hopf_suite_expressions_match_reference(self, case):
@@ -372,15 +389,9 @@ class TestEvaluateOracle:
         nonzero = total = 0
         for reps in ([half, one, half], [one, half, one]):
             for label, expr, legs in hopf_suite_expressions(algebra_of(), reps):
-                # the suites' expressions vanish in a rep, but every other
-                # term of one mostly does not, so a fault cannot cancel out
-                alternate = TE(expr.nlegs, dict(list(expr.terms.items())[::2]))
-                for part in (expr, alternate):
-                    got = part.evaluate(legs)
-                    want = reference_evaluate(part, legs)
-                    assert got.parity == want.parity, label
-                    assert got.entries == want.entries, label
-                nonzero += not got.is_zero  # the alternate's value
+                assert_grouped_matches_flat(expr, legs, label)
+                part = every_other_term(expr)
+                nonzero += not assert_grouped_matches_flat(part, legs, label).is_zero
                 total += 1
         assert nonzero > total // 2
 
@@ -388,3 +399,72 @@ class TestEvaluateOracle:
     @settings(max_examples=40, deadline=None)
     def test_random_expressions_match_reference(self, expr):
         assert expr.evaluate([REP, REP]) == reference_evaluate(expr, [REP, REP])
+
+
+SPINS = (HALF_J, ONE_J)
+
+
+class TestGroupedEvaluate:
+    """``evaluate`` sums each last-leg word's terms on the shorter legs
+    and takes one Kronecker product per word; the flat reference takes one
+    per term and leg.  Both must give the same matrix."""
+
+    @pytest.mark.parametrize("case", sorted(HOPF_CASES))
+    def test_every_relation_coproduct_on_every_pair(self, case):
+        algebra_of, rep_of = HOPF_CASES[case]
+        alg = algebra_of()
+        nonzero = shared = 0
+        for j1, j2 in product(SPINS, repeat=2):
+            legs = [rep_of(j1), rep_of(j2)]
+            for label, expr in alg.relations:
+                d = expr.coproduct(0, alg.delta)
+                assert_grouped_matches_flat(d, legs, label)
+                part = every_other_term(d)
+                nonzero += not assert_grouped_matches_flat(part, legs, label).is_zero
+                shared += len({key[1] for key in d.terms}) < len(d.terms)
+        # most parts survive, and most coproducts share a last-leg word
+        assert nonzero > 2 * len(alg.relations)
+        assert shared > 2 * len(alg.relations)
+
+    @pytest.mark.parametrize("case", sorted(HOPF_CASES))
+    def test_coassociativity_differences_on_every_triple(self, case):
+        algebra_of, rep_of = HOPF_CASES[case]
+        alg = algebra_of()
+        for triple in product(SPINS, repeat=3):
+            legs = [rep_of(j) for j in triple]
+            for name in alg.letters:
+                d = TE.letter(name).coproduct(0, alg.delta)
+                diff = d.coproduct(0, alg.delta) - d.coproduct(1, alg.delta)
+                assert_grouped_matches_flat(diff, legs, name)
+                assert_grouped_matches_flat(every_other_term(diff), legs, name)
+
+    @pytest.mark.parametrize("nlegs", [2, 3])
+    def test_odd_last_leg_word(self, nlegs):
+        # every term ends in the odd word E or EFE, and the heads are of
+        # both parities, so the Kronecker sign is live in each group
+        legs = [r2_generators(j) for j in (ONE_J, HALF_J, ONE_J)[:nlegs]]
+        heads = [("E",), ("H", "T"), ("F", "E", "F"), ("Y",), ()]
+        expr = TE(nlegs, {})
+        for n, head in enumerate(heads):
+            for tail in (("E",), ("E", "F", "E")):
+                words = (head, tail) if nlegs == 2 else (head, ("F",), tail)
+                expr = expr + TE.pure(words, sc(n + 1) * H)
+        assert word_parity(("E", "F", "E")) == 1
+        got = assert_grouped_matches_flat(expr, legs)
+        assert not got.is_zero
+
+    def test_one_kronecker_product_per_last_leg_word(self, monkeypatch):
+        calls = []
+
+        def counting_kron(a, b, b_op_parity=None):
+            calls.append(b_op_parity)
+            return graded_kron(a, b, b_op_parity=b_op_parity)
+
+        monkeypatch.setattr(texpr, "graded_kron", counting_kron)
+        alg = r2_algebra()
+        legs = [r2_generators(HALF_J), r2_generators(ONE_J)]
+        for label, expr in alg.relations:
+            d = expr.coproduct(0, alg.delta)
+            calls.clear()
+            d.evaluate(legs)
+            assert len(calls) == len({key[1] for key in d.terms}), label
