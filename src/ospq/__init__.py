@@ -27,13 +27,12 @@ from .r1 import (
     antipode_check,
     cocycle_check,
     disentangle_check,
-    r1_generators,
     triangularity_check,
     twist_property_check,
     universal_Rh_r1,
 )
 from .report import VerificationReport
-from .reps import classical_rep, q_rep
+from .reps import classical_rep, q_rep, r1_generators
 from .scalar import Scalar, p_power, scalar_from_string, scalar_to_string
 from .twist import hdiag_twist_check, series_twist
 

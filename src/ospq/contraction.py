@@ -7,6 +7,11 @@ the residual deformation parameter h.  The same limit applied to the
 conjugated Cartan exponential produces the Jordanian group-like
 generator, which also has a closed form in the classical generators.
 
+The Jordanian table it lands on, ``r2_generators``, and the group-like
+element with its inverse and square root, ``tilde_t_powers``, are built
+in :mod:`ospq.reps`; this module checks the element against its limit
+and assembles the closed block form from the table.
+
 Everything here is matrix-level and exact.  The contraction expands
 R_q, M and M^-1 as truncated Laurent series in t = p - 1
 (:mod:`ospq.laurent`) and keeps the t^0 coefficient of the product, so the
@@ -16,22 +21,23 @@ raises instead of being approximated.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
+from .errors import Inconsistency
 from .gmatrix import GradedMatrix, block_matrix, embed_pair, graded_kron, inverse
 from .halfint import HalfInt, as_half, spin_cache
 from .hopf import r2_algebra
 from .laurent import Laurent, valuation_floor
-from .nilfun import nil_log_unit, nil_series, unit_power, unit_sqrt
+from .nilfun import nil_series
+from .qrmatrix import universal_Rq
 from .report import VerificationReport, matrix_residuals
 from .reps import (
-    GeneratorTable,
     bracket,
-    classical_rep,
     q_rep,
+    r2_generators,
     rep_dim,
     rep_parity,
+    tilde_t_powers,
     weight_twice,
 )
 from .scalar import H as HPARAM
@@ -137,8 +143,6 @@ def contract(j1, j2, source: str = "universal", log_cancellation: bool = False):
     if source != "universal":
         raise ValueError(f"unknown contraction source {source!r}")
 
-    from .qrmatrix import universal_Rq
-
     rq = universal_Rq(j1, j2)
     m1, m2 = m_matrix(j1), m_matrix(j2)
     big_m = graded_kron(m1, m2, b_op_parity=0)
@@ -186,9 +190,9 @@ def _expand(m: GradedMatrix, prec: int) -> GradedMatrix:
 
 def tilde_t_routes(j) -> dict:
     """The Jordanian group-like element, by closed form (the ``T`` of
-    ``r2_generators``) and by limit."""
+    ``reps.tilde_t_powers``) and by limit."""
     j = as_half(j)
-    closed = r2_generators(j).matrix("T")
+    closed = tilde_t_powers(j)[0]
     limited = (script_t(j, 1) @ q_cartan_power(j, 1)).map_entries(
         lambda s: s.limit_p_to_1()
     )
@@ -198,45 +202,8 @@ def tilde_t_routes(j) -> dict:
 def tilde_t(j) -> GradedMatrix:
     routes = tilde_t_routes(j)
     if routes["closed"] != routes["limit"]:
-        from .errors import Inconsistency
-
         raise Inconsistency("group-like closed form disagrees with the limit")
     return routes["closed"]
-
-
-@spin_cache
-def r2_generators(j) -> GeneratorTable:
-    """Jordanian generators on the spin-j module, via the classical ones."""
-    cl = classical_rep(j)
-    ident = GradedMatrix.identity(cl.parity)
-    e, f, h = cl.matrix("e"), cl.matrix("f"), cl.matrix("h")
-    e2 = e @ e
-    root = unit_sqrt(ident + (e2 @ e2).scale(HPARAM**2))
-    big_t = e2.scale(HPARAM) + root
-    big_tinv = e2.scale(-HPARAM) + root
-    big_h = root @ h
-    gq = (big_t - ident) @ inverse(big_t + ident)
-    big_f = (
-        f
-        + (gq @ e).scale(HPARAM * rational(1, 4))
-        - (gq @ e @ h).scale(HPARAM * rational(1, 2))
-    )
-    thalf = unit_power(big_t, Fraction(1, 2))
-    tinvhalf = unit_power(big_t, Fraction(-1, 2))
-    x = nil_log_unit(big_t).scale(HPARAM.reciprocal())
-    y = -(big_f @ big_f)
-    mats = {
-        "H": big_h,
-        "E": e,
-        "F": big_f,
-        "T": big_t,
-        "Tinv": big_tinv,
-        "Thalf": thalf,
-        "Tinvhalf": tinvhalf,
-        "X": x,
-        "Y": y,
-    }
-    return GeneratorTable("jordanian-r2", j, cl.parity, mats)
 
 
 # -- the L-operator and its Hopf behaviour ------------------------------------
@@ -289,8 +256,6 @@ def L_operator(j) -> GradedMatrix:
     ell = contract(half, j, source="half-j-formula").matrix
     contracted = contract(half, j).matrix
     if ell != contracted:
-        from .errors import Inconsistency
-
         raise Inconsistency("L-operator disagrees with the contracted R-matrix")
     return ell
 
@@ -451,15 +416,16 @@ def _spin_identity_failures(j) -> tuple:
     # the defining difference relation, and the square root of its half.
     routes = tilde_t_routes(j)
     fails += matrix_residuals("tilde-closed-vs-limit", routes["closed"] - routes["limit"])
-    r2 = r2_generators(j)
-    ce2 = r2.matrix("E") @ r2.matrix("E")
-    big_t, big_tinv = r2.matrix("T"), r2.matrix("Tinv")
+    # e has the same matrix as the classical e, so e2 is the classical e^2
+    big_t, big_tinv, thalf = tilde_t_powers(j)
     fails += matrix_residuals(
-        "tilde-difference", big_t - big_tinv - ce2.scale(HPARAM + HPARAM)
+        "tilde-difference", big_t - big_tinv - e2.scale(HPARAM + HPARAM)
     )
-    fails += matrix_residuals("tilde-inverse", big_t @ big_tinv - r2.identity())
+    fails += matrix_residuals(
+        "tilde-inverse", big_t @ big_tinv - GradedMatrix.identity(big_t.parity)
+    )
     half_limit = (script_t(j, half) @ q_cartan_power(j, half)).map_entries(
         lambda s: s.limit_p_to_1()
     )
-    fails += matrix_residuals("tilde-half-power", r2.matrix("Thalf") - half_limit)
+    fails += matrix_residuals("tilde-half-power", thalf - half_limit)
     return tuple(fails)

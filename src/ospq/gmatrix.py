@@ -36,7 +36,7 @@ Entries are usually :class:`~ospq.scalar.Scalar`, but ``@``, ``+``, ``-``,
 * ``a + b``, ``a - b``, ``-a`` and ``a * b`` between two entries of the
   same type.
 
-``scale``, ``from_rows``, ``identity``, ``graded_primitive``, ``entry``,
+``scale``, ``identity``, ``graded_primitive``, ``entry``,
 ``inverse`` and the JSON form need ``Scalar`` entries.
 :class:`~ospq.laurent.Laurent`, the truncated Laurent series in t = p - 1
 on which the contraction and the ODE oracle run, is the second entry type.
@@ -70,17 +70,6 @@ class GradedMatrix:
     @classmethod
     def zero(cls, parity) -> "GradedMatrix":
         return cls(parity, {})
-
-    @classmethod
-    def from_rows(cls, parity, rows) -> "GradedMatrix":
-        entries = {}
-        for i, row in enumerate(rows):
-            for j, val in enumerate(row):
-                if isinstance(val, int):
-                    val = Scalar.from_int(val)
-                if not val.is_zero:
-                    entries[(i, j)] = val
-        return cls(parity, entries)
 
     # -- accessors ------------------------------------------------------------
 

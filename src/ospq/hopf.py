@@ -21,6 +21,7 @@ from types import MappingProxyType
 
 from .gmatrix import GradedMatrix
 from .report import VerificationReport, matrix_residuals
+from .reps import r1_generators, r2_generators
 from .scalar import H as HPARAM
 from .scalar import ONE, P, rational
 from .texpr import TensorExpression as TE
@@ -63,11 +64,53 @@ def _primitive(name: str) -> TE:
     return TE.letter(name, nlegs=2, leg=0) + TE.letter(name, nlegs=2, leg=1)
 
 
+_LETTERS = ("H", "E", "F", "T", "Tinv", "Thalf", "Tinvhalf", "X", "Y")
+# The group-like letters, each with its inverse, which is also its antipode.
+_GROUP_LIKE = {"T": "Tinv", "Tinv": "T", "Thalf": "Tinvhalf", "Tinvhalf": "Thalf"}
+
+
+def _jordanian(name, relations, delta, smap) -> HopfAlgebra:
+    """One Jordanian algebra, from its own relations and its own coproducts
+    and antipodes of H, F and Y.
+
+    The two Jordanian algebras share the rest: the letters and the counit,
+    the coproduct and antipode of E, X and the group-like T family, and
+    the three relations that close that family, which follow each
+    algebra's own relations."""
+    one = TE.unit(1)
+    closure = [
+        ("T*Tinv", W("T", "Tinv") - one),
+        ("Thalf^2", W("Thalf", "Thalf") - W("T")),
+        ("Thalf*Tinvhalf", W("Thalf", "Tinvhalf") - one),
+    ]
+    shared_delta = {
+        "E": TE.pure((("E",), ("Tinvhalf",))) + TE.pure((("Thalf",), ("E",))),
+        "X": _primitive("X"),
+        **{t: _group_like(t) for t in _GROUP_LIKE},
+    }
+    shared_smap = {
+        "E": -W("E"),
+        "X": -W("X"),
+        **{t: W(inv) for t, inv in _GROUP_LIKE.items()},
+    }
+    delta = {**shared_delta, **delta}
+    smap = {**shared_smap, **smap}
+    zero = rational(0)
+    return HopfAlgebra(
+        name,
+        _LETTERS,
+        [*relations, *closure],
+        {letter: delta[letter] for letter in _LETTERS},
+        {letter: smap[letter] for letter in _LETTERS},
+        {letter: ONE if letter in _GROUP_LIKE else zero for letter in _LETTERS},
+    )
+
+
 @lru_cache(maxsize=None)
 def r2_algebra() -> HopfAlgebra:
     """The first nonstandard quantization: deformed odd-odd anticommutator."""
     one = TE.unit(1)
-    H, E, F, Y, X = W("H"), W("E"), W("F"), W("Y"), W("X")
+    H, E, F, Y = W("H"), W("E"), W("F"), W("Y")
     T, Ti = W("T"), W("Tinv")
     tp = T + Ti
     tm = T - Ti
@@ -95,21 +138,12 @@ def r2_algebra() -> HopfAlgebra:
         ("[T,F]", comm(T, F) - (T * E).scale(HPARAM)),
         ("[Tinv,F]", comm(Ti, F) + (Ti * E).scale(HPARAM)),
         ("[Y,E]", comm(Y, E) - (tp * F + F * tp).scale(quarter)),
-        ("T*Tinv", W("T", "Tinv") - one),
-        ("Thalf^2", W("Thalf", "Thalf") - T),
-        ("Thalf*Tinvhalf", W("Thalf", "Tinvhalf") - one),
     ]
     delta = {
         "H": TE.pure((("H",), ("Tinv",)))
         + TE.pure((("T",), ("H",)))
         + TE.pure((("E", "Thalf"), ("E", "Tinvhalf"))).scale(HPARAM),
-        "E": TE.pure((("E",), ("Tinvhalf",))) + TE.pure((("Thalf",), ("E",))),
         "F": TE.pure((("F",), ("Tinvhalf",))) + TE.pure((("Thalf",), ("F",))),
-        "T": _group_like("T"),
-        "Tinv": _group_like("Tinv"),
-        "Thalf": _group_like("Thalf"),
-        "Tinvhalf": _group_like("Tinvhalf"),
-        "X": _primitive("X"),
         "Y": TE.pure((("Y",), ("Tinv",)))
         + TE.pure((("T",), ("Y",)))
         + TE.pure((("E", "Thalf"), ("Tinvhalf", "F"))).scale(HPARAM * half)
@@ -117,36 +151,17 @@ def r2_algebra() -> HopfAlgebra:
     }
     smap = {
         "H": -H - (E * E).scale(HPARAM),
-        "E": -E,
         "F": -F + E.scale(HPARAM * half),
-        "T": Ti,
-        "Tinv": T,
-        "Thalf": W("Tinvhalf"),
-        "Tinvhalf": W("Thalf"),
-        "X": -X,
         "Y": -Y + H.scale(HPARAM * half) + (E * E).scale(HPARAM * HPARAM * quarter),
     }
-    zero = rational(0)
-    eps = {
-        "H": zero,
-        "E": zero,
-        "F": zero,
-        "T": ONE,
-        "Tinv": ONE,
-        "Thalf": ONE,
-        "Tinvhalf": ONE,
-        "X": zero,
-        "Y": zero,
-    }
-    letters = ("H", "E", "F", "T", "Tinv", "Thalf", "Tinvhalf", "X", "Y")
-    return HopfAlgebra("r2", letters, relations, delta, smap, eps)
+    return _jordanian("r2", relations, delta, smap)
 
 
 @lru_cache(maxsize=None)
 def r1_algebra() -> HopfAlgebra:
     """The second nonstandard quantization: deformed even sector."""
     one = TE.unit(1)
-    H, E, F, Y, X = W("H"), W("E"), W("F"), W("Y"), W("X")
+    H, E, F, Y = W("H"), W("E"), W("F"), W("Y")
     T, Ti = W("T"), W("Tinv")
     tp = T + Ti
     tm = T - Ti
@@ -194,13 +209,9 @@ def r1_algebra() -> HopfAlgebra:
             + E.scale(h2 * half)
             + (tm * tm * E).scale(h2 * rational(15, 64)),
         ),
-        ("T*Tinv", W("T", "Tinv") - one),
-        ("Thalf^2", W("Thalf", "Thalf") - T),
-        ("Thalf*Tinvhalf", W("Thalf", "Tinvhalf") - one),
     ]
     delta = {
         "H": TE.pure((("H",), ("T",))) + TE.pure((("Tinv",), ("H",))),
-        "E": TE.pure((("E",), ("Tinvhalf",))) + TE.pure((("Thalf",), ("E",))),
         "F": TE.pure((("F",), ("Thalf",)))
         + TE.pure((("Tinvhalf",), ("F",)))
         + (
@@ -211,38 +222,14 @@ def r1_algebra() -> HopfAlgebra:
             TE.pure((("Thalf", "H"), ("T", "E")))
             + TE.pure((("H", "Thalf"), ("T", "E")))
         ).scale(HPARAM * quarter),
-        "T": _group_like("T"),
-        "Tinv": _group_like("Tinv"),
-        "Thalf": _group_like("Thalf"),
-        "Tinvhalf": _group_like("Tinvhalf"),
-        "X": _primitive("X"),
         "Y": TE.pure((("Y",), ("T",))) + TE.pure((("Tinv",), ("Y",))),
     }
     smap = {
         "H": -H + (E * E).scale(HPARAM + HPARAM),
-        "E": -E,
         "F": -F - (tp * E).scale(HPARAM * half),
-        "T": Ti,
-        "Tinv": T,
-        "Thalf": W("Tinvhalf"),
-        "Tinvhalf": W("Thalf"),
-        "X": -X,
         "Y": -Y - H.scale(HPARAM) + (E * E).scale(h2),
     }
-    zero = rational(0)
-    eps = {
-        "H": zero,
-        "E": zero,
-        "F": zero,
-        "T": ONE,
-        "Tinv": ONE,
-        "Thalf": ONE,
-        "Tinvhalf": ONE,
-        "X": zero,
-        "Y": zero,
-    }
-    letters = ("H", "E", "F", "T", "Tinv", "Thalf", "Tinvhalf", "X", "Y")
-    return HopfAlgebra("r1", letters, relations, delta, smap, eps)
+    return _jordanian("r1", relations, delta, smap)
 
 
 @lru_cache(maxsize=None)
@@ -387,8 +374,6 @@ def hopf_suite_failures(algebra: HopfAlgebra, reps) -> list:
 
 
 def r2_hopf_check(j1, j2, j3) -> VerificationReport:
-    from .contraction import r2_generators
-
     reps = [r2_generators(j) for j in (j1, j2, j3)]
     fails = hopf_suite_failures(r2_algebra(), reps)
     return VerificationReport(
@@ -397,8 +382,6 @@ def r2_hopf_check(j1, j2, j3) -> VerificationReport:
 
 
 def r1_hopf_check(j1, j2, j3, family: str = "minimal") -> VerificationReport:
-    from .r1 import r1_generators
-
     reps = [r1_generators(j, family) for j in (j1, j2, j3)]
     fails = hopf_suite_failures(r1_algebra(), reps)
     return VerificationReport(
@@ -407,8 +390,6 @@ def r1_hopf_check(j1, j2, j3, family: str = "minimal") -> VerificationReport:
 
 
 def r1_relations_check(j, family: str = "minimal") -> VerificationReport:
-    from .r1 import r1_generators
-
     rep = r1_generators(j, family)
     fails = relations_residuals(r1_algebra(), rep)
     return VerificationReport(

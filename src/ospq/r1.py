@@ -1,10 +1,12 @@
-"""The Jordanian quantization with a deformed even sector.
+"""The Jordanian quantization with a deformed even sector: its twists and
+the checks built on them.
 
 On every finite module this Hopf superalgebra is reached from the
 classical one by a change of generators only: the module stays the
 classical one, the new generator matrices are classical matrices
 dressed by rational powers of a unipotent element.  Two dressing
-families are implemented.
+families are implemented; their tables are built by
+``ospq.reps.r1_generators``.
 
 * ``minimal``: every dressing factor is a power of the single
   unipotent matrix ``1 - 2h b+``.  All formulas close exactly, so
@@ -18,13 +20,16 @@ The quantization is triangular.  Its R-matrix is a coboundary of a
 single exponential twist, and this module verifies the whole package:
 the R-matrix identities, the twist's primitivity and cocycle
 properties, the antipode transformer in closed form, and the
-disentanglement identity behind that closed form.
+disentanglement identity behind that closed form.  Both families'
+twists are displayed here: the minimal one closes as an exponential,
+the hdiag one is a series in h shown through ``SERIES_DEPTH``, and the
+cocycle and antipode checks run one body for either, exact for minimal
+and order by order for hdiag.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .gmatrix import (
     GradedMatrix,
@@ -35,96 +40,23 @@ from .gmatrix import (
 )
 from .halfint import HalfInt
 from .hopf import r1_algebra
-from .nilfun import nil_exp, nil_log_unit, unit_power
+from .nilfun import nil_exp, nil_log_unit
 from .report import VerificationReport, matrix_residuals, series_residuals
-from .reps import GeneratorTable, classical_rep
+from .reps import (
+    GeneratorTable,
+    _require_family,
+    classical_rep,
+    r1_generators,
+    x_nilpotency,
+)
 from .scalar import H as HPARAM
 from .scalar import ONE, Scalar, rational
 from .texpr import TensorExpression as TE
 from .texpr import tensor_product
 
-FAMILIES = ("minimal", "hdiag")
-
-
-def x_nilpotency(j) -> int:
-    """Smallest k with b+^k = 0 on the spin-j module, namely 2j + 1."""
-    return HalfInt(j).twice + 1
-
-
-def _require_family(family: str) -> None:
-    if family not in FAMILIES:
-        raise ValueError(f"unknown dressing family {family!r}")
-
-
-@lru_cache(maxsize=None)
-def r1_generators(j, family: str = "minimal") -> GeneratorTable:
-    """Dressed generator matrices on the spin-j module.
-
-    The returned table carries the letters H, E, F, T, Tinv, Thalf,
-    Tinvhalf, X and Y.  X is the nilpotent logarithm of T divided by h,
-    and Y is solved from the relation that expresses F^2 through Y.
-    """
-    _require_family(family)
-    j = HalfInt(j)
-    cl = classical_rep(j)
-    e, f, h, bp = cl.matrix("e"), cl.matrix("f"), cl.matrix("h"), cl.matrix("b+")
-    iden = GradedMatrix.identity(cl.parity)
-    half, quarter = rational(1, 2), rational(1, 4)
-    h2 = HPARAM * HPARAM
-
-    if family == "minimal":
-        # Unipotent core: every factor is a rational power of it.
-        core = iden - bp.scale(HPARAM + HPARAM)
-        t = unit_power(core, Fraction(-1, 2))
-        tinv = unit_power(core, Fraction(1, 2))
-        thalf = unit_power(core, Fraction(-1, 4))
-        tinvhalf = unit_power(core, Fraction(1, 4))
-        big_e = thalf @ e
-        big_h = tinv @ h
-        big_f = (
-            tinvhalf @ f
-            - (bp @ unit_power(core, Fraction(-3, 4)) @ e).scale(h2 * quarter)
-            + (tinvhalf @ e @ h).scale(HPARAM * half)
-        )
-        big_x = nil_log_unit(core).scale(-(HPARAM + HPARAM).reciprocal())
-    else:
-        # Cartan stays classical; the group-like is a unipotent ratio.
-        shear = bp.scale(HPARAM * half)
-        t = (iden + shear) @ inverse(iden - shear)
-        tinv = (iden - shear) @ inverse(iden + shear)
-        thalf = unit_power(t, Fraction(1, 2))
-        tinvhalf = unit_power(t, Fraction(-1, 2))
-        flat = iden - shear @ shear
-        big_e = unit_power(flat, Fraction(-1, 2)) @ e
-        big_h = h
-        big_f = (
-            unit_power(flat, Fraction(1, 2)) @ f
-            - (bp @ unit_power(flat, Fraction(-3, 2)) @ e).scale(h2 * quarter)
-            - (bp @ unit_power(flat, Fraction(-1, 2)) @ e @ h).scale(h2 * quarter)
-        )
-        big_x = nil_log_unit(t).scale(HPARAM.reciprocal())
-
-    tm = t - tinv
-    big_y = (
-        -(big_f @ big_f)
-        + (tm @ big_h @ big_h).scale(HPARAM * rational(1, 8))
-        + (tm @ big_e @ big_f).scale(HPARAM * quarter)
-        + ((t @ t - tinv @ tinv) @ big_h).scale(HPARAM * rational(3, 16))
-        + tm.scale(HPARAM * quarter)
-        + (tm @ tm @ tm).scale(HPARAM * rational(9, 128))
-    )
-    matrices = {
-        "H": big_h,
-        "E": big_e,
-        "F": big_f,
-        "T": t,
-        "Tinv": tinv,
-        "Thalf": thalf,
-        "Tinvhalf": tinvhalf,
-        "X": big_x,
-        "Y": big_y,
-    }
-    return GeneratorTable(f"jordanian-r1-{family}", j, cl.parity, matrices)
+# The h-order through which the hdiag checks hold: its twist is known
+# only as a series, displayed through second order.
+SERIES_DEPTH = 2
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +78,30 @@ def twist_expression(nmax: int, negate: bool = False) -> TE:
         coeff = coeff * step / Scalar.from_int(n)
         out = out + TE.pure((("T", "H") * n, ("X",) * n), coeff)
     return out
+
+
+def hdiag_twist_expression() -> TE:
+    """The displayed hdiag twist series through second order, as a two-leg
+    expression in the dressed letters."""
+    skew = TE.pure((("H",), ("X",))) - TE.pure((("X",), ("H",)))
+    tail = TE.pure((("H",), ("X", "X"))) + TE.pure((("X", "X"), ("H",)))
+    return (
+        TE.unit(2)
+        + skew.scale(HPARAM * rational(1, 2))
+        + (skew * skew + tail).scale(HPARAM * HPARAM * rational(1, 8))
+    )
+
+
+def _family_twist(family: str, nmax: int) -> TE:
+    """The family's twist: the exponential one, kept to nmax terms, for
+    minimal, the displayed series for hdiag."""
+    return twist_expression(nmax) if family == "minimal" else hdiag_twist_expression()
+
+
+def _residuals_maybe_orders(label: str, diff: GradedMatrix, exact: bool):
+    if exact:
+        return matrix_residuals(label, diff)
+    return series_residuals(label, diff, SERIES_DEPTH)
 
 
 def _twist_legs(rep1: GeneratorTable, rep2: GeneratorTable):
@@ -290,22 +246,19 @@ def twist_property_check(j1, j2) -> VerificationReport:
 def cocycle_check(j1, j2, j3, twist: str = "minimal") -> VerificationReport:
     """(G (x) 1) (Delta (x) id)G = (1 (x) G) (id (x) Delta)G on a triple.
 
-    The minimal twist closes exactly; for the hdiag family the identity
-    is verified order by order in h, which the series module owns.
+    The minimal twist closes exactly; the hdiag series is verified order
+    by order in h, through ``SERIES_DEPTH``.
     """
     _require_family(twist)
-    if twist == "hdiag":
-        from .twist import hdiag_cocycle_check
-
-        return hdiag_cocycle_check(j1, j2, j3)
     j1, j2, j3 = HalfInt(j1), HalfInt(j2), HalfInt(j3)
-    reps = [r1_generators(jj, "minimal") for jj in (j1, j2, j3)]
+    reps = [r1_generators(jj, twist) for jj in (j1, j2, j3)]
     alg = r1_algebra()
-    nmax = x_nilpotency(j2) + x_nilpotency(j3)
-    g = twist_expression(nmax)
+    g = _family_twist(twist, x_nilpotency(j2) + x_nilpotency(j3))
     lhs = tensor_product(g, TE.unit(1)) * g.coproduct(0, alg.delta)
     rhs = tensor_product(TE.unit(1), g) * g.coproduct(1, alg.delta)
-    failures = matrix_residuals("cocycle", (lhs - rhs).evaluate(reps))
+    failures = _residuals_maybe_orders(
+        "cocycle", (lhs - rhs).evaluate(reps), twist == "minimal"
+    )
     return VerificationReport(
         "cocycle", {"j1": j1, "j2": j2, "j3": j3, "family": twist}, failures
     )
@@ -320,15 +273,8 @@ def antipode_transformer(j, family: str = "minimal") -> GradedMatrix:
     """mu (id (x) S) applied to the twist, evaluated on the spin-j module."""
     _require_family(family)
     j = HalfInt(j)
-    rep = r1_generators(j, family)
-    alg = r1_algebra()
-    if family == "minimal":
-        g = twist_expression(x_nilpotency(j))
-        return g.antipode(1, alg.smap).mu(0).evaluate([rep])
-    from .twist import hdiag_twist_expression
-
-    g = hdiag_twist_expression()
-    return g.antipode(1, alg.smap).mu(0).evaluate([rep])
+    g = _family_twist(family, x_nilpotency(j))
+    return g.antipode(1, r1_algebra().smap).mu(0).evaluate([r1_generators(j, family)])
 
 
 def _transformer_display(rep: GeneratorTable, family: str) -> GradedMatrix:
@@ -369,12 +315,6 @@ def antipode_check(j, family: str = "minimal") -> VerificationReport:
             f"conjugation:{name}", built @ dressed - target @ built, exact
         )
     return VerificationReport("antipode", {"j": j, "family": family}, failures)
-
-
-def _residuals_maybe_orders(label: str, diff: GradedMatrix, exact: bool, upto: int = 2):
-    if exact:
-        return matrix_residuals(label, diff)
-    return series_residuals(label, diff, upto)
 
 
 def disentangle_check(j) -> VerificationReport:

@@ -9,6 +9,8 @@ request, so that default output stays byte-for-byte reproducible.
 
 from __future__ import annotations
 
+from .scalar import scalar_to_string
+
 
 class VerificationReport:
     __slots__ = ("suite", "parameters", "failures", "wall_time")
@@ -48,8 +50,6 @@ class VerificationReport:
 
 def matrix_residuals(label: str, diff) -> list:
     """Flatten the nonzero entries of a difference matrix into failures."""
-    from .scalar import scalar_to_string
-
     return [
         (label, (r, c), scalar_to_string(v))
         for (r, c), v in sorted(diff.entries.items())
@@ -64,8 +64,6 @@ def series_residuals(label: str, diff, upto: int) -> list:
     each surviving Taylor coefficient becomes one failure, labelled with
     its order.
     """
-    from .scalar import scalar_to_string
-
     failures = []
     for (row, col), value in sorted(diff.entries.items()):
         for order, coeff in enumerate(value.h_coefficients(upto)):

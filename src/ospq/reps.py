@@ -1,7 +1,12 @@
-"""Representations of the orthosymplectic superalgebra and its q-deformation.
+"""Generator tables of osp(2|1) and of its three quantizations.
 
-The spin-j module has dimension 4j+1 with basis ordered by descending
-weight; basis index k carries parity k mod 2 and weight m = j - k/2.
+All five tables live here: the classical one, the standard q-deformed
+one, the Jordanian r2 one reached by the contraction, and the Jordanian
+r1 one in its two dressing families.  The spin-j module has dimension
+4j+1 with basis ordered by descending weight; basis index k carries
+parity k mod 2 and weight m = j - k/2.  Every table is a pure function of
+its spin (and family), cached so that one table is shared by all callers.
+
 Bracket utilities cover the four deformation brackets used throughout:
 
     q       [x]   = (q^x - q^-x) / (q - q^-1)
@@ -16,11 +21,14 @@ the fraction field over p = q^{1/2}.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import BadBracketArg, Inconsistency, UnknownGenerator
-from .gmatrix import GradedMatrix
+from .gmatrix import GradedMatrix, inverse
 from .halfint import HalfInt, as_half, spin_cache
-from .scalar import ONE, Scalar, p_power
+from .nilfun import nil_log_unit, unit_power, unit_sqrt
+from .scalar import H as HPARAM
+from .scalar import ONE, Scalar, p_power, rational
 
 HALF = HalfInt.from_twice(1)
 
@@ -180,3 +188,137 @@ def q_rep(j) -> GeneratorTable:
         "tinv": GradedMatrix(parity, tinv_entries),
     }
     return GeneratorTable("q-deformed", j, parity, mats)
+
+
+# -- the Jordanian tables ------------------------------------------------------
+
+
+@spin_cache
+def tilde_t_powers(j) -> tuple:
+    """The Jordanian group-like element T = h e^2 + sqrt(1 + h^2 e^4) on
+    the spin-j module, with its inverse and its square root."""
+    cl = classical_rep(j)
+    e2 = cl.matrix("e") @ cl.matrix("e")
+    root = unit_sqrt(cl.identity() + (e2 @ e2).scale(HPARAM**2))
+    big_t = e2.scale(HPARAM) + root
+    return big_t, e2.scale(-HPARAM) + root, unit_power(big_t, Fraction(1, 2))
+
+
+@spin_cache
+def r2_generators(j) -> GeneratorTable:
+    """Jordanian generators on the spin-j module, via the classical ones."""
+    cl = classical_rep(j)
+    ident = cl.identity()
+    e, f, h = cl.matrix("e"), cl.matrix("f"), cl.matrix("h")
+    big_t, big_tinv, thalf = tilde_t_powers(j)
+    # (T + Tinv) / 2 is the root sqrt(1 + h^2 e^4)
+    big_h = (big_t + big_tinv).scale(rational(1, 2)) @ h
+    gq = (big_t - ident) @ inverse(big_t + ident)
+    big_f = (
+        f
+        + (gq @ e).scale(HPARAM * rational(1, 4))
+        - (gq @ e @ h).scale(HPARAM * rational(1, 2))
+    )
+    tinvhalf = unit_power(big_t, Fraction(-1, 2))
+    x = nil_log_unit(big_t).scale(HPARAM.reciprocal())
+    y = -(big_f @ big_f)
+    mats = {
+        "H": big_h,
+        "E": e,
+        "F": big_f,
+        "T": big_t,
+        "Tinv": big_tinv,
+        "Thalf": thalf,
+        "Tinvhalf": tinvhalf,
+        "X": x,
+        "Y": y,
+    }
+    return GeneratorTable("jordanian-r2", j, cl.parity, mats)
+
+
+FAMILIES = ("minimal", "hdiag")
+
+
+def x_nilpotency(j) -> int:
+    """Smallest k with b+^k = 0 on the spin-j module, namely 2j + 1."""
+    return HalfInt(j).twice + 1
+
+
+def _require_family(family: str) -> None:
+    if family not in FAMILIES:
+        raise ValueError(f"unknown dressing family {family!r}")
+
+
+def r1_generators(j, family: str = "minimal") -> GeneratorTable:
+    """Dressed generator matrices on the spin-j module.
+
+    The returned table carries the letters H, E, F, T, Tinv, Thalf,
+    Tinvhalf, X and Y.  X is the nilpotent logarithm of T divided by h,
+    and Y is solved from the relation that expresses F^2 through Y.
+    Every call form of one spin and family returns the same table.
+    """
+    return _r1_table(as_half(j), family)
+
+
+@lru_cache(maxsize=None)
+def _r1_table(j: HalfInt, family: str) -> GeneratorTable:
+    _require_family(family)
+    cl = classical_rep(j)
+    e, f, h, bp = cl.matrix("e"), cl.matrix("f"), cl.matrix("h"), cl.matrix("b+")
+    iden = cl.identity()
+    half, quarter = rational(1, 2), rational(1, 4)
+    h2 = HPARAM * HPARAM
+
+    if family == "minimal":
+        # Unipotent core: every factor is a rational power of it.
+        core = iden - bp.scale(HPARAM + HPARAM)
+        t = unit_power(core, Fraction(-1, 2))
+        tinv = unit_power(core, Fraction(1, 2))
+        thalf = unit_power(core, Fraction(-1, 4))
+        tinvhalf = unit_power(core, Fraction(1, 4))
+        big_e = thalf @ e
+        big_h = tinv @ h
+        big_f = (
+            tinvhalf @ f
+            - (bp @ unit_power(core, Fraction(-3, 4)) @ e).scale(h2 * quarter)
+            + (tinvhalf @ e @ h).scale(HPARAM * half)
+        )
+        big_x = nil_log_unit(core).scale(-(HPARAM + HPARAM).reciprocal())
+    else:
+        # Cartan stays classical; the group-like is a unipotent ratio.
+        shear = bp.scale(HPARAM * half)
+        t = (iden + shear) @ inverse(iden - shear)
+        tinv = (iden - shear) @ inverse(iden + shear)
+        thalf = unit_power(t, Fraction(1, 2))
+        tinvhalf = unit_power(t, Fraction(-1, 2))
+        flat = iden - shear @ shear
+        big_e = unit_power(flat, Fraction(-1, 2)) @ e
+        big_h = h
+        big_f = (
+            unit_power(flat, Fraction(1, 2)) @ f
+            - (bp @ unit_power(flat, Fraction(-3, 2)) @ e).scale(h2 * quarter)
+            - (bp @ unit_power(flat, Fraction(-1, 2)) @ e @ h).scale(h2 * quarter)
+        )
+        big_x = nil_log_unit(t).scale(HPARAM.reciprocal())
+
+    tm = t - tinv
+    big_y = (
+        -(big_f @ big_f)
+        + (tm @ big_h @ big_h).scale(HPARAM * rational(1, 8))
+        + (tm @ big_e @ big_f).scale(HPARAM * quarter)
+        + ((t @ t - tinv @ tinv) @ big_h).scale(HPARAM * rational(3, 16))
+        + tm.scale(HPARAM * quarter)
+        + (tm @ tm @ tm).scale(HPARAM * rational(9, 128))
+    )
+    matrices = {
+        "H": big_h,
+        "E": big_e,
+        "F": big_f,
+        "T": t,
+        "Tinv": tinv,
+        "Thalf": thalf,
+        "Tinvhalf": tinvhalf,
+        "X": big_x,
+        "Y": big_y,
+    }
+    return GeneratorTable(f"jordanian-r1-{family}", j, cl.parity, matrices)

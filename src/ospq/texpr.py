@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .errors import UnknownGenerator
 from .gmatrix import GradedMatrix, graded_kron, tensor_parity
-from .scalar import ONE, Scalar
+from .scalar import ONE, ZERO, Scalar
 
 ODD_LETTERS = frozenset({"e", "f", "E", "F"})
 
@@ -235,8 +235,6 @@ class TensorExpression:
                     raise UnknownGenerator(name) from None
             total = c if total is None else total + c
         if total is None:
-            from .scalar import ZERO
-
             return ZERO
         return total
 

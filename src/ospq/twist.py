@@ -7,15 +7,17 @@ power series in h.  Its first orders have simple displayed forms:
     order 1   (1/2) (H (x) X - X (x) H)
     order 2   (1/8) ((H (x) X - X (x) H)^2 + H (x) X^2 + X^2 (x) H)
 
-This module verifies those displays two independent ways.  First, the
-displayed series is plugged into the defining properties (the
-undressing of the coproduct, the cocycle identity) and the residuals
-are expanded in h, which must vanish through second order.  Second,
-the defining linear problem is solved from scratch on the smallest
-pair of modules, order by order, over an ansatz of tensor words in H
-and X, and the displayed coefficients must solve the same system.  The
-solver reports the dimension of the homogeneous kernel so that any
-mismatch can be separated into "wrong" and "gauge".
+That display, ``hdiag_twist_expression``, and the depth ``SERIES_DEPTH``
+through which it holds live in :mod:`ospq.r1`, beside the minimal
+family's exponential twist, and the cocycle and antipode checks there
+run either family's twist.  This module verifies the display two more
+ways.  First, it is plugged into the undressing of the coproduct and
+the residuals are expanded in h, which must vanish through second
+order.  Second, the defining linear problem is solved from scratch on
+the smallest pair of modules, order by order, over an ansatz of tensor
+words in H and X, and the displayed coefficients must solve the same
+system.  The solver reports the dimension of the homogeneous kernel so
+that any mismatch can be separated into "wrong" and "gauge".
 
 Everything is exact: the series coefficients are rational numbers and
 the order-by-order extraction uses exact Taylor coefficients in h.
@@ -31,31 +33,17 @@ from .errors import Inconsistency
 from .gmatrix import GradedMatrix, graded_kron, graded_primitive
 from .halfint import HalfInt
 from .hopf import r1_algebra
-from .r1 import inverse_map_words, r1_generators, x_nilpotency
+from .r1 import SERIES_DEPTH, hdiag_twist_expression, inverse_map_words
 from .report import VerificationReport, series_residuals
-from .reps import classical_rep
+from .reps import classical_rep, r1_generators, x_nilpotency
 from .scalar import H as HPARAM
-from .scalar import ONE, Scalar, rational
+from .scalar import ONE, Scalar
 from .texpr import TensorExpression as TE
-from .texpr import tensor_product
 
-SERIES_DEPTH = 2
 # The order-n ansatz has (2^(2n+1) - 1)^2 columns, about 16 times more
 # per order: 16,129 at order 3, which solves in well under a second,
 # and 261,121 at order 4.
 MAX_SERIES_ORDER = 3
-
-
-def hdiag_twist_expression() -> TE:
-    """The displayed twist series through second order, as a two-leg
-    expression in the dressed letters."""
-    skew = TE.pure((("H",), ("X",))) - TE.pure((("X",), ("H",)))
-    tail = TE.pure((("H",), ("X", "X"))) + TE.pure((("X", "X"), ("H",)))
-    return (
-        TE.unit(2)
-        + skew.scale(HPARAM * rational(1, 2))
-        + (skew * skew + tail).scale(HPARAM * HPARAM * rational(1, 8))
-    )
 
 
 def hdiag_drinfeld_residuals(j1, j2) -> list:
@@ -80,20 +68,6 @@ def hdiag_drinfeld_residuals(j1, j2) -> list:
             f"undress:{name}", gmat @ dressed - primitive @ gmat, SERIES_DEPTH
         )
     return failures
-
-
-def hdiag_cocycle_check(j1, j2, j3) -> VerificationReport:
-    """Cocycle identity for the displayed series, through second order."""
-    j1, j2, j3 = HalfInt(j1), HalfInt(j2), HalfInt(j3)
-    reps = [r1_generators(jj, "hdiag") for jj in (j1, j2, j3)]
-    alg = r1_algebra()
-    g = hdiag_twist_expression()
-    lhs = tensor_product(g, TE.unit(1)) * g.coproduct(0, alg.delta)
-    rhs = tensor_product(TE.unit(1), g) * g.coproduct(1, alg.delta)
-    failures = series_residuals("cocycle", (lhs - rhs).evaluate(reps), SERIES_DEPTH)
-    return VerificationReport(
-        "cocycle", {"j1": j1, "j2": j2, "j3": j3, "family": "hdiag"}, failures
-    )
 
 
 # ---------------------------------------------------------------------------

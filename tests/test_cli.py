@@ -303,6 +303,31 @@ PINNED_BYTES = [
         0,
         "4b1f08486c9ac376a44c897a8628ebab8d345041e46d1f2dc05501ccb56360be",
     ),
+    (
+        ("verify", "--suite", "cocycle", "--family", "hdiag", "--j", "1/2", "1/2", "1"),
+        0,
+        "14e434339080666c5c37b6266055efe7c597b3dcd5642b86493726d6223f8870",
+    ),
+    (
+        ("verify", "--suite", "cocycle", "--family", "minimal", "--j", "1/2", "1", "1/2"),
+        0,
+        "c158698b07f99df8779d2cb6ab78ac782262a257b3af26c3116270f9ec9cdaad",
+    ),
+    (
+        ("verify", "--suite", "antipode", "--family", "hdiag", "--j", "1/2", "1"),
+        0,
+        "4e10f893460782f6411719ae931f58ead84aad30111941f369371b3b5e9203f5",
+    ),
+    (
+        ("verify", "--suite", "antipode", "--family", "minimal", "--j", "1/2", "1", "3/2"),
+        0,
+        "94dbd7cf39de9b3b2d1fd233d710f1cd441c9a8ee359585432498e1d073c7cac",
+    ),
+    (
+        ("verify", "--suite", "triangularity", "--family", "hdiag", "--j", "1/2", "1"),
+        0,
+        "12270245ee789858e10ba0eabe071076f3a468cada184af3976bf6eb6f649a94",
+    ),
 ]
 
 

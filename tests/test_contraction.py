@@ -44,8 +44,10 @@ from ospq.halfint import HalfInt
 from ospq.hopf import r2_algebra, relations_residuals
 from ospq.laurent import Laurent, valuation_floor
 from ospq.qrmatrix import universal_Rq, ybe_check
-from ospq.reps import GeneratorTable, classical_rep, q_rep, rep_parity
+from ospq.reps import GeneratorTable, classical_rep, q_rep, rep_parity, tilde_t_powers
 from ospq.scalar import H, ONE, Scalar, scalar_from_string
+
+from helpers import from_rows
 
 HALF = HalfInt.from_twice(1)
 ONEJ = HalfInt(1)
@@ -72,7 +74,7 @@ def cold_caches():
 
 
 def mat_from_rows(parity, rows):
-    return GradedMatrix.from_rows(
+    return from_rows(
         parity, [[scalar_from_string(s) for s in row] for row in rows]
     )
 
@@ -436,25 +438,38 @@ class TestIdentities:
     def test_perturbed_jordanian_t_breaks_the_tilde_blocks(
         self, monkeypatch, cold_caches
     ):
-        # the closed route of the group-like element is the T of the
-        # Jordanian table, so a fault there must show against the limit
-        built = r2_generators
+        # the closed route of the group-like element is the T of
+        # tilde_t_powers, so a fault there must show against the limit
+        built = tilde_t_powers
 
         def perturbed(j):
-            rep = built(j)
-            mats = dict(rep.matrices)
-            mats["T"] = mats["T"] + GradedMatrix(rep.parity, {(0, 0): H})
-            return GeneratorTable(rep.variant, rep.j, rep.parity, mats)
+            big_t, big_tinv, thalf = built(j)
+            return big_t + GradedMatrix(big_t.parity, {(0, 0): H}), big_tinv, thalf
 
-        monkeypatch.setattr(ospq.contraction, "r2_generators", perturbed)
+        monkeypatch.setattr(ospq.contraction, "tilde_t_powers", perturbed)
         report = identity_check(1, 1)
         labels = {label for label, _, _ in report.failures}
         assert "tilde-closed-vs-limit" in labels
 
+    def test_tilde_blocks_build_no_jordanian_table(self, cold_caches):
+        # T, its inverse and its square root come from tilde_t_powers, so
+        # the identities never build F, X, Y or Tinvhalf
+        assert identity_check(1, 1).ok
+        assert r2_generators.cache_info().currsize == 0
+        assert tilde_t_powers.cache_info().currsize == 1
+
 
 @pytest.mark.parametrize(
     "builder",
-    [q_rep, classical_rep, r2_generators, m_matrix, m_inverse, _spin_identity_failures],
+    [
+        q_rep,
+        classical_rep,
+        r2_generators,
+        tilde_t_powers,
+        m_matrix,
+        m_inverse,
+        _spin_identity_failures,
+    ],
     ids=lambda b: b.__name__,
 )
 def test_int_and_halfint_spins_share_one_cache_entry(builder, cold_caches):

@@ -25,9 +25,11 @@ from ospq.gmatrix import (
 from ospq.nilfun import nil_exp, nil_log_unit, unit_power, unit_sqrt
 from ospq.scalar import ONE, Scalar
 
+from helpers import from_rows
+
 
 def M(parity, rows):
-    return GradedMatrix.from_rows(parity, rows)
+    return from_rows(parity, rows)
 
 
 E01 = M((0, 1), [[0, 1], [0, 0]])  # odd single-entry matrix on an (e,o) space

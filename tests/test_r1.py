@@ -26,6 +26,8 @@ from ospq.r1 import (
 from ospq.reps import GeneratorTable, classical_rep
 from ospq.scalar import H, Scalar, scalar_from_string
 
+from helpers import from_rows
+
 HALF = HalfInt.from_twice(1)
 ONEJ = HalfInt(1)
 THREEHALF = HalfInt.from_twice(3)
@@ -70,7 +72,7 @@ class TestDressedGenerators:
         assert rep.matrix("T") == cl.matrix("b+").scale(H) + rep.identity()
         assert rep.matrix("E") == cl.matrix("e")
         assert rep.matrix("X") == cl.matrix("b+")
-        expect_f = GradedMatrix.from_rows(
+        expect_f = from_rows(
             cl.parity,
             [
                 [sc("0"), sc("-h/2"), sc("0")],

@@ -1,4 +1,6 @@
-"""Brackets and the classical / q-deformed representations."""
+"""Brackets and the generator tables."""
+
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +12,7 @@ from ospq.reps import (
     classical_rep,
     plus_factorial,
     q_rep,
+    r1_generators,
     rep_dim,
     rep_parity,
 )
@@ -181,3 +184,13 @@ class TestQRep:
 def test_helpers():
     assert rep_dim(HalfInt.parse("3/2")) == 7
     assert rep_parity(HalfInt.parse("1/2")) == (0, 1, 0)
+
+
+def test_every_r1_call_form_returns_one_table():
+    # the Hopf suite caches and hopf_suite_failures tell legs apart by
+    # identity, so each (spin, family) must give one table
+    table = r1_generators(HalfInt(1), "minimal")
+    assert r1_generators(1) is table
+    assert r1_generators(Fraction(1), "minimal") is table
+    assert r1_generators(HalfInt(1), family="minimal") is table
+    assert r1_generators(1, family="hdiag") is r1_generators(HalfInt(1), "hdiag")

@@ -10,7 +10,7 @@ import pytest
 from ospq.gmatrix import graded_kron
 from ospq.halfint import HalfInt
 from ospq.hopf import r1_algebra
-from ospq.r1 import inverse_map_words, r1_generators, x_nilpotency
+from ospq.r1 import cocycle_check, inverse_map_words, r1_generators, x_nilpotency
 from ospq.report import series_residuals
 from ospq.reps import classical_rep
 from ospq.scalar import H, ONE, scalar_from_string, scalar_to_string
@@ -21,7 +21,6 @@ from ospq.twist import (
     _ansatz_pairs,
     _ansatz_rows,
     _word_classes,
-    hdiag_cocycle_check,
     hdiag_drinfeld_residuals,
     hdiag_twist_check,
     hdiag_twist_expression,
@@ -79,7 +78,7 @@ class TestDisplayedSeries:
         "triple", TRIPLES, ids=lambda t: "-".join(str(x) for x in t)
     )
     def test_cocycle_identity(self, triple):
-        report = hdiag_cocycle_check(*triple)
+        report = cocycle_check(*triple, twist="hdiag")
         assert report.failures == []
         assert report.ok
 
