@@ -29,17 +29,21 @@ Outside this module a matrix is never written after it is built (a test
 parses the package to pin this), so matrices may be shared and hashed.
 
 Entries are usually :class:`~ospq.scalar.Scalar`, but ``@``, ``+``, ``-``,
-``map_entries`` and ``graded_kron`` ask of an entry only this protocol:
+``scale``, ``map_entries`` and ``graded_kron`` ask of an entry only this
+protocol:
 
-* ``is_zero``, a property that is True only for an exact zero: such an
-  entry is dropped, and an absent entry is read as an exact zero;
+* truthiness, false only for an exact zero: such an entry is dropped,
+  and an absent entry is read as an exact zero;
 * ``a + b``, ``a - b``, ``-a`` and ``a * b`` between two entries of the
-  same type.
+  same type (``scale`` multiplies by its argument).
 
-``scale``, ``identity``, ``graded_primitive``, ``entry``,
-``inverse`` and the JSON form need ``Scalar`` entries.
+``identity``, ``graded_primitive``, ``entry``, ``inverse`` and the JSON
+form need ``Scalar`` entries.  There are two other entry types.  One is
 :class:`~ospq.laurent.Laurent`, the truncated Laurent series in t = p - 1
-on which the contraction and the ODE oracle run, is the second entry type.
+on which the contraction and the ODE oracle run; it has no ``__bool__``,
+so it is always kept.  The other is the plain ``int``, the value at
+h = 2^B of an integer polynomial in h on which :mod:`ospq.packed`
+evaluates the Hopf suites.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ class GradedMatrix:
         self.entries = {}
         if entries:
             for key, val in entries.items():
-                if not val.is_zero:
+                if val:
                     self.entries[key] = val
 
     # -- constructors --------------------------------------------------------
@@ -103,7 +107,7 @@ class GradedMatrix:
         for key, val in other.entries.items():
             acc = entries.get(key)
             s = val if acc is None else acc + val
-            if s.is_zero:
+            if not s:
                 entries.pop(key, None)
             else:
                 entries[key] = s
@@ -120,9 +124,7 @@ class GradedMatrix:
         return self + (-other)
 
     def scale(self, c) -> "GradedMatrix":
-        if isinstance(c, int):
-            c = Scalar.from_int(c)
-        if c.is_zero:
+        if not c:
             return GradedMatrix.zero(self.parity)
         out = GradedMatrix(self.parity)
         out.entries = {k: v * c for k, v in self.entries.items()}
@@ -143,7 +145,7 @@ class GradedMatrix:
                 prod = a * b
                 cur = acc.get(key)
                 s = prod if cur is None else cur + prod
-                if s.is_zero:
+                if not s:
                     acc.pop(key, None)
                 else:
                     acc[key] = s
@@ -176,7 +178,7 @@ class GradedMatrix:
         out = GradedMatrix(self.parity)
         for k, v in self.entries.items():
             w = fn(v)
-            if not w.is_zero:
+            if w:
                 out.entries[k] = w
         return out
 
@@ -202,7 +204,7 @@ class GradedMatrix:
         for i, row in enumerate(data["entries"]):
             for j, text in enumerate(row):
                 val = scalar_from_string(text)
-                if not val.is_zero:
+                if val:
                     entries[(i, j)] = val
         out = cls(parity)
         out.entries = entries
@@ -369,7 +371,7 @@ def inverse(m: GradedMatrix) -> GradedMatrix:
                 if k == col:
                     continue
                 s = row.get(k, ZERO) - factor * v
-                if s.is_zero:
+                if not s:
                     row.pop(k, None)
                 else:
                     row[k] = s
@@ -377,7 +379,7 @@ def inverse(m: GradedMatrix) -> GradedMatrix:
     entries = {}
     for i in range(n):
         for k, v in work[i].items():
-            if k >= n and not v.is_zero:
+            if k >= n and v:
                 entries[(i, k - n)] = v
     out.entries = entries
     return out

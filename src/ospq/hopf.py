@@ -12,6 +12,10 @@ chosen representations:
   5. both antipode axioms on each generator.
 
 Everything returns exact residuals; an empty failure list is a pass.
+Each suite builds its expressions once per algebra and evaluates them all
+through :func:`ospq.packed.evaluate_all`: on integers at h = 2^B with a
+proven width when the tables and coefficients have no p (the Jordanian
+algebras), on ``Scalar``s otherwise.  Both routes give the same residuals.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 from functools import lru_cache, wraps
 from types import MappingProxyType
 
-from .gmatrix import GradedMatrix
+from .packed import evaluate_all
 from .report import VerificationReport, matrix_residuals
 from .reps import r1_generators, r2_generators
 from .scalar import H as HPARAM
@@ -269,6 +273,10 @@ def q_algebra() -> HopfAlgebra:
 
 # -- the five suites ---------------------------------------------------------
 
+# Entries kept by each suite's cache: twice the 32 triples of the
+# criterion-7 sweep (8 triples for each of r2, r1 in both families and q).
+SUITE_CACHE_SIZE = 64
+
 
 def _suite_cache(suite):
     """Cache a suite's residuals, as a tuple, by its algebra and its legs.
@@ -277,9 +285,11 @@ def _suite_cache(suite):
     single-leg suite once per table and the coproduct homomorphism once
     per ordered pair.  The arguments hash by identity, which is sound
     because neither an algebra nor a generator table is written once
-    built.  Each call returns a fresh list; ``cache_info`` and
-    ``cache_clear`` are those of the underlying cache."""
-    cached = lru_cache(maxsize=None)(lambda *legs: tuple(suite(*legs)))
+    built.  The cache keeps the ``SUITE_CACHE_SIZE`` most recent entries,
+    so tables built on the fly are not kept alive for good.  Each call
+    returns a fresh list; ``cache_info`` and ``cache_clear`` are those of
+    the underlying cache."""
+    cached = lru_cache(maxsize=SUITE_CACHE_SIZE)(lambda *legs: tuple(suite(*legs)))
 
     @wraps(suite)
     def residuals(*legs) -> list:
@@ -290,59 +300,71 @@ def _suite_cache(suite):
     return residuals
 
 
-@_suite_cache
-def relations_residuals(algebra: HopfAlgebra, rep) -> list:
+def _residuals(labelled, reps) -> list:
+    """The failures of (label, expression) pairs that must vanish on ``reps``."""
+    mats = evaluate_all([expr for _, expr in labelled], reps)
     fails = []
-    for label, expr in algebra.relations:
-        fails += matrix_residuals(label, expr.evaluate([rep]))
-    return fails
-
-
-@_suite_cache
-def delta_homomorphy_residuals(algebra: HopfAlgebra, rep1, rep2) -> list:
-    fails = []
-    for label, expr in algebra.relations:
-        m = expr.coproduct(0, algebra.delta).evaluate([rep1, rep2])
+    for (label, _), m in zip(labelled, mats):
         fails += matrix_residuals(label, m)
     return fails
 
 
-@_suite_cache
-def coassociativity_residuals(algebra: HopfAlgebra, rep1, rep2, rep3) -> list:
-    fails = []
+@lru_cache(maxsize=SUITE_CACHE_SIZE)
+def _expressions(algebra: HopfAlgebra, build) -> tuple:
+    """The labelled expressions of one suite, built once per algebra."""
+    return tuple(build(algebra))
+
+
+def _coproduct_relations(algebra: HopfAlgebra):
+    for label, expr in algebra.relations:
+        yield label, expr.coproduct(0, algebra.delta)
+
+
+def _coassociators(algebra: HopfAlgebra):
     for name in algebra.letters:
         d = TE.letter(name).coproduct(0, algebra.delta)
-        diff = d.coproduct(0, algebra.delta) - d.coproduct(1, algebra.delta)
-        m = diff.evaluate([rep1, rep2, rep3])
-        fails += matrix_residuals(name, m)
-    return fails
+        yield name, d.coproduct(0, algebra.delta) - d.coproduct(1, algebra.delta)
+
+
+def _counit_differences(algebra: HopfAlgebra):
+    for name in algebra.letters:
+        x = TE.letter(name)
+        d = x.coproduct(0, algebra.delta)
+        yield f"left:{name}", d.counit(0, algebra.eps) - x
+        yield f"right:{name}", d.counit(1, algebra.eps) - x
+
+
+def _antipode_differences(algebra: HopfAlgebra):
+    for name in algebra.letters:
+        d = TE.letter(name).coproduct(0, algebra.delta)
+        target = TE.unit(1).scale(algebra.eps[name])
+        yield f"left:{name}", d.antipode(0, algebra.smap).mu(0) - target
+        yield f"right:{name}", d.antipode(1, algebra.smap).mu(0) - target
+
+
+@_suite_cache
+def relations_residuals(algebra: HopfAlgebra, rep) -> list:
+    return _residuals(algebra.relations, [rep])
+
+
+@_suite_cache
+def delta_homomorphy_residuals(algebra: HopfAlgebra, rep1, rep2) -> list:
+    return _residuals(_expressions(algebra, _coproduct_relations), [rep1, rep2])
+
+
+@_suite_cache
+def coassociativity_residuals(algebra: HopfAlgebra, rep1, rep2, rep3) -> list:
+    return _residuals(_expressions(algebra, _coassociators), [rep1, rep2, rep3])
 
 
 @_suite_cache
 def counit_residuals(algebra: HopfAlgebra, rep) -> list:
-    fails = []
-    for name in algebra.letters:
-        x = TE.letter(name)
-        d = x.coproduct(0, algebra.delta)
-        left = (d.counit(0, algebra.eps) - x).evaluate([rep])
-        right = (d.counit(1, algebra.eps) - x).evaluate([rep])
-        fails += matrix_residuals(f"left:{name}", left)
-        fails += matrix_residuals(f"right:{name}", right)
-    return fails
+    return _residuals(_expressions(algebra, _counit_differences), [rep])
 
 
 @_suite_cache
 def antipode_residuals(algebra: HopfAlgebra, rep) -> list:
-    fails = []
-    ident = GradedMatrix.identity(rep.parity)
-    for name in algebra.letters:
-        d = TE.letter(name).coproduct(0, algebra.delta)
-        target = ident.scale(algebra.eps[name])
-        left = d.antipode(0, algebra.smap).mu(0).evaluate([rep]) - target
-        right = d.antipode(1, algebra.smap).mu(0).evaluate([rep]) - target
-        fails += matrix_residuals(f"left:{name}", left)
-        fails += matrix_residuals(f"right:{name}", right)
-    return fails
+    return _residuals(_expressions(algebra, _antipode_differences), [rep])
 
 
 def hopf_suite_failures(algebra: HopfAlgebra, reps) -> list:
@@ -350,26 +372,35 @@ def hopf_suite_failures(algebra: HopfAlgebra, reps) -> list:
 
     Single-leg suites run on each distinct representation; the coproduct
     homomorphism runs on the first two legs; coassociativity on all three.
-    Labels are prefixed with the suite name.
+    Labels are prefixed with the suite name, and a single-leg suite's
+    label names the spin of its table, as in ``relations[j=1/2]``.  When
+    two distinct tables of one spin sit in the triple, it also names the
+    first leg (counted from 1) that holds the table, as in
+    ``relations[j=1/2,leg=2]``.
     """
     rep1, rep2, rep3 = reps
     distinct = []
-    for rep in reps:
-        if all(rep is not seen for seen in distinct):
-            distinct.append(rep)
+    for leg, rep in enumerate(reps, start=1):
+        if all(rep is not seen for _, seen in distinct):
+            distinct.append((leg, rep))
+    spins = [rep.j for _, rep in distinct]
+    tags = [
+        f"j={rep.j},leg={leg}" if spins.count(rep.j) > 1 else f"j={rep.j}"
+        for leg, rep in distinct
+    ]
     fails = []
-    for rep in distinct:
+    for tag, (_, rep) in zip(tags, distinct):
         for item in relations_residuals(algebra, rep):
-            fails.append((f"relations[j={rep.j}]:{item[0]}",) + item[1:])
+            fails.append((f"relations[{tag}]:{item[0]}",) + item[1:])
     for item in delta_homomorphy_residuals(algebra, rep1, rep2):
         fails.append((f"coproduct-homomorphism:{item[0]}",) + item[1:])
     for item in coassociativity_residuals(algebra, rep1, rep2, rep3):
         fails.append((f"coassociativity:{item[0]}",) + item[1:])
-    for rep in distinct:
+    for tag, (_, rep) in zip(tags, distinct):
         for item in counit_residuals(algebra, rep):
-            fails.append((f"counit[j={rep.j}]:{item[0]}",) + item[1:])
+            fails.append((f"counit[{tag}]:{item[0]}",) + item[1:])
         for item in antipode_residuals(algebra, rep):
-            fails.append((f"antipode[j={rep.j}]:{item[0]}",) + item[1:])
+            fails.append((f"antipode[{tag}]:{item[0]}",) + item[1:])
     return fails
 
 

@@ -87,12 +87,9 @@ class Laurent:
         return cls({(1, 0): 1} if prec > 1 else {}, 1, prec)
 
     # -- the GradedMatrix entry protocol ---------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        # A truncated series is never known to vanish exactly; an entry whose
-        # known coefficients all cancel stays in its matrix with its precision.
-        return False
+    # There is no __bool__, so every series is truthy: a truncated series is
+    # never known to vanish exactly, and an entry whose known coefficients all
+    # cancel stays in its matrix with its precision.
 
     def __add__(self, other) -> "Laurent":
         if not isinstance(other, Laurent):

@@ -45,7 +45,7 @@ class TensorExpression:
         self.terms = {}
         if terms:
             for key, coeff in terms.items():
-                if not coeff.is_zero:
+                if coeff:
                     self.terms[key] = coeff
 
     # -- constructors -----------------------------------------------------
@@ -238,23 +238,30 @@ class TensorExpression:
             return ZERO
         return total
 
-    def evaluate(self, reps, _memos=None) -> GradedMatrix:
+    def evaluate(self, reps, memos=None) -> GradedMatrix:
         """Evaluate in the given representations, one table per leg.
 
-        Each element of ``reps`` must expose ``matrix(name)`` and ``parity``.
+        Each element of ``reps`` must expose ``matrix(name)``, ``identity()``
+        and ``parity``, and the coefficients must multiply its entries:
+        ``Scalar`` coefficients on ``Scalar`` tables, or ``int`` ones on the
+        ``int`` tables of :mod:`ospq.packed`.
         A word maps to the ordered matrix product of its letters;  legs are
         combined with the graded Kronecker product, the operator parity of
         each new factor being the parity of its word.  The graded Kronecker
         product is linear in its first factor once the second factor and
         its parity are fixed, so the terms are grouped by their last-leg
         word: each group's shorter-leg sum is evaluated first (recursively,
-        sharing the word memos in ``_memos``) and costs one Kronecker
-        product.  On one leg each coefficient scales its word's matrix.
+        sharing the word memos) and costs one Kronecker product.  On one leg
+        each coefficient scales its word's matrix.
+
+        ``memos`` holds one dict per leg of the word matrices built so far.
+        Several evaluations on the same tables may share it, and two legs
+        that hold one table may share one dict.
         """
         if len(reps) != self.nlegs:
             raise ValueError("need one representation per leg")
-        if _memos is None:
-            _memos = [{} for _ in reps]
+        if memos is None:
+            memos = [{} for _ in reps]
         last = self.nlegs - 1
         if last:
             groups = {}
@@ -262,8 +269,8 @@ class TensorExpression:
                 groups.setdefault(key[last], {})[key[:last]] = coeff
             parts = (
                 graded_kron(
-                    TensorExpression(last, heads).evaluate(reps[:last], _memos[:last]),
-                    _word_matrix(_memos[last], reps[last], word),
+                    TensorExpression(last, heads).evaluate(reps[:last], memos[:last]),
+                    _word_matrix(memos[last], reps[last], word),
                     b_op_parity=word_parity(word),
                 )
                 for word, heads in groups.items()
@@ -271,7 +278,7 @@ class TensorExpression:
         else:
             parts = []
             for (word,), coeff in self.terms.items():
-                m = _word_matrix(_memos[0], reps[0], word)
+                m = _word_matrix(memos[0], reps[0], word)
                 parts.append(m if coeff is ONE else m.scale(coeff))
         entries = {}
         for part in parts:
@@ -279,7 +286,7 @@ class TensorExpression:
                 cur = entries.get(ij)
                 if cur is not None:
                     val = cur + val
-                    if val.is_zero:
+                    if not val:
                         del entries[ij]
                         continue
                 entries[ij] = val
@@ -300,7 +307,7 @@ def _word_matrix(memo: dict, rep, word: tuple) -> GradedMatrix:
     if m is not None:
         return m
     if not word:
-        m = memo[word] = GradedMatrix.identity(rep.parity)
+        m = memo[word] = rep.identity()
         return m
     n = len(word) - 1
     while n and word[:n] not in memo:

@@ -126,7 +126,7 @@ def test_criterion_06_relation_lists_under_the_maps():
 
 
 def test_criterion_07_hopf_axiom_suites():
-    with criterion(7, 10.0):
+    with criterion(7, 5.0):
         for triple in product((HALF, ONEJ), repeat=3):
             assert r2_hopf_check(*triple).ok
             for family in FAMILIES:

@@ -7,6 +7,7 @@ import pytest
 from ospq.contraction import r2_generators
 from ospq.halfint import HalfInt
 from ospq.hopf import (
+    SUITE_CACHE_SIZE,
     antipode_residuals,
     coassociativity_residuals,
     counit_residuals,
@@ -85,7 +86,9 @@ def test_y_flipped_table_fails_in_every_triple_that_holds_it(case):
     warm = sweep(tables)
     for (_, triple), fails in warm.items():
         if 2 in triple:
-            assert any(label.startswith("relations[j=1/2]:") for label, _, _ in fails)
+            # the leg is named only when the good spin-1/2 table is there too
+            tag = f"j=1/2,leg={triple.index(2) + 1}" if 0 in triple else "j=1/2"
+            assert any(label.startswith(f"relations[{tag}]:") for label, _, _ in fails)
         else:
             assert fails == []
     clear_suite_caches()
@@ -100,3 +103,28 @@ def test_residuals_are_fresh_lists():
     fails.append("stray")
     assert "stray" not in relations_residuals(r2_algebra(), bad)
     assert relations_residuals(r2_algebra(), rep) == []
+
+
+def test_caches_are_bounded():
+    # the criterion-7 sweep's 32 coassociativity keys fit
+    assert SUITE_CACHE_SIZE >= 32
+    rep = r2_generators(HALF)
+    for _ in range(2 * SUITE_CACHE_SIZE):
+        assert relations_residuals(r2_algebra(), y_flipped(rep))
+    info = relations_residuals.cache_info()
+    assert info.maxsize == SUITE_CACHE_SIZE
+    assert info.currsize <= SUITE_CACHE_SIZE
+
+
+def test_two_tables_of_one_spin_name_their_legs():
+    good = r2_generators(HALF)
+    bad = y_flipped(good)
+    fails = hopf_suite_failures(r2_algebra(), [good, bad, good])
+    single_leg = {label.split(":")[0] for label, _, _ in fails if "[" in label}
+    assert "relations[j=1/2,leg=2]" in single_leg
+    # the good table, first on leg 1, has no single-leg failure
+    assert not any("leg=1" in label for label in single_leg)
+    # with one table per spin the labels name the spin only
+    alone = hopf_suite_failures(r2_algebra(), [bad, r2_generators(ONEJ), bad])
+    assert any(label.startswith("relations[j=1/2]:") for label, _, _ in alone)
+    assert not any("leg=" in label for label, _, _ in alone)

@@ -456,3 +456,39 @@ def test_different_monomial_den_sum_matches_general_path(pair):
         _assert_canonical(got)
     assert (got.num, got.den) == (want.num, want.den)
     assert scalar_to_string(got) == scalar_to_string(want)
+
+
+@st.composite
+def one_term_den_scalars(draw):
+    """A canonical scalar with a one-term denominator: a monomial ratio, or
+    a polynomial numerator, shifted by the powers the denominator lacks."""
+    if draw(st.booleans()):
+        return draw(monomial_ratios())
+    dp, dh = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    s = draw(over_one_monomial({(dp, dh): draw(st.integers(min_value=1, max_value=12))}))
+    i = 0 if dp else draw(st.integers(0, 2))
+    j = 0 if dh else draw(st.integers(0, 2))
+    return Scalar({(ep + i, eh + j): c for (ep, eh), c in s.num.items()}, s.den, _canonical=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_term_den_scalars(), one_term_den_scalars())
+def test_one_term_den_product_matches_general_path(a, b):
+    _assert_canonical(a)
+    got = a * b
+    want = Scalar._make(_pmul(a.num, b.num), _pmul(a.den, b.den))
+    _assert_canonical(got)
+    assert (got.num, got.den) == (want.num, want.den)
+    assert scalar_to_string(got) == scalar_to_string(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys(), polys().filter(lambda s: len(s.num) == 1))
+def test_one_term_pmul_matches_double_loop(a, b):
+    want = {}
+    for (ea, ha), ca in a.num.items():
+        for (eb, hb), cb in b.num.items():
+            key = (ea + eb, ha + hb)
+            want[key] = want.get(key, 0) + ca * cb
+    want = {key: c for key, c in want.items() if c}
+    assert _pmul(a.num, b.num) == want == _pmul(b.num, a.num)

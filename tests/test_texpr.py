@@ -33,6 +33,9 @@ class FakeRep:
     def matrix(self, name):
         return self._mats[name]
 
+    def identity(self):
+        return GradedMatrix.identity(self.parity)
+
 
 def fundamental():
     """Classical three-dimensional representation: h diagonal, e/f odd shifts."""
