@@ -21,14 +21,13 @@ raises instead of being approximated.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .errors import Inconsistency
-from .gmatrix import GradedMatrix, block_matrix, embed_pair, graded_kron, inverse
+from .gmatrix import GradedMatrix, block_matrix, graded_kron, inverse
 from .halfint import HalfInt, as_half, spin_cache
 from .hopf import r2_algebra
 from .laurent import Laurent, valuation_floor
 from .nilfun import nil_series
+from .packed import product_difference
 from .qrmatrix import universal_Rq
 from .report import VerificationReport, matrix_residuals
 from .reps import (
@@ -89,12 +88,11 @@ def q_cartan_power(j, alpha) -> GradedMatrix:
     return GradedMatrix(parity, entries)
 
 
-@lru_cache(maxsize=None)
+@spin_cache
 def script_t(j, alpha) -> GradedMatrix:
     """The shifted-exponential quotient E(eta e^2)^-1 E(q^{2 alpha} eta e^2)."""
-    j = as_half(j)
     e = q_rep(j).matrix("e")
-    shift = p_power(as_half(alpha) * 2)  # q^{2 alpha}
+    shift = p_power(alpha * 2)  # q^{2 alpha}
     return m_inverse(j) @ eq2_series((e @ e).scale(eta() * shift))
 
 
@@ -144,18 +142,18 @@ def contract(j1, j2, source: str = "universal", log_cancellation: bool = False):
         raise ValueError(f"unknown contraction source {source!r}")
 
     rq = universal_Rq(j1, j2)
-    m1, m2 = m_matrix(j1), m_matrix(j2)
-    big_m = graded_kron(m1, m2, b_op_parity=0)
-    big_minv = graded_kron(inverse(m1), inverse(m2), b_op_parity=0)
+    big_m = graded_kron(m_matrix(j1), m_matrix(j2), b_op_parity=0)
+    big_minv = graded_kron(m_inverse(j1), m_inverse(j2), b_op_parity=0)
     # fr, fm and fi bound the valuations at p = 1 of the entries of R_q, M
     # and M^-1 from below, and valuations add, so v(R_q M) >= fr + fm.  The
     # t^0 coefficient of M^-1 (R_q M) is exact once M^-1 is known below
     # t^(1 - fr - fm) and R_q M below t^(1 - fi); R_q M is known that far
     # once R_q is known below t^(1 - fi - fm) and M below t^(1 - fi - fr).
     fr, fm, fi = (_floor(x) for x in (rq, big_m, big_minv))
-    # each Scalar operand is freed once its series is built, to keep the peak low
+    # R_q is kept by its cache; each Kronecker product is freed once its
+    # series is built, to keep the peak low
     right = _expand(rq, 1 - fi - fm) @ _expand(big_m, 1 - fi - fr)
-    del rq, big_m
+    del big_m
     left = _expand(big_minv, 1 - fr - fm)
     del big_minv
 
@@ -267,10 +265,8 @@ def rll_check(j) -> VerificationReport:
     r = contract(half, half).matrix
     ell = L_operator(j)
     parities = (rep_parity(half), rep_parity(half), rep_parity(j))
-    r12 = embed_pair(r, parities, (0, 1))
-    l1 = embed_pair(ell, parities, (0, 2))
-    l2 = embed_pair(ell, parities, (1, 2))
-    diff = r12 @ l1 @ l2 - l2 @ l1 @ r12
+    factors = [(r, (0, 1)), (ell, (0, 2)), (ell, (1, 2))]
+    diff = product_difference(factors, (0, 1, 2), (2, 1, 0), parities)
     fails = matrix_residuals("RLL", diff)
     return VerificationReport("rll", {"j": j}, fails)
 

@@ -116,18 +116,19 @@ def as_half(x) -> HalfInt:
 
 
 def spin_cache(fn):
-    """``lru_cache`` for a one-spin builder, keyed by the spin as a HalfInt.
+    """``lru_cache`` for a builder whose arguments are all spins, keyed by
+    the spins as HalfInts.
 
     ``lru_cache`` keys a lone int apart from the equal HalfInt, so
-    ``fn(1)`` and ``fn(HalfInt(1))`` would build the spin twice; here both
-    share one entry.  ``cache_info`` and ``cache_clear`` are those of the
+    ``fn(1)`` and ``fn(HalfInt(1))`` would build twice; here both share
+    one entry.  ``cache_info`` and ``cache_clear`` are those of the
     underlying cache."""
     cached = lru_cache(maxsize=None)(fn)
 
     @wraps(fn)
-    def by_spin(j):
-        return cached(as_half(j))
+    def by_spins(*spins):
+        return cached(*map(as_half, spins))
 
-    by_spin.cache_info = cached.cache_info
-    by_spin.cache_clear = cached.cache_clear
-    return by_spin
+    by_spins.cache_info = cached.cache_info
+    by_spins.cache_clear = cached.cache_clear
+    return by_spins

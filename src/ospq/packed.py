@@ -1,12 +1,21 @@
-"""Exact evaluation of p-free tensor expressions on packed integers.
+"""Exact identities of the package decided on packed integers.
 
-The Jordanian tables and the Hopf-suite expressions built on them have no
-p: every entry and every coefficient is an integer polynomial in h over a
-one-term denominator k*h^e.  Such an expression is evaluated here at
-h = X = 2^B with plain ints, by the unchanged
+A polynomial with integer coefficients is fixed by its value at a large
+enough power of two: its coefficients are the balanced base-2^B digits
+of that value once every one lies strictly between -2^(B-1) and 2^(B-1)
+(Kronecker substitution: Kronecker 1882; Harvey 2009).  Matrices whose
+entries are such polynomials are therefore multiplied here as matrices
+of plain ints, by the unchanged :class:`~ospq.gmatrix.GradedMatrix`
+arithmetic, and nothing is approximated: each width is proven from a
+bound on the coefficients before any packed product is taken.  Two
+kinds of computation are packed.
+
+**Tensor expressions on the Jordanian tables** (:func:`evaluate_all`, the
+Hopf suites).  Every table entry and every coefficient is an integer
+polynomial in h over a one-term denominator k*h^e, with no p.  Such an
+expression is evaluated at h = X = 2^B by
 :meth:`~ospq.texpr.TensorExpression.evaluate`, and each entry of the
-result is read back as an exact :class:`~ospq.scalar.Scalar` (Kronecker
-substitution: Kronecker 1882; Harvey 2009).
+result is read back as an exact :class:`~ospq.scalar.Scalar`.
 
 * Each leg's table is scaled by s = D*h^E, with D the lcm of the
   integers of its entry denominators and E their largest h-power, so that
@@ -29,17 +38,44 @@ substitution: Kronecker 1882; Harvey 2009).
   its value at X: its coefficients are the balanced base-X digits of that
   value.  A zero value is an exact zero.
 
-An entry or a coefficient with p in it, or with a denominator of more
-than one term, cannot be packed: :func:`evaluate_all` then evaluates on
-``Scalar``s, as ``expr.evaluate(reps)`` does.  Nothing here approximates,
-and nothing is cached.
+**Product identities of pair matrices** (:func:`product_difference`, the
+graded Yang-Baxter equation and the RLL exchange relation).  Each factor
+is a matrix over Q(p, h) on two legs of a tensor product, embedded by
+:func:`~ospq.gmatrix.embed_pair`, and the identity equates two products
+that use every factor once.
+
+* Each factor is scaled by D*p^Ea*h^Eb, with D the lcm of the integers
+  of its one-term entry denominators and Ea, Eb their largest powers of
+  p and h, so that it holds integer polynomials in p and h.  Both
+  products carry the same scale, the product of the factors' scales, so
+  the scaled products are equal exactly when the products are.
+* The entrywise l1 norms of the scaled factors, embedded and multiplied
+  in each order as matrices of non-negative ints, bound the l1 norm, and
+  so every coefficient, of each entry of the scaled products; their
+  p-degree is at most d, the sum of the factors' largest p-degrees.
+* With B = bound.bit_length() + 1 for the larger bound of the two sides,
+  every entry is evaluated at p = 2^B and h = 2^(B*(d + 1)): distinct
+  monomials p^a h^b of p-degree a <= d land on distinct digits, so the
+  evaluation is injective on both products, and the packed products are
+  equal exactly when the identity holds.  This is a proof, not a
+  probabilistic test.
+
+An entry or a coefficient that cannot be packed (one with p in it, for
+the Hopf suites, or with a denominator of more than one term) refuses
+the packed route: :func:`evaluate_all` then evaluates on ``Scalar``s, as
+``expr.evaluate(reps)`` does, and :func:`product_difference` takes the
+two products on ``Scalar``s, as it does when the packed products differ,
+so that every residual is the exact ``Scalar`` one.  Nothing here is
+cached.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from math import lcm, prod
+from operator import matmul
 
-from .gmatrix import GradedMatrix
+from .gmatrix import GradedMatrix, embed_pair, tensor_parity
 from .reps import GeneratorTable
 from .scalar import Scalar
 from .texpr import TensorExpression
@@ -47,16 +83,47 @@ from .texpr import TensorExpression
 
 def evaluate_all(exprs, reps) -> list:
     """``[expr.evaluate(reps) for expr in exprs]``, computed on packed ints
-    with one width for all the expressions when they and the tables pack."""
+    with one width for all the expressions when they and the tables pack.
+    Either way each distinct table's word matrices are built once for the
+    whole call."""
     plan = PackedPlan.of(exprs, reps)
-    if plan is None:
-        return [expr.evaluate(reps) for expr in exprs]
-    return plan.run(plan.width)
+    if plan is not None:
+        return plan.run(plan.width)
+    distinct, slots = _slots(reps)
+    memos = [{} for _ in distinct]
+    leg_memos = [memos[slot] for slot in slots]
+    return [expr.evaluate(reps, leg_memos) for expr in exprs]
+
+
+def product_difference(factors, left, right, parities) -> GradedMatrix:
+    """The difference of two products of pair matrices, exactly.
+
+    ``factors`` holds (matrix, leg pair) items, each matrix embedded on
+    its legs of the product whose leg parities are ``parities`` (see
+    :func:`~ospq.gmatrix.embed_pair`); ``left`` and ``right`` list every
+    factor's index once, in the order of multiplication.  When packed ints
+    prove the two products equal the zero matrix is returned at once;
+    otherwise (the products differ, or a factor does not pack) both are
+    taken on ``Scalar``s and subtracted.
+    """
+    plan = ProductPlan.of(factors, parities, (left, right))
+    if plan is not None and plan.agree():
+        return GradedMatrix.zero(tensor_parity(parities))
+    mats = [embed_pair(m, parities, legs) for m, legs in factors]
+    return _chain(mats, left) - _chain(mats, right)
 
 
 def pack(poly: dict, width: int) -> int:
     """The value at h = 2^width of the integer polynomial {h_exp: int}."""
     return sum(c << (width * e) for e, c in poly.items())
+
+
+def pack_ph(poly: dict, width: int, span: int) -> int:
+    """The value at p = 2^width and h = 2^(width*span) of the integer
+    polynomial {(p_exp, h_exp): int}: the coefficient of p^a h^b is the
+    base-2^width digit a + span*b, one digit per monomial when every
+    p-degree is below ``span``."""
+    return sum(c << (width * (ep + span * eh)) for (ep, eh), c in poly.items())
 
 
 def unpack(value: int, width: int) -> dict:
@@ -82,15 +149,34 @@ class _Unpackable(Exception):
     """A scalar has p in it, or a denominator of more than one term."""
 
 
+def _fraction(s: Scalar):
+    """(numerator {(p_exp, h_exp): int}, k, a, b) of s = numerator /
+    (k p^a h^b); raises _Unpackable for a denominator of more than one term."""
+    if len(s.den) != 1:
+        raise _Unpackable
+    ((a, b), k), = s.den.items()
+    return s.num, k, a, b
+
+
 def _h_fraction(s: Scalar):
     """(numerator {h_exp: int}, k, e) of s = numerator / (k h^e); raises
     _Unpackable when s has p in it or a denominator of more than one term."""
-    if len(s.den) != 1:
+    num, k, dp, e = _fraction(s)
+    if dp or any(ep for ep, _ in num):
         raise _Unpackable
-    ((dp, e), k), = s.den.items()
-    if dp or any(ep for ep, _ in s.num):
-        raise _Unpackable
-    return {eh: c for (_, eh), c in s.num.items()}, k, e
+    return {eh: c for (_, eh), c in num.items()}, k, e
+
+
+def _slots(reps):
+    """The distinct tables of ``reps``, by identity, and the index of each
+    leg's table among them."""
+    distinct, slots = [], []
+    for rep in reps:
+        slot = next((k for k, seen in enumerate(distinct) if seen is rep), len(distinct))
+        if slot == len(distinct):
+            distinct.append(rep)
+        slots.append(slot)
+    return distinct, slots
 
 
 def _l1(poly: dict) -> int:
@@ -202,12 +288,7 @@ class PackedPlan:
     def of(cls, exprs, reps):
         """The plan for ``exprs`` on ``reps``, or None when a table entry or
         a coefficient cannot be packed."""
-        distinct, slots = [], []
-        for rep in reps:
-            slot = next((k for k, seen in enumerate(distinct) if seen is rep), len(distinct))
-            if slot == len(distinct):
-                distinct.append(rep)
-            slots.append(slot)
+        distinct, slots = _slots(reps)
         letters = [set() for _ in distinct]
         for expr in exprs:
             if expr.nlegs != len(reps):
@@ -235,3 +316,84 @@ class PackedPlan:
             values = TensorExpression(expr.nlegs, terms).evaluate(reps, leg_memos)
             out.append(values.map_entries(lambda v: expr.unpack(v, width)))
         return out
+
+
+def _scaled_pair(m: GradedMatrix) -> dict:
+    """The entries of m times D p^Ea h^Eb, as integer polynomials
+    {(p_exp, h_exp): int}: D is the lcm of the integers of the one-term
+    entry denominators, Ea and Eb their largest powers of p and h."""
+    split = {ij: _fraction(v) for ij, v in m.entries.items()}
+    den = lcm(*(k for _, k, _, _ in split.values()))
+    top_p = max((a for _, _, a, _ in split.values()), default=0)
+    top_h = max((b for _, _, _, b in split.values()), default=0)
+    return {
+        ij: {
+            (ep + top_p - a, eh + top_h - b): c * (den // k)
+            for (ep, eh), c in num.items()
+        }
+        for ij, (num, k, a, b) in split.items()
+    }
+
+
+class ProductPlan:
+    """Pair matrices scaled to integer polynomials in p and h, with the
+    width that proves packing injective on every product in ``orders``."""
+
+    __slots__ = ("factors", "parities", "orders", "span", "width")
+
+    def __init__(self, factors, parities, orders):
+        # factors: (pair parity, scaled entries, leg pair) per factor
+        self.factors = factors
+        self.parities = parities
+        self.orders = orders
+        self.span = 1 + sum(
+            max((ep for poly in polys.values() for ep, _ in poly), default=0)
+            for _, polys, _ in factors
+        )
+        norms = [m.map_entries(abs) for m in self._embedded(_l1)]
+        bound = max(
+            max(_chain(norms, order).entries.values(), default=0) for order in orders
+        )
+        self.width = bound.bit_length() + 1
+
+    @classmethod
+    def of(cls, factors, parities, orders):
+        """The plan for (matrix, leg pair) ``factors``, or None when an
+        entry has a denominator of more than one term.  Each order must
+        use every factor once, so that both products carry one scale."""
+        if any(sorted(order) != list(range(len(factors))) for order in orders):
+            raise ValueError("each order must use every factor once")
+        try:
+            scaled = [(m.parity, _scaled_pair(m), legs) for m, legs in factors]
+        except _Unpackable:
+            return None
+        return cls(scaled, tuple(parities), tuple(orders))
+
+    def _embedded(self, value) -> list:
+        """Each factor with ``value(poly)`` in place of each entry, embedded."""
+        return [
+            embed_pair(
+                GradedMatrix(parity, {ij: value(poly) for ij, poly in polys.items()}),
+                self.parities,
+                legs,
+            )
+            for parity, polys, legs in self.factors
+        ]
+
+    def products(self, width: int) -> list:
+        """The scaled product of each order at p = 2^width and
+        h = 2^(width*span), as a matrix of ints; injective on the products
+        for every width of at least ``self.width``."""
+        mats = self._embedded(lambda poly: pack_ph(poly, width, self.span))
+        return [_chain(mats, order) for order in self.orders]
+
+    def agree(self) -> bool:
+        """Whether the products of all the orders are equal, decided at the
+        proven width."""
+        first, *rest = self.products(self.width)
+        return all(first == other for other in rest)
+
+
+def _chain(mats, order) -> GradedMatrix:
+    """The product of ``mats`` in ``order``, left to right."""
+    return reduce(matmul, (mats[k] for k in order))

@@ -12,15 +12,16 @@ the second-factor generators, which `rq_half_j` builds directly.
 
 from __future__ import annotations
 
-from .gmatrix import GradedMatrix, block_matrix, embed_pair, graded_kron, tensor_parity
-from .halfint import HalfInt, as_half
+from .gmatrix import GradedMatrix, block_matrix, graded_kron, tensor_parity
+from .halfint import HalfInt, as_half, spin_cache
+from .packed import product_difference
 from .reps import plus_factorial, q_rep, rep_parity, weight_twice
 from .scalar import ONE, P, p_power, scalar_to_string
 
 
+@spin_cache
 def universal_Rq(j1, j2) -> GradedMatrix:
     """Evaluate the universal R-matrix on the spin (j1, j2) tensor product."""
-    j1, j2 = as_half(j1), as_half(j2)
     rep1, rep2 = q_rep(j1), q_rep(j2)
     raise_half = rep1.matrix("K") @ rep1.matrix("e")
     lower_half = rep2.matrix("Kinv") @ rep2.matrix("f")
@@ -84,13 +85,11 @@ def ybe_check(r12, r13, r23, parities):
     ``parities`` holds the three leg parity tuples; each pair matrix lives
     on its two legs and is embedded with identity on the third.  An empty
     return value means the graded Yang-Baxter equation holds exactly.
+    The equation is decided on packed integers when they prove it
+    (:func:`~ospq.packed.product_difference`).
     """
-    big12 = embed_pair(r12, parities, (0, 1))
-    big13 = embed_pair(r13, parities, (0, 2))
-    big23 = embed_pair(r23, parities, (1, 2))
-    lhs = big12 @ big13 @ big23
-    rhs = big23 @ big13 @ big12
-    diff = lhs - rhs
+    factors = [(r12, (0, 1)), (r13, (0, 2)), (r23, (1, 2))]
+    diff = product_difference(factors, (0, 1, 2), (2, 1, 0), parities)
     return [
         (r, c, scalar_to_string(v))
         for (r, c), v in sorted(diff.entries.items())

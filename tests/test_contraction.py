@@ -478,6 +478,22 @@ def test_int_and_halfint_spins_share_one_cache_entry(builder, cold_caches):
     assert builder.cache_info().misses == 1
 
 
+def test_several_spin_arguments_share_one_cache_entry(cold_caches):
+    first = script_t(1, -1)
+    assert script_t(HalfInt(1), HalfInt(-1)) is first
+    assert script_t.cache_info().misses == 1
+
+
+def test_contract_inverts_each_bridge_once(monkeypatch, cold_caches):
+    calls = []
+    monkeypatch.setattr(
+        ospq.contraction, "inverse", lambda m: calls.append(m) or inverse(m)
+    )
+    for pair in ((ONEJ, THREEHALF), (THREEHALF, ONEJ), (ONEJ, ONEJ)):
+        contract(*pair)
+    assert len(calls) == 2
+
+
 class TestLOperator:
     def test_half_case_is_the_golden_matrix(self):
         parity = (0, 1, 0, 1, 0, 1, 0, 1, 0)

@@ -1,17 +1,23 @@
-"""The packed-integer route of the Hopf suites against the Scalar route.
+"""The packed-integer routes against the Scalar route.
 
 ``ospq.packed`` evaluates p-free expressions at h = 2^B on ints and unpacks
-the result; ``TensorExpression.evaluate`` on ``Scalar``s is the reference.
+the result, with ``TensorExpression.evaluate`` on ``Scalar``s as the
+reference; and it decides the Yang-Baxter and RLL product identities at
+p = 2^B, h = 2^(B*span), with the products of the embedded ``Scalar``
+matrices as the reference.
 """
 
+from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ospq import hopf
-from ospq.gmatrix import GradedMatrix, graded_kron
+from ospq.contraction import L_operator, contract, rll_check
+from ospq.gmatrix import GradedMatrix, embed_pair, graded_kron, tensor_parity
 from ospq.halfint import HalfInt
 from ospq.hopf import (
     q_algebra,
@@ -19,9 +25,19 @@ from ospq.hopf import (
     r2_algebra,
     relations_residuals,
 )
-from ospq.packed import PackedPlan, evaluate_all, pack, unpack
+from ospq.packed import (
+    PackedPlan,
+    ProductPlan,
+    evaluate_all,
+    pack,
+    pack_ph,
+    product_difference,
+    unpack,
+)
+from ospq.qrmatrix import universal_Rq, ybe_check
+from ospq.r1 import universal_Rh_r1
 from ospq.report import matrix_residuals
-from ospq.reps import GeneratorTable, q_rep, r1_generators, r2_generators
+from ospq.reps import GeneratorTable, q_rep, r1_generators, r2_generators, rep_parity
 from ospq.scalar import H, ONE, P, Scalar, rational
 from ospq.texpr import TensorExpression as TE
 
@@ -238,3 +254,250 @@ class TestEntryProtocol:
         assert as_scalars(graded_kron(a, c, b_op_parity=parity)) == graded_kron(
             as_scalars(a), as_scalars(c), b_op_parity=parity
         )
+
+
+# -- product identities ----------------------------------------------------------
+
+LEFT, RIGHT = (0, 1, 2), (2, 1, 0)
+THREEHALF = HalfInt.from_twice(3)
+
+
+def triple_case(pair_matrix, spins):
+    """The Yang-Baxter factors R12, R13, R23 of ``pair_matrix`` on ``spins``."""
+    j1, j2, j3 = spins
+    factors = [
+        (pair_matrix(j1, j2), (0, 1)),
+        (pair_matrix(j1, j3), (0, 2)),
+        (pair_matrix(j2, j3), (1, 2)),
+    ]
+    return factors, tuple(rep_parity(j) for j in spins)
+
+
+def rll_case(j):
+    ell = L_operator(j)
+    factors = [(contract(HALF, HALF).matrix, (0, 1)), (ell, (0, 2)), (ell, (1, 2))]
+    return factors, (rep_parity(HALF), rep_parity(HALF), rep_parity(j))
+
+
+KINDS = {
+    "q": universal_Rq,
+    "r1-minimal": lambda a, b: universal_Rh_r1(a, b, "minimal"),
+    "r1-hdiag": lambda a, b: universal_Rh_r1(a, b, "hdiag"),
+    "r2": lambda a, b: contract(a, b).matrix,
+}
+Q_TRIPLES = [
+    (HALF, HALF, HALF),
+    (HALF, HALF, ONEJ),
+    (HALF, ONEJ, HALF),
+    (ONEJ, HALF, THREEHALF),
+    (ONEJ, ONEJ, ONEJ),
+    (THREEHALF, THREEHALF, THREEHALF),
+]
+H_TRIPLES = [(HALF, HALF, HALF), (HALF, HALF, ONEJ), (HALF, ONEJ, HALF), (HALF, ONEJ, ONEJ)]
+CASES = [
+    *((f"q:{','.join(map(str, t))}", "q", t) for t in Q_TRIPLES),
+    *(
+        (f"{kind}:{','.join(map(str, t))}", kind, t)
+        for kind in ("r1-minimal", "r1-hdiag", "r2")
+        for t in H_TRIPLES
+    ),
+]
+
+
+def case_of(kind, spins):
+    return rll_case(spins) if kind == "rll" else triple_case(KINDS[kind], spins)
+
+
+def one_term_scale(m) -> Scalar:
+    """D p^Ea h^Eb for the one-term entry denominators k p^a h^b of m."""
+    dens = [item for v in m.entries.values() for item in v.den.items()]
+    return Scalar.monomial(
+        lcm(*(k for _, k in dens)),
+        max((a for (a, _), _ in dens), default=0),
+        max((b for (_, b), _ in dens), default=0),
+    )
+
+
+def scalar_products(factors, parities):
+    mats = [embed_pair(m, parities, legs) for m, legs in factors]
+    return [mats[i] @ mats[j] @ mats[k] for i, j, k in (LEFT, RIGHT)]
+
+
+def assert_packed_images(factors, parities):
+    """The packed products are the images of the scaled Scalar products,
+    whose coefficients and p-degrees the plan's width and span cover;
+    returns the Scalar difference of the two products."""
+    plan = ProductPlan.of(factors, parities, (LEFT, RIGHT))
+    assert plan is not None
+    scale = ONE
+    for m, _ in factors:
+        scale = scale * one_term_scale(m)
+    wants = scalar_products(factors, parities)
+    for got, want in zip(plan.products(plan.width), wants):
+        scaled = want.scale(scale)
+        polys = [v.num for v in scaled.entries.values()]
+        assert all(v.den == {(0, 0): 1} for v in scaled.entries.values())
+        assert all(abs(c) < 1 << (plan.width - 1) for num in polys for c in num.values())
+        assert all(ep < plan.span for num in polys for ep, _ in num)
+        assert got == scaled.map_entries(lambda v: pack_ph(v.num, plan.width, plan.span))
+    diff = wants[0] - wants[1]
+    assert plan.agree() == diff.is_zero
+    return diff
+
+
+def perturbed_first(factors, delta):
+    """``factors`` with one entry of the first factor moved by ``delta``."""
+    (m, legs), *rest = factors
+    ij = max(m.entries)
+    return [(m + GradedMatrix(m.parity, {ij: delta}), legs), *rest]
+
+
+class TestProductDifferential:
+    @pytest.mark.parametrize("name, kind, spins", CASES, ids=[c[0] for c in CASES])
+    def test_yang_baxter(self, name, kind, spins):
+        factors, parities = case_of(kind, spins)
+        assert assert_packed_images(factors, parities).is_zero
+        assert ybe_check(*(m for m, _ in factors), parities) == []
+
+    @pytest.mark.parametrize("twice_j", [1, 2, 3, 4])
+    def test_rll(self, twice_j):
+        j = HalfInt.from_twice(twice_j)
+        assert assert_packed_images(*case_of("rll", j)).is_zero
+        assert rll_check(j).ok
+
+    @pytest.mark.parametrize(
+        "kind, spins, delta",
+        [
+            ("q", (HALF, ONEJ, HALF), P**-3 * rational(2, 3)),
+            ("q", (ONEJ, ONEJ, ONEJ), H),  # p and h in one product
+            ("r1-minimal", (HALF, HALF, ONEJ), H * rational(1, 3)),
+            ("r1-hdiag", (HALF, ONEJ, ONEJ), H * rational(1, 3)),
+            ("r2", (HALF, ONEJ, HALF), H * rational(1, 3)),
+            ("rll", HALF, ONE),
+            ("rll", ONEJ, H * rational(1, 3)),
+        ],
+        ids=str,
+    )
+    def test_a_perturbed_entry_fails_with_the_scalar_residuals(self, kind, spins, delta):
+        factors, parities = case_of(kind, spins)
+        bad = perturbed_first(factors, delta)
+        diff = assert_packed_images(bad, parities)
+        assert not diff.is_zero
+        got = product_difference(bad, LEFT, RIGHT, parities)
+        assert matrix_residuals("x", got) == matrix_residuals("x", diff)
+        if kind != "rll":
+            want = [(r, c, s) for _, (r, c), s in matrix_residuals("x", diff)]
+            assert ybe_check(*(m for m, _ in bad), parities) == want
+
+    def test_a_refused_factor_falls_back_to_scalars(self):
+        # a scalar multiple of R12 still solves the equation, but its
+        # denominator 1 + p has two terms
+        factors, parities = triple_case(universal_Rq, (HALF, HALF, HALF))
+        (r12, legs), *rest = factors
+        scaled = [(r12.scale((ONE + P).reciprocal()), legs), *rest]
+        assert ProductPlan.of(scaled, parities, (LEFT, RIGHT)) is None
+        assert product_difference(scaled, LEFT, RIGHT, parities).is_zero
+        bad = perturbed_first(scaled, H)
+        assert ProductPlan.of(bad, parities, (LEFT, RIGHT)) is None
+        lhs, rhs = scalar_products(bad, parities)
+        assert product_difference(bad, LEFT, RIGHT, parities) == lhs - rhs != lhs - lhs
+
+    def test_each_order_uses_every_factor_once(self):
+        factors, parities = triple_case(universal_Rq, (HALF, HALF, HALF))
+        with pytest.raises(ValueError):
+            ProductPlan.of(factors, parities, (LEFT, (0, 1, 1)))
+
+
+def pair_matrices(draw, parity):
+    """A random pair matrix on ``parity`` whose entries are small multiples
+    of p^a h^b / d, exponents of either sign."""
+    n = len(parity)
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    entry = st.builds(
+        lambda c, d, a, b: Scalar.monomial(Fraction(c, d), a, b),
+        st.integers(-3, 3),
+        st.integers(1, 3),
+        st.integers(-1, 2),
+        st.integers(-1, 2),
+    )
+    return GradedMatrix(parity, draw(st.dictionaries(cells, entry, max_size=2 * n)))
+
+
+class TestRandomProducts:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_packed_images_on_odd_legs(self, data):
+        # odd basis vectors on every leg, so embed_pair flips signs and the
+        # signed sums can cancel where the l1 bound must not
+        parities = ((0, 1), (0, 1), (0, 1))
+        pair = tensor_parity(parities[:2])
+        factors = [(pair_matrices(data.draw, pair), legs) for legs in ((0, 1), (0, 2), (1, 2))]
+        diff = assert_packed_images(factors, parities)
+        assert product_difference(factors, LEFT, RIGHT, parities) == diff
+
+
+class TestProductWidth:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=2, max_value=40), st.integers(1, 6), st.data())
+    def test_two_variable_round_trip_at_the_extremes(self, width, span, data):
+        top = (1 << (width - 1)) - 1
+        coeff = st.one_of(
+            st.sampled_from([top, -top]), st.integers(min_value=-top, max_value=top)
+        )
+        monomial = st.tuples(st.integers(0, span - 1), st.integers(0, 6))
+        poly = data.draw(st.dictionaries(monomial, coeff, max_size=10))
+        poly = {k: c for k, c in poly.items() if c}
+        value = pack_ph(poly, width, span)
+        got = {divmod(e, span)[::-1]: c for e, c in unpack(value, width).items()}
+        assert got == poly
+
+    @pytest.mark.parametrize("x", [H, P], ids=["h", "p"])
+    @pytest.mark.parametrize("bits", [3, 9])
+    def test_one_bit_short_of_the_bound_the_products_collide(self, x, bits):
+        # M N and N M differ only in one entry, x - 1 against 2^bits - 1;
+        # the bound is 2^bits - 1, so the proven width is bits + 1, and at
+        # x = 2^bits the two entries collide.  The verdict is only ever
+        # taken at the proven width.
+        parities = ((0, 0), (0,))
+        m = GradedMatrix((0, 0), {(0, 1): ONE})
+        n = GradedMatrix((0, 0), {(0, 0): x - ONE, (1, 1): rational((1 << bits) - 1)})
+        factors = [(m, (0, 1)), (n, (0, 1))]
+        plan = ProductPlan.of(factors, parities, ((0, 1), (1, 0)))
+        assert plan.width == bits + 1
+        assert not plan.agree()
+        for width in (plan.width, plan.width + 7):
+            first, second = plan.products(width)
+            assert first != second
+        first, second = plan.products(plan.width - 1)
+        assert first == second
+        assert product_difference(factors, (0, 1), (1, 0), parities) == m @ n - n @ m
+
+    def test_span_exceeds_the_p_degree_of_every_product(self):
+        factors, parities = triple_case(universal_Rq, (ONEJ, ONEJ, ONEJ))
+        plan = ProductPlan.of(factors, parities, (LEFT, RIGHT))
+        degrees = [
+            max(ep for v in m.scale(one_term_scale(m)).entries.values() for ep, _ in v.num)
+            for m, _ in factors
+        ]
+        assert plan.span == 1 + sum(degrees) > 1
+
+
+class TestSharedMemos:
+    def test_refused_suites_build_each_word_matrix_once(self, monkeypatch):
+        # one table on both legs, so the legs share one memo as well
+        reps = [q_rep(ONEJ), q_rep(ONEJ)]
+        exprs = [expr for _, expr in suite_expressions(q_algebra(), 2)]
+        assert PackedPlan.of(exprs, reps) is None
+        calls = [0]
+        matmul = GradedMatrix.__matmul__
+
+        def counted(a, b):
+            calls[0] += 1
+            return matmul(a, b)
+
+        monkeypatch.setattr(GradedMatrix, "__matmul__", counted)
+        want = [expr.evaluate(reps) for expr in exprs]
+        fresh = calls[0]
+        calls[0] = 0
+        assert evaluate_all(exprs, reps) == want
+        assert 0 < calls[0] < fresh

@@ -66,3 +66,14 @@ class TestYangBaxter:
     @pytest.mark.slow
     def test_spin_one_everywhere(self):
         assert ybe_check_q(HalfInt(1), HALF, HalfInt(1)) == []
+
+    def test_spin_two_everywhere(self):
+        # 729 dimensions: decided on packed integers in well under a second
+        assert ybe_check_q(2, 2, 2) == []
+
+    def test_each_pair_matrix_is_built_once(self):
+        universal_Rq.cache_clear()
+        assert ybe_check_q(1, 1, 1) == []
+        assert universal_Rq.cache_info().misses == 1
+        assert universal_Rq(1, HalfInt(1)) is universal_Rq(HalfInt(1), 1)
+        assert universal_Rq.cache_info().misses == 1
