@@ -197,13 +197,16 @@ def _run_ybe(spins, args):
     parameters = {"kind": args.kind, "j1": j1, "j2": j2, "j3": j3}
     if args.kind == "r1":
         parameters["family"] = args.family
-    parities = (rep_parity(j1), rep_parity(j2), rep_parity(j3))
-    residuals = ybe_check(
-        _pair_r_matrix(args.kind, args.family, j1, j2),
-        _pair_r_matrix(args.kind, args.family, j1, j3),
-        _pair_r_matrix(args.kind, args.family, j2, j3),
-        parities,
-    )
+    if args.kind == "q":
+        residuals = ybe_check_q(j1, j2, j3)
+    else:
+        parities = (rep_parity(j1), rep_parity(j2), rep_parity(j3))
+        residuals = ybe_check(
+            _pair_r_matrix(args.kind, args.family, j1, j2),
+            _pair_r_matrix(args.kind, args.family, j1, j3),
+            _pair_r_matrix(args.kind, args.family, j2, j3),
+            parities,
+        )
     failures = [("R12.R13.R23-R23.R13.R12", (r, c), v) for r, c, v in residuals]
     return [VerificationReport("ybe", parameters, failures)]
 

@@ -16,7 +16,11 @@ Everything here is matrix-level and exact.  The contraction expands
 R_q, M and M^-1 as truncated Laurent series in t = p - 1
 (:mod:`ospq.laurent`) and keeps the t^0 coefficient of the product, so the
 poles that cancel are never reduced away as fractions; a genuine pole
-raises instead of being approximated.
+raises instead of being approximated.  Each entry is expanded only as far
+as that coefficient needs, a bound read from the exact valuations at
+p = 1 of the entries it meets.  M and M^-1 are Kronecker products of one
+bridge per spin, so each bridge is expanded once and the products are
+formed on series.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .errors import Inconsistency
 from .gmatrix import GradedMatrix, block_matrix, graded_kron, inverse
 from .halfint import HalfInt, as_half, spin_cache
 from .hopf import r2_algebra
-from .laurent import Laurent, valuation_floor
+from .laurent import Laurent, valuation
 from .nilfun import nil_series
 from .packed import product_difference
 from .qrmatrix import universal_Rq
@@ -34,7 +38,7 @@ from .reps import (
     bracket,
     q_rep,
     r2_generators,
-    rep_dim,
+    refuse_oversized,
     rep_parity,
     tilde_t_powers,
     weight_twice,
@@ -76,6 +80,15 @@ def m_inverse(j) -> GradedMatrix:
     return inverse(m_matrix(j))
 
 
+@spin_cache
+def bridge_valuations(j) -> tuple:
+    """The exact valuations at p = 1 of the entries of M and of M^-1."""
+    return tuple(
+        {key: valuation(s) for key, s in m.entries.items()}
+        for m in (m_matrix(j), m_inverse(j))
+    )
+
+
 def q_cartan_power(j, alpha) -> GradedMatrix:
     """Diagonal matrix of q^{alpha h}: entry p^{4 alpha m} at weight m."""
     j = as_half(j)
@@ -110,8 +123,9 @@ class ContractionResult:
 
 
 # The largest (4 j1 + 1)(4 j2 + 1) that ``contract`` accepts, that of the
-# pair (3, 3), which takes 7 to 8 s on 2 cores; (5/2, 5/2), at 121, takes
-# about 2.3 s, and the cost grows about threefold per half-spin step.
+# pair (3, 3), which takes about 2.9 s on 2 cores; (5/2, 5/2), at 121,
+# takes about 1.2 s and (2, 2) 0.27 s, so the cost grows 2.5 to 4.3 times
+# per half-spin step.
 MAX_CONTRACT_DIM = 169
 
 
@@ -127,12 +141,7 @@ def contract(j1, j2, source: str = "universal", log_cancellation: bool = False):
     ``ValueError`` at once.
     """
     j1, j2 = as_half(j1), as_half(j2)
-    dim = rep_dim(j1) * rep_dim(j2)
-    if dim > MAX_CONTRACT_DIM:
-        raise ValueError(
-            f"spins ({j1}, {j2}) give dimension {dim}, "
-            f"which exceeds the cap of {MAX_CONTRACT_DIM}"
-        )
+    refuse_oversized((j1, j2), MAX_CONTRACT_DIM)
     if source == "half-j-formula":
         if j1 != HalfInt.from_twice(1):
             raise ValueError("the closed block form needs j1 = 1/2")
@@ -142,20 +151,31 @@ def contract(j1, j2, source: str = "universal", log_cancellation: bool = False):
         raise ValueError(f"unknown contraction source {source!r}")
 
     rq = universal_Rq(j1, j2)
-    big_m = graded_kron(m_matrix(j1), m_matrix(j2), b_op_parity=0)
-    big_minv = graded_kron(m_inverse(j1), m_inverse(j2), b_op_parity=0)
-    # fr, fm and fi bound the valuations at p = 1 of the entries of R_q, M
-    # and M^-1 from below, and valuations add, so v(R_q M) >= fr + fm.  The
-    # t^0 coefficient of M^-1 (R_q M) is exact once M^-1 is known below
-    # t^(1 - fr - fm) and R_q M below t^(1 - fi); R_q M is known that far
-    # once R_q is known below t^(1 - fi - fm) and M below t^(1 - fi - fr).
-    fr, fm, fi = (_floor(x) for x in (rq, big_m, big_minv))
-    # R_q is kept by its cache; each Kronecker product is freed once its
-    # series is built, to keep the peak low
-    right = _expand(rq, 1 - fi - fm) @ _expand(big_m, 1 - fi - fr)
-    del big_m
-    left = _expand(big_minv, 1 - fr - fm)
-    del big_minv
+    vr = {key: valuation(s) for key, s in rq.entries.items()}
+    (vm1, vi1), (vm2, vi2) = bridge_valuations(j1), bridge_valuations(j2)
+    # Valuations add exactly.  With col_i[k] the lowest valuation in
+    # column k of M^-1 and row_m[l] that in row l of M, the t^0
+    # coefficient of M^-1 (R_q M) is exact once R_q[k, l] is known below
+    # t^(1 - col_i[k] - row_m[l]), M[l, j] below
+    # t^max_k(1 - col_i[k] - v(R_q[k, l])) and M^-1[i, k] below
+    # t^(1 - min_l(v(R_q[k, l]) + row_m[l])).  A bound that fell short
+    # would raise PrecisionShortfall, never give a wrong limit.
+    col_i = _kron_lowest(_lowest(vi1, 1), _lowest(vi2, 1))
+    row_m = _kron_lowest(_lowest(vm1, 0), _lowest(vm2, 0))
+    need_m, low_r = {}, {}
+    for (k, l), v in vr.items():
+        n, w = 1 - col_i[k] - v, v + row_m[l]
+        need_m[l] = max(need_m.get(l, n), n)
+        low_r[k] = min(low_r.get(k, w), w)
+    need_i = {k: 1 - w for k, w in low_r.items()}
+    series = GradedMatrix(rq.parity, {
+        (k, l): Laurent.from_scalar(s, 1 - col_i[k] - row_m[l])
+        for (k, l), s in rq.entries.items()
+    })
+    right = series @ _kron_series(
+        (m_matrix(j1), m_matrix(j2)), (vm1, vm2), need_m, 0
+    )
+    left = _kron_series((m_inverse(j1), m_inverse(j2)), (vi1, vi2), need_i, 1)
 
     log = []
     if log_cancellation:
@@ -175,12 +195,46 @@ def contract(j1, j2, source: str = "universal", log_cancellation: bool = False):
     return ContractionResult(j1, j2, "universal", contracted, log)
 
 
-def _floor(m: GradedMatrix) -> int:
-    return min(valuation_floor(s) for s in m.entries.values())
+def _lowest(vals: dict, axis: int) -> dict:
+    """The lowest valuation in each row (axis 0) or column (axis 1)."""
+    out = {}
+    for key, v in vals.items():
+        i = key[axis]
+        out[i] = min(out.get(i, v), v)
+    return out
 
 
-def _expand(m: GradedMatrix, prec: int) -> GradedMatrix:
-    return m.map_entries(lambda s: Laurent.from_scalar(s, prec))
+def _kron_lowest(low1: dict, low2: dict) -> dict:
+    """Each index of the Kronecker product's rows or columns against the
+    sum of its legs' lowest valuations."""
+    d2 = len(low2)
+    return {a * d2 + b: x + y for a, x in low1.items() for b, y in low2.items()}
+
+
+def _kron_series(legs, vals, need: dict, axis: int) -> GradedMatrix:
+    """graded_kron of the two even legs on series, each entry known below
+    t^need[n] for n its row (axis 0) or column (axis 1).
+
+    Each leg entry is expanded once, as far as its most demanding partner
+    needs, and each product is then cut to its own precision.
+    """
+    d2 = legs[1].dim
+    precs = ({}, {})
+    for k1, x in vals[0].items():
+        for k2, y in vals[1].items():
+            n = need[k1[axis] * d2 + k2[axis]]
+            precs[0][k1] = max(precs[0].get(k1, n - y), n - y)
+            precs[1][k2] = max(precs[1].get(k2, n - x), n - x)
+    m1, m2 = (
+        GradedMatrix(m.parity, {
+            key: Laurent.from_scalar(s, prec[key]) for key, s in m.entries.items()
+        })
+        for m, prec in zip(legs, precs)
+    )
+    big = graded_kron(m1, m2, b_op_parity=0)
+    return GradedMatrix(big.parity, {
+        key: x.truncate(need[key[axis]]) for key, x in big.entries.items()
+    })
 
 
 # -- classical-side closed forms ---------------------------------------------
@@ -258,10 +312,20 @@ def L_operator(j) -> GradedMatrix:
     return ell
 
 
+# The largest dimension 9 (4 j + 1) of the (1/2, 1/2, j) product that
+# ``rll_check`` accepts, that of j = 5, which takes about 2 s on 2 cores;
+# j = 4 takes 0.4 s, and j = 11/2 and 6 take 3.8 and 7.3 s.
+MAX_RLL_DIM = 189
+
+
 def rll_check(j) -> VerificationReport:
-    """Exchange relation R L1 L2 = L2 L1 R on the (1/2, 1/2, j) product."""
+    """Exchange relation R L1 L2 = L2 L1 R on the (1/2, 1/2, j) product.
+
+    Spins whose product dimension exceeds ``MAX_RLL_DIM`` raise
+    ``ValueError`` at once."""
     j = as_half(j)
     half = HalfInt.from_twice(1)
+    refuse_oversized((half, half, j), MAX_RLL_DIM)
     r = contract(half, half).matrix
     ell = L_operator(j)
     parities = (rep_parity(half), rep_parity(half), rep_parity(j))

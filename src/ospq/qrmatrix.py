@@ -5,17 +5,15 @@ The universal R-matrix acts on a tensor product of two spin modules as
     R = q^{h (x) h} * sum_n  q^{n(n+1)/4} (1-q^-2)^n / [n]+!
                               * (q^{h/2} e)^n (x) (q^{-h/2} f)^n
 
-with the sum terminating once the nilpotent raising operator dies.  For a
-spin-1/2 first factor the same operator collapses to a 3x3 block form in
-the second-factor generators, which `rq_half_j` builds directly.
+with the sum terminating once the nilpotent raising operator dies.
 """
 
 from __future__ import annotations
 
-from .gmatrix import GradedMatrix, block_matrix, graded_kron, tensor_parity
+from .gmatrix import GradedMatrix, graded_kron, tensor_parity
 from .halfint import HalfInt, as_half, spin_cache
 from .packed import product_difference
-from .reps import plus_factorial, q_rep, rep_parity, weight_twice
+from .reps import plus_factorial, q_rep, refuse_oversized, rep_parity, weight_twice
 from .scalar import ONE, P, p_power, scalar_to_string
 
 
@@ -57,28 +55,6 @@ def universal_Rq(j1, j2) -> GradedMatrix:
     return qhh @ total
 
 
-def rq_half_j(j) -> GradedMatrix:
-    """Spin (1/2, j) R-matrix in closed block form over the spin-j module."""
-    j = as_half(j)
-    rep = q_rep(j)
-    omega = P**2 - P**-2  # q - q^{-1}
-    f = rep.matrix("f")
-    big_t, big_tinv = rep.matrix("t"), rep.matrix("tinv")
-    half, halfinv = rep.matrix("K"), rep.matrix("Kinv")
-    ident = rep.identity()
-    zero = GradedMatrix.zero(rep.parity)
-    blocks = [
-        [
-            big_t,
-            (half @ f).scale(-omega),
-            (f @ f).scale(-(omega * (ONE + P**-2))),
-        ],
-        [zero, ident, (halfinv @ f).scale(omega * P**-1)],
-        [zero, zero, big_tinv],
-    ]
-    return block_matrix((0, 1, 0), blocks)
-
-
 def ybe_check(r12, r13, r23, parities):
     """Residual entries of R12 R13 R23 - R23 R13 R12 on the triple product.
 
@@ -96,9 +72,20 @@ def ybe_check(r12, r13, r23, parities):
     ]
 
 
+# The largest dimension (4 j1 + 1)(4 j2 + 1)(4 j3 + 1) that ``ybe_check_q``
+# accepts, that of (2, 2, 2), which takes 0.45 s on 2 cores.  The slowest
+# triple inside it, (1/2, 7/2, 7/2), takes 1.6 s; beyond it (5/2, 5/2, 5/2)
+# takes 3.1 s, and (1/2, 5, 5), at 1323, takes 13 s, most of it in R_q(5, 5).
+MAX_YBE_Q_DIM = 729
+
+
 def ybe_check_q(j1, j2, j3):
-    """Graded Yang-Baxter residuals for the universal R-matrix at three spins."""
+    """Graded Yang-Baxter residuals for the universal R-matrix at three spins.
+
+    Spins whose product dimension exceeds ``MAX_YBE_Q_DIM`` raise
+    ``ValueError`` at once."""
     j1, j2, j3 = as_half(j1), as_half(j2), as_half(j3)
+    refuse_oversized((j1, j2, j3), MAX_YBE_Q_DIM)
     parities = (rep_parity(j1), rep_parity(j2), rep_parity(j3))
     return ybe_check(
         universal_Rq(j1, j2),

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 from .errors import BadBracketArg, Inconsistency, UnknownGenerator
 from .gmatrix import GradedMatrix, inverse
@@ -115,6 +116,18 @@ class GeneratorTable:
 
 def rep_dim(j) -> int:
     return 2 * as_half(j).twice + 1
+
+
+def refuse_oversized(spins, cap: int) -> None:
+    """Raise ``ValueError`` when the tensor product of the spin modules has
+    a dimension above ``cap``: a check's size budget, applied before any
+    work."""
+    dim = prod(rep_dim(j) for j in spins)
+    if dim > cap:
+        names = ", ".join(str(as_half(j)) for j in spins)
+        raise ValueError(
+            f"spins ({names}) give dimension {dim}, which exceeds the cap of {cap}"
+        )
 
 
 def rep_parity(j):

@@ -18,6 +18,10 @@ from ospq.contraction import contract
 HALF = HalfInt(Fraction(1, 2))
 
 
+def forbidden(*args):
+    raise AssertionError("work started on an oversized input")
+
+
 def run_cli(capsys, *argv):
     code = cli.run(list(argv))
     captured = capsys.readouterr()
@@ -89,6 +93,26 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "exceeds the cap of 169" in err
+
+    def test_oversized_rll_exits_two(self, capsys, monkeypatch):
+        # Refused before any work: (1/2, 1/2, 11/2) has dimension 207.
+        for name in ("universal_Rq", "m_matrix", "r2_generators"):
+            monkeypatch.setattr(contraction, name, forbidden)
+        code, out, err = run_cli(capsys, "verify", "--suite", "rll", "--j", "11/2")
+        assert code == 2
+        assert out == ""
+        assert "exceeds the cap of 189" in err
+
+    def test_oversized_ybe_q_exits_two(self, capsys, monkeypatch):
+        # Refused before any work: (5/2, 5/2, 5/2) has dimension 1331.
+        monkeypatch.setattr(qrmatrix, "universal_Rq", forbidden)
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "ybe", "--kind", "q",
+            "--j", "5/2", "5/2", "5/2",
+        )
+        assert code == 2
+        assert out == ""
+        assert "exceeds the cap of 729" in err
 
 
 class TestMatrixEmission:

@@ -13,7 +13,9 @@ import pytest
 import ospq.contraction
 from ospq.contraction import (
     MAX_CONTRACT_DIM,
+    MAX_RLL_DIM,
     ContractionResult,
+    bridge_valuations,
     L_operator,
     _assemble_blocks,
     _spin_identity_failures,
@@ -44,7 +46,14 @@ from ospq.halfint import HalfInt
 from ospq.hopf import r2_algebra, relations_residuals
 from ospq.laurent import Laurent, valuation_floor
 from ospq.qrmatrix import universal_Rq, ybe_check
-from ospq.reps import GeneratorTable, classical_rep, q_rep, rep_parity, tilde_t_powers
+from ospq.reps import (
+    GeneratorTable,
+    classical_rep,
+    q_rep,
+    refuse_oversized,
+    rep_parity,
+    tilde_t_powers,
+)
 from ospq.scalar import H, ONE, Scalar, scalar_from_string
 
 from helpers import from_rows
@@ -282,6 +291,74 @@ class TestLaurentRoute:
             square.limit()
 
 
+def global_floor_route(j1, j2):
+    """The series route as ``contract`` ran it with one precision per
+    operand: each Kronecker product formed over Q(p, h), and every entry
+    of an operand expanded as far as the lowest valuation floor of the
+    three matrices asks."""
+    rq = universal_Rq(j1, j2)
+    big_m = graded_kron(m_matrix(j1), m_matrix(j2), b_op_parity=0)
+    big_minv = graded_kron(m_inverse(j1), m_inverse(j2), b_op_parity=0)
+    fr, fm, fi = (
+        min(valuation_floor(s) for s in x.entries.values())
+        for x in (rq, big_m, big_minv)
+    )
+
+    def expand(m, prec):
+        return m.map_entries(lambda s: Laurent.from_scalar(s, prec))
+
+    right = expand(rq, 1 - fi - fm) @ expand(big_m, 1 - fi - fr)
+    left = expand(big_minv, 1 - fr - fm)
+    cols = {}
+    for (k, jj), val in right.entries.items():
+        cols.setdefault(k, []).append((jj, val.val))
+    worst = {}
+    for (i, k), lv in left.entries.items():
+        for jj, rv in cols.get(k, ()):
+            order = -(lv.val + rv)
+            if order > worst.get((i, jj), 0):
+                worst[(i, jj)] = order
+    log = tuple((i, jj, order) for (i, jj), order in sorted(worst.items()))
+    return (left @ right).map_entries(Laurent.limit), log
+
+
+LADDER = (HALF, ONEJ, THREEHALF, TWOJ)
+
+
+class TestEntrywisePrecision:
+    @pytest.mark.parametrize(
+        "pair",
+        [(a, b) for a in LADDER for b in LADDER],
+        ids=lambda p: f"{p[0]},{p[1]}",
+    )
+    def test_matches_global_floor_route(self, pair):
+        res = contract(*pair, log_cancellation=True)
+        matrix, log = global_floor_route(*pair)
+        assert res.matrix.to_json_dict() == matrix.to_json_dict()
+        assert res.log == log
+
+    @pytest.mark.parametrize("pair", [(HALF, HALF), (THREEHALF, THREEHALF)])
+    def test_one_order_less_falls_short(self, pair, monkeypatch):
+        # every entry of R_q, M and M^-1 known one order less than the
+        # rule asks: some t^0 coefficient of the product is then unknown
+        expand, cut = Laurent.from_scalar.__func__, Laurent.truncate
+        monkeypatch.setattr(
+            Laurent,
+            "from_scalar",
+            classmethod(lambda cls, s, prec: expand(cls, s, prec - 1)),
+        )
+        monkeypatch.setattr(Laurent, "truncate", lambda x, prec: cut(x, prec - 1))
+        with pytest.raises(PrecisionShortfall):
+            contract(*pair)
+
+    def test_bridge_valuations_are_exact(self):
+        for j in LADDER:
+            for m, vals in zip((m_matrix(j), m_inverse(j)), bridge_valuations(j)):
+                assert vals.keys() == m.entries.keys()
+                for key, v in vals.items():
+                    assert Laurent.from_scalar(m.entries[key], v + 1).val == v
+
+
 class TestLargeSpins:
     def test_two_two_is_p_free_identity_at_h_zero_and_unitary(self):
         r = contract(TWOJ, TWOJ).matrix
@@ -303,6 +380,19 @@ class TestLargeSpins:
             for source in ("universal", "half-j-formula"):
                 with pytest.raises(ValueError, match="exceeds the cap of 169"):
                     contract(*pair, source=source)
+
+
+def test_oversized_rll_refused_before_any_work(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("work started on an oversized spin")
+
+    for name in ("universal_Rq", "m_matrix", "r2_generators"):
+        monkeypatch.setattr(ospq.contraction, name, forbidden)
+    assert MAX_RLL_DIM == 9 * 21
+    refuse_oversized((HALF, HALF, HalfInt(5)), MAX_RLL_DIM)  # j = 5 is inside
+    for j in (HalfInt.from_twice(11), HalfInt(8)):
+        with pytest.raises(ValueError, match="exceeds the cap of 189"):
+            rll_check(j)
 
 
 class TestSources:
@@ -468,6 +558,7 @@ class TestIdentities:
         tilde_t_powers,
         m_matrix,
         m_inverse,
+        bridge_valuations,
         _spin_identity_failures,
     ],
     ids=lambda b: b.__name__,

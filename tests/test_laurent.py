@@ -16,7 +16,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ospq.errors import BadSeriesHead, DivisionByZero, PoleAtUnity, PrecisionShortfall
-from ospq.laurent import Laurent, valuation_floor
+from ospq.halfint import HalfInt
+from ospq.laurent import Laurent, valuation, valuation_floor
+from ospq.qrmatrix import universal_Rq
 from ospq.scalar import H, ONE, P, ZERO, Scalar, scalar_from_string
 
 T = P - ONE
@@ -129,6 +131,48 @@ def test_valuation_is_order_at_one():
     assert valuation_floor(x) == -1
     assert series.val == -1
     assert series.coefficient(-1) == {0: Fraction(1, 16)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(expandable(), st.integers(min_value=1, max_value=3), st.sampled_from([ONE, H, P + H]))
+def test_valuation_counts_a_numerator_that_vanishes_at_one(x, k, c):
+    # (p - 1)^k c x lies k orders above x, so above its floor once x has
+    # no pole; the expansion's lowest known term sits exactly there
+    assume(not x.is_zero)
+    y = x * c * T**k
+    v = valuation(y)
+    assert v == valuation(x) + k
+    assert Laurent.from_scalar(y, v + 1).val == v
+    assert Laurent.from_scalar(x, v + 1).val == v - k
+
+
+def test_valuation_of_each_h_slice():
+    # the least vanishing h-slice decides: p - 1 + h has order 0, and
+    # (p^2 - 1) h + (p - 1)^2 has order 1 although no slice is constant
+    for text, v in (
+        ("p-1+h", 0),
+        ("(p^2-1)*h+(p-1)^2", 1),
+        ("(p^2-1)^2*h/(p^4-1)", 1),
+        ("(p-1)^3/(h*(p^2-1)*(p^4+1))", 2),
+        ("h/(p^4-1)", -1),
+    ):
+        x = S(text)
+        assert valuation(x) == v
+        assert Laurent.from_scalar(x, v + 1).val == v
+        assert valuation_floor(x) <= v
+
+
+@pytest.mark.parametrize("twice", [(2, 2), (3, 3), (1, 4)])
+def test_valuation_of_r_matrix_entries(twice):
+    # the (1 - q^-2)^n of the universal R-matrix lifts entries above their
+    # floor; each valuation is where the expansion starts
+    rq = universal_Rq(*(HalfInt.from_twice(t) for t in twice))
+    above = 0
+    for s in rq.entries.values():
+        v = valuation(s)
+        assert Laurent.from_scalar(s, v + 1).val == v
+        above += v > valuation_floor(s)
+    assert above
 
 
 def test_h_in_the_denominator():

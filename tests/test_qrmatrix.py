@@ -2,10 +2,13 @@
 
 import pytest
 
+import ospq.qrmatrix
 from ospq.gmatrix import GradedMatrix, inverse
 from ospq.halfint import HalfInt
-from ospq.qrmatrix import rq_half_j, universal_Rq, ybe_check_q
+from ospq.qrmatrix import MAX_YBE_Q_DIM, universal_Rq, ybe_check_q
 from ospq.scalar import ONE, P
+
+from helpers import rq_half_j
 
 HALF = HalfInt.parse("1/2")
 THREEHALF = HalfInt.parse("3/2")
@@ -70,6 +73,16 @@ class TestYangBaxter:
     def test_spin_two_everywhere(self):
         # 729 dimensions: decided on packed integers in well under a second
         assert ybe_check_q(2, 2, 2) == []
+
+    def test_oversized_triple_refused_before_any_work(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("work started on an oversized triple")
+
+        monkeypatch.setattr(ospq.qrmatrix, "universal_Rq", forbidden)
+        assert MAX_YBE_Q_DIM == 9 * 9 * 9
+        for triple in ((2, 2, HalfInt.from_twice(5)), (HALF, 5, 5), (10, 10, 10)):
+            with pytest.raises(ValueError, match="exceeds the cap of 729"):
+                ybe_check_q(*triple)
 
     def test_each_pair_matrix_is_built_once(self):
         universal_Rq.cache_clear()
