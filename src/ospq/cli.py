@@ -45,7 +45,6 @@ from .reps import (
     r2_generators,
     rep_parity,
 )
-from .scalar import scalar_to_string
 from .twist import hdiag_twist_check
 
 #: short names accepted by ``rep --variant``, mapped to the one-spin builders
@@ -106,24 +105,17 @@ def _substituted(matrix: GradedMatrix, h_value) -> GradedMatrix:
     return matrix.map_entries(lambda s: s.substitute_h(h_value))
 
 
-def _matrix_rows(matrix: GradedMatrix) -> list:
-    return [
-        [scalar_to_string(matrix.entry(i, j)) for j in range(matrix.dim)]
-        for i in range(matrix.dim)
-    ]
-
-
 def _print_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
 def _print_csv(matrix: GradedMatrix) -> None:
-    for row in _matrix_rows(matrix):
+    for row in matrix.to_json_dict()["entries"]:
         print(",".join(row))
 
 
 def _print_pretty(matrix: GradedMatrix) -> None:
-    rows = _matrix_rows(matrix)
+    rows = matrix.to_json_dict()["entries"]
     widths = [max(len(row[c]) for row in rows) for c in range(matrix.dim)]
     for row in rows:
         print("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))

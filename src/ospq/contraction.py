@@ -44,7 +44,7 @@ from .reps import (
     weight_twice,
 )
 from .scalar import H as HPARAM
-from .scalar import ONE, P, Scalar, p_power, rational, scalar_to_string
+from .scalar import ONE, P, ZERO, Scalar, p_power, rational, scalar_to_string
 from .texpr import TensorExpression as TE
 from .texpr import tensor_product
 
@@ -358,8 +358,8 @@ def frt_hopf_check(j1, j2) -> VerificationReport:
             fails += matrix_residuals(f"coproduct:L[{a}][{c}]", diff)
     for a in range(3):
         for c in range(3):
-            got = words[a][c].evaluate_scalar(alg.eps)
-            want = ONE if a == c else Scalar.from_int(0)
+            got = words[a][c].counit(0, alg.eps).terms.get((), ZERO)
+            want = ONE if a == c else ZERO
             if got != want:
                 fails.append(
                     (f"counit:L[{a}][{c}]", (0, 0), scalar_to_string(got - want))

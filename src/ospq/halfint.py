@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import lru_cache, total_ordering, wraps
 
 
+@total_ordering
 class HalfInt:
     """An element of (1/2)Z.
 
@@ -85,18 +86,6 @@ class HalfInt:
     def __lt__(self, other):
         other = HalfInt(other) if not isinstance(other, HalfInt) else other
         return self.twice < other.twice
-
-    def __le__(self, other):
-        other = HalfInt(other) if not isinstance(other, HalfInt) else other
-        return self.twice <= other.twice
-
-    def __gt__(self, other):
-        other = HalfInt(other) if not isinstance(other, HalfInt) else other
-        return self.twice > other.twice
-
-    def __ge__(self, other):
-        other = HalfInt(other) if not isinstance(other, HalfInt) else other
-        return self.twice >= other.twice
 
     def __hash__(self):
         return hash(self.as_fraction())

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import CancellationFailure, NotNilpotent
-from .gmatrix import GradedMatrix, inverse
+from .gmatrix import GradedMatrix
 from .scalar import Scalar
 
 
@@ -54,9 +54,11 @@ def nil_log_unit(m: GradedMatrix) -> GradedMatrix:
 def unit_power(m: GradedMatrix, r) -> GradedMatrix:
     """(identity plus nilpotent)^r for rational r, with a closure check.
 
-    The binomial series terminates by nilpotency.  Afterwards the result
-    w is verified to satisfy w^denominator == m^numerator exactly, which
-    pins the branch and guards the series against bookkeeping slips.
+    The binomial series terminates by nilpotency.  Afterwards, for
+    r = k/d, the result w is verified to satisfy w^d == m^k exactly, or
+    w^d m^(-k) == 1 when k is negative so that no inverse is taken.  The
+    check pins the branch and guards the series against bookkeeping
+    slips.
     """
     r = Fraction(r)
     n = m - GradedMatrix.identity(m.parity)
@@ -64,9 +66,12 @@ def unit_power(m: GradedMatrix, r) -> GradedMatrix:
     for k in range(1, m.dim + 1):
         binom.append(binom[-1] * (r - (k - 1)) / k)
     w = nil_series(n, lambda k: binom[k])
-    check_lhs = w**r.denominator
-    check_rhs = m**r.numerator if r.numerator >= 0 else inverse(m ** (-r.numerator))
-    if check_lhs != check_rhs:
+    k, d = r.numerator, r.denominator
+    if k >= 0:
+        closed = w**d == m**k
+    else:
+        closed = w**d @ m ** (-k) == GradedMatrix.identity(m.parity)
+    if not closed:
         raise CancellationFailure(f"rational power {r} failed its closure check")
     return w
 

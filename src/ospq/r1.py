@@ -31,13 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .gmatrix import (
-    GradedMatrix,
-    graded_kron,
-    graded_primitive,
-    inverse,
-    swap_conjugate,
-)
+from .gmatrix import GradedMatrix, graded_kron, graded_primitive, swap_conjugate
 from .halfint import HalfInt
 from .hopf import r1_algebra
 from .nilfun import nil_exp, nil_log_unit
@@ -64,18 +58,17 @@ SERIES_DEPTH = 2
 # ---------------------------------------------------------------------------
 
 
-def twist_expression(nmax: int, negate: bool = False) -> TE:
-    """exp(+-h TH (x) X) as a two-leg expression, truncated after nmax terms.
+def twist_expression(nmax: int) -> TE:
+    """exp(h TH (x) X) as a two-leg expression, truncated after nmax terms.
 
     On modules the series terminates on its own because X is nilpotent;
     nmax only has to reach the nilpotency bound of whatever the second
     leg will be evaluated on.
     """
-    step = -HPARAM if negate else HPARAM
     out = TE.unit(2)
     coeff = ONE
     for n in range(1, nmax + 1):
-        coeff = coeff * step / Scalar.from_int(n)
+        coeff = coeff * HPARAM / Scalar.from_int(n)
         out = out + TE.pure((("T", "H") * n, ("X",) * n), coeff)
     return out
 
@@ -104,26 +97,27 @@ def _residuals_maybe_orders(label: str, diff: GradedMatrix, exact: bool):
     return series_residuals(label, diff, SERIES_DEPTH)
 
 
-def _twist_legs(rep1: GeneratorTable, rep2: GeneratorTable):
-    th1 = rep1.matrix("T") @ rep1.matrix("H")
-    th2 = rep2.matrix("T") @ rep2.matrix("H")
-    return th1, rep1.matrix("X"), th2, rep2.matrix("X")
+def _th(rep: GeneratorTable) -> GradedMatrix:
+    return rep.matrix("T") @ rep.matrix("H")
+
+
+def _exp_kron(a: GradedMatrix, b: GradedMatrix, step: Scalar) -> GradedMatrix:
+    """exp(step a (x) b) for even a and b, one of them nilpotent.  Its
+    inverse is the same exponential at -step."""
+    return nil_exp(graded_kron(a, b, b_op_parity=0).scale(step))
 
 
 def twist_matrix(rep1: GeneratorTable, rep2: GeneratorTable) -> GradedMatrix:
     """The twist evaluated on a pair of modules: exp(h TH (x) X)."""
-    th1, _, _, x2 = _twist_legs(rep1, rep2)
-    return nil_exp(graded_kron(th1, x2, b_op_parity=0).scale(HPARAM))
+    return _exp_kron(_th(rep1), rep2.matrix("X"), HPARAM)
 
 
 def universal_Rh_r1(j1, j2, family: str = "minimal") -> GradedMatrix:
-    """R-matrix of the quantization on the pair (j1, j2): G21^{-1} G."""
+    """R-matrix of the quantization on the pair (j1, j2): G21^{-1} G,
+    with G21^{-1} = exp(-h X (x) TH)."""
     rep1 = r1_generators(j1, family)
     rep2 = r1_generators(j2, family)
-    th1, x1, th2, x2 = _twist_legs(rep1, rep2)
-    g = nil_exp(graded_kron(th1, x2, b_op_parity=0).scale(HPARAM))
-    g21 = nil_exp(graded_kron(x1, th2, b_op_parity=0).scale(HPARAM))
-    return inverse(g21) @ g
+    return _exp_kron(rep1.matrix("X"), _th(rep2), -HPARAM) @ twist_matrix(rep1, rep2)
 
 
 def triangularity_check(j1, j2, family: str = "minimal") -> VerificationReport:
@@ -228,7 +222,7 @@ def twist_property_check(j1, j2) -> VerificationReport:
         failures += matrix_residuals(f"[h,f]=-f:{tag}", hh @ ff - ff @ hh + ff)
         failures += matrix_residuals(f"{{e,f}}=-h:{tag}", ee @ ff + ff @ ee + hh)
     gmat = twist_matrix(rep1, rep2)
-    ginv = inverse(gmat)
+    ginv = _exp_kron(_th(rep1), rep2.matrix("X"), -HPARAM)
     for name, word in words.items():
         dressed = word.coproduct(0, alg.delta).evaluate([rep1, rep2])
         primitive = graded_primitive(word.evaluate([rep1]), word.evaluate([rep2]))
@@ -280,9 +274,8 @@ def antipode_transformer(j, family: str = "minimal") -> GradedMatrix:
 def _transformer_display(rep: GeneratorTable, family: str) -> GradedMatrix:
     iden = rep.identity()
     if family == "minimal":
-        th = rep.matrix("T") @ rep.matrix("H")
         drop = iden - rep.matrix("Tinv") @ rep.matrix("Tinv")
-        return nil_exp((th @ drop).scale(rational(-1, 2)))
+        return nil_exp((_th(rep) @ drop).scale(rational(-1, 2)))
     x = rep.matrix("X")
     return iden - x.scale(HPARAM) + (x @ x).scale(HPARAM * HPARAM * rational(1, 2))
 

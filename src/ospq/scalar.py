@@ -69,11 +69,6 @@ def _pmul(a: dict, b: dict) -> dict:
         return {}
     if len(a) > len(b):
         a, b = b, a
-    if len(a) == 1:
-        # a one-term operand only shifts the exponents and scales: no two
-        # products share a key, and none cancels
-        ((ea, ha), ca), = a.items()
-        return {(eb + ea, hb + ha): cb * ca for (eb, hb), cb in b.items()}
     out = {}
     for (ea, ha), ca in a.items():
         for (eb, hb), cb in b.items():
@@ -626,18 +621,6 @@ class Scalar:
                 {(ep if ep > 0 else 0, eh if eh > 0 else 0): c},
                 {(-ep if ep < 0 else 0, -eh if eh < 0 else 0): k},
                 _canonical=True,
-            )
-        if len(den1) == 1 == len(den2):
-            # two one-term denominators: each numerator is reduced against
-            # the other's denominator by a monomial and an integer gcd, and
-            # the product of the two reduced pairs needs no further gcd, by
-            # the argument below
-            a = Scalar._over_monomial(num1, den2)
-            b = Scalar._over_monomial(num2, den1)
-            ((d1, e1), k1), = a.den.items()
-            ((d2, e2), k2), = b.den.items()
-            return Scalar(
-                _pmul(a.num, b.num), {(d1 + d2, e1 + e2): k1 * k2}, _canonical=True
             )
         # cross-cancellation by gcds over Z keeps the product reduced and
         # primitive without a final GCD: by Gauss's lemma the content of a

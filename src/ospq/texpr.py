@@ -10,14 +10,17 @@ enters through the multiplication rule
 with |w| the parity of the word.  Coproduct, antipode and counit act on a
 chosen leg through lookup tables supplied by the caller, and `evaluate`
 turns the whole expression into a graded matrix given one representation
-table per leg.
+table per leg.  A one-leg scalar character is applied by `counit`, whose
+result has the single empty key.  `word_matrix` is the one builder of a
+word's matrix in a table, memoized by prefix; `evaluate` and the twist
+series' ansatz both build their words through it.
 """
 
 from __future__ import annotations
 
 from .errors import UnknownGenerator
 from .gmatrix import GradedMatrix, graded_kron, tensor_parity
-from .scalar import ONE, ZERO, Scalar
+from .scalar import ONE, Scalar
 
 ODD_LETTERS = frozenset({"e", "f", "E", "F"})
 
@@ -221,23 +224,6 @@ class TensorExpression:
 
     # -- evaluation ----------------------------------------------------------
 
-    def evaluate_scalar(self, eps_table) -> Scalar:
-        """Fold a one-leg expression through a scalar character."""
-        if self.nlegs != 1:
-            raise ValueError("scalar evaluation needs a one-leg expression")
-        total = None
-        for (word,), coeff in self.terms.items():
-            c = coeff
-            for name in word:
-                try:
-                    c = c * eps_table[name]
-                except KeyError:
-                    raise UnknownGenerator(name) from None
-            total = c if total is None else total + c
-        if total is None:
-            return ZERO
-        return total
-
     def evaluate(self, reps, memos=None) -> GradedMatrix:
         """Evaluate in the given representations, one table per leg.
 
@@ -270,7 +256,7 @@ class TensorExpression:
             parts = (
                 graded_kron(
                     TensorExpression(last, heads).evaluate(reps[:last], memos[:last]),
-                    _word_matrix(memos[last], reps[last], word),
+                    word_matrix(memos[last], reps[last], word),
                     b_op_parity=word_parity(word),
                 )
                 for word, heads in groups.items()
@@ -278,7 +264,7 @@ class TensorExpression:
         else:
             parts = []
             for (word,), coeff in self.terms.items():
-                m = _word_matrix(memos[0], reps[0], word)
+                m = word_matrix(memos[0], reps[0], word)
                 parts.append(m if coeff is ONE else m.scale(coeff))
         entries = {}
         for part in parts:
@@ -295,7 +281,7 @@ class TensorExpression:
         return out
 
 
-def _word_matrix(memo: dict, rep, word: tuple) -> GradedMatrix:
+def word_matrix(memo: dict, rep, word: tuple) -> GradedMatrix:
     """The ordered product of the word's letter matrices in ``rep``.
 
     ``memo`` holds the words already built; a word costs one product per

@@ -39,6 +39,7 @@ from .reps import classical_rep, r1_generators, x_nilpotency
 from .scalar import H as HPARAM
 from .scalar import ONE, Scalar
 from .texpr import TensorExpression as TE
+from .texpr import word_matrix
 
 # The order-n ansatz has (2^(2n+1) - 1)^2 columns, about 16 times more
 # per order: 16,129 at order 3, which solves in well under a second,
@@ -90,17 +91,16 @@ def _leg_words(max_len: int):
     return words
 
 
-def _word_classes(max_len: int, tables, parity):
-    """The distinct matrices of the leg words of at most max_len letters,
-    and each word's index among them.  A word's matrix is its prefix's
-    times its last letter."""
-    word_mat = {(): GradedMatrix.identity(parity)}
+def _word_classes(max_len: int, rep):
+    """The distinct matrices in ``rep`` of the leg words of at most
+    max_len letters, and each word's index among them."""
+    memo = {}
     classes = {}
     word_class = {}
     for word in _leg_words(max_len):
-        if word:
-            word_mat[word] = word_mat[word[:-1]] @ tables[word[-1]]
-        word_class[word] = classes.setdefault(word_mat[word], len(classes))
+        word_class[word] = classes.setdefault(
+            word_matrix(memo, rep, word), len(classes)
+        )
     return list(classes), word_class
 
 
@@ -281,11 +281,10 @@ def series_twist(order: int) -> TwistSeries:
     half = HalfInt(Fraction(1, 2))
     rep = r1_generators(half, "hdiag")
     cls = classical_rep(half)
-    tables = {name: rep.matrix(name) for name in ("H", "X")}
     # On this module the dressed H and X matrices carry no h at all,
     # which is what keeps the orders of the ansatz separated.
-    for name, table in tables.items():
-        for value in table.entries.values():
+    for name in ("H", "X"):
+        for value in rep.matrix(name).entries.values():
             if value.h_degree() != 0:
                 raise Inconsistency(
                     f"dressed letter {name} is not h-free on the base module"
@@ -302,7 +301,7 @@ def series_twist(order: int) -> TwistSeries:
             raise Inconsistency(
                 f"dressed coproduct of {name} does not start at the primitive"
             )
-    mats, word_class = _word_classes(2 * order, tables, rep.parity)
+    mats, word_class = _word_classes(2 * order, rep)
     chosen = []
     chosen_mats = []
     kernel_dims = []

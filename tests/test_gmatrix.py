@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ospq.errors import NonHomogeneous, NotNilpotent
+from ospq.errors import CancellationFailure, NonHomogeneous, NotNilpotent
 import ospq
 from ospq.gmatrix import (
     GradedMatrix,
@@ -244,6 +244,20 @@ class TestNilpotentCalculus:
         assert r @ r == u
         q = unit_power(u, Fraction(-3, 4))
         assert q @ q @ q @ q @ u @ u @ u == GradedMatrix.identity((0, 0, 0))
+
+    @pytest.mark.parametrize("r", (Fraction(1, 2), Fraction(-1, 2)), ids=str)
+    def test_closure_check_rejects_a_corrupted_root(self, monkeypatch, r):
+        # Adding E_02 to the root w adds 2 E_02 to w^2, so w^2 misses u,
+        # and w^2 u misses the identity.
+        n = M((0, 0, 0), [[0, 4, 2], [0, 0, -6], [0, 0, 0]])
+        u = GradedMatrix.identity((0, 0, 0)) + n
+        corner = M((0, 0, 0), [[0, 0, 1], [0, 0, 0], [0, 0, 0]])
+        series = ospq.nilfun.nil_series
+        monkeypatch.setattr(
+            ospq.nilfun, "nil_series", lambda m, coeff_at: series(m, coeff_at) + corner
+        )
+        with pytest.raises(CancellationFailure, match="closure check"):
+            unit_power(u, r)
 
     def test_not_nilpotent_rejected(self):
         with pytest.raises(NotNilpotent):

@@ -1,11 +1,13 @@
-"""Every import in the package and its tests is used, and the package's
-imports sit at module top and form no cycle.
+"""Every import in the package and its tests is used, the package's
+imports sit at module top and form no cycle, and every function it
+defines is used.
 
 No linter ships with the project, so these tests do the checks that have
 caught stale code and tangled modules here: a name imported and never
 read (a module's ``__all__`` counts as a use, for the package's
-re-exports), an import hidden in a function body, and a cycle among the
-package's modules.
+re-exports), an import hidden in a function body, a cycle among the
+package's modules, and a function or method that nothing in the package
+names.
 """
 
 import ast
@@ -16,6 +18,17 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(
     [*(ROOT / "src" / "ospq").glob("*.py"), *(ROOT / "tests").glob("*.py")]
 )
+
+
+def all_entries(node) -> list:
+    """The names an ``__all__ = [...]`` assignment lists; none for any
+    other node."""
+    if isinstance(node, ast.Assign) and any(
+        isinstance(target, ast.Name) and target.id == "__all__"
+        for target in node.targets
+    ):
+        return ast.literal_eval(node.value)
+    return []
 
 
 def unused_imports(path: Path) -> list:
@@ -31,11 +44,7 @@ def unused_imports(path: Path) -> list:
                 imported[alias.asname or alias.name] = node.lineno
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "__all__"
-            for target in node.targets
-        ):
-            used.update(ast.literal_eval(node.value))
+        used.update(all_entries(node))
     where = path.relative_to(ROOT)
     return [f"{where}:{imported[name]} {name}" for name in sorted(set(imported) - used)]
 
@@ -90,3 +99,54 @@ def test_package_import_graph_is_acyclic():
     # static_order raises CycleError on the first cycle it meets.
     order = list(graphlib.TopologicalSorter(graph).static_order())
     assert set(graph) <= set(order)
+
+
+# Functions the package defines without naming them itself, with the reason
+# each one stays.
+UNREFERENCED_KEPT = {
+    "scalar.Scalar.pole_order_at_p1": "perfbench/tracer.py wraps it by name",
+    "laurent.Laurent.coefficient": "public reader of a series, used by the tests",
+    "twist.TwistSeries.expression": "public reader of the solved series, used by the tests",
+}
+
+
+def package_names() -> set:
+    """Every name the package reads: a bare name, an attribute, or an
+    ``__all__`` entry."""
+    names = set()
+    for path in PACKAGE:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            names.update(all_entries(node))
+    return names
+
+
+def package_functions() -> dict:
+    """The module-level functions and class methods of the package, by
+    qualified name; dunder methods are left out, as Python calls them."""
+    found = {}
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                prefix, defs = f"{path.stem}.{node.name}.", node.body
+            else:
+                prefix, defs = f"{path.stem}.", [node]
+            for fn in defs:
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    fn.name.startswith("__") and fn.name.endswith("__")
+                ):
+                    found[prefix + fn.name] = fn.name
+    return found
+
+
+def test_every_package_function_is_named_in_the_package():
+    names = package_names()
+    functions = package_functions()
+    unreferenced = {qual for qual, name in functions.items() if name not in names}
+    assert sorted(unreferenced - set(UNREFERENCED_KEPT)) == []
+    # An exception the package has come to name, or has deleted, is stale.
+    assert sorted(set(UNREFERENCED_KEPT) - unreferenced) == []

@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from ospq.gmatrix import GradedMatrix, swap_conjugate
+from ospq.gmatrix import GradedMatrix, inverse, swap_conjugate
 from ospq.halfint import HalfInt
 from ospq.hopf import r1_algebra, r1_hopf_check, r1_relations_check
 from ospq.qrmatrix import ybe_check
 from ospq.r1 import (
+    _exp_kron,
+    _th,
     antipode_check,
     antipode_transformer,
     cocycle_check,
@@ -184,6 +186,26 @@ class TestRMatrix:
         flipped = swap_conjugate(straight, rep.parity, rep.parity)
         assert (r @ straight - flipped @ r).is_zero
         assert not (bad @ straight - flipped @ bad).is_zero
+
+
+class TestNegatedExponentInverse:
+    """The R-matrix and the twist property invert a twist exponential as
+    the exponential of the negated argument; Gauss-Jordan is the oracle."""
+
+    PAIRS = ((HALF, HALF), (HALF, ONEJ), (ONEJ, HALF))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize(
+        "pair", PAIRS, ids=lambda p: "-".join(str(x) for x in p)
+    )
+    def test_inverses_match_gauss_jordan(self, family, pair):
+        rep1, rep2 = (r1_generators(j, family) for j in pair)
+        gmat = twist_matrix(rep1, rep2)
+        ginv = _exp_kron(_th(rep1), rep2.matrix("X"), -H)
+        assert ginv @ gmat == GradedMatrix.identity(gmat.parity)
+        assert ginv == inverse(gmat)
+        g21 = swap_conjugate(twist_matrix(rep2, rep1), rep1.parity, rep2.parity)
+        assert universal_Rh_r1(*pair, family) == inverse(g21) @ gmat
 
 
 class TestTwistProperty:

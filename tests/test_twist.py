@@ -215,7 +215,7 @@ class TestRowAssemblyOracle:
         dense_primitives = {
             name: _dense(prim, pair_dim) for name, prim in primitives.items()
         }
-        mats, word_class = _word_classes(4, tables, rep.parity)
+        mats, word_class = _word_classes(4, rep)
         dense_words = {}
         commutators = {}
         for n in (1, 2):
