@@ -284,8 +284,8 @@ def _suite_cache(suite):
     Each suite depends on nothing else, so a sweep over triples runs each
     single-leg suite once per table and the coproduct homomorphism once
     per ordered pair.  The arguments hash by identity, which is sound
-    because neither an algebra nor a generator table is written once
-    built.  The cache keeps the ``SUITE_CACHE_SIZE`` most recent entries,
+    because neither an algebra nor a generator table's letters are written
+    once built.  The cache keeps the ``SUITE_CACHE_SIZE`` most recent entries,
     so tables built on the fly are not kept alive for good.  Each call
     returns a fresh list; ``cache_info`` and ``cache_clear`` are those of
     the underlying cache."""

@@ -84,15 +84,12 @@ from .texpr import TensorExpression
 def evaluate_all(exprs, reps) -> list:
     """``[expr.evaluate(reps) for expr in exprs]``, computed on packed ints
     with one width for all the expressions when they and the tables pack.
-    Either way each distinct table's word matrices are built once for the
-    whole call."""
+    Either way each distinct table's word matrices are built once: in one
+    int table per call on packed ints, otherwise in the table's own memo."""
     plan = PackedPlan.of(exprs, reps)
     if plan is not None:
-        return plan.run(plan.width)
-    distinct, slots = _slots(reps)
-    memos = [{} for _ in distinct]
-    leg_memos = [memos[slot] for slot in slots]
-    return [expr.evaluate(reps, leg_memos) for expr in exprs]
+        return plan.run()
+    return [expr.evaluate(reps) for expr in exprs]
 
 
 def product_difference(factors, left, right, parities) -> GradedMatrix:
@@ -303,17 +300,16 @@ class PackedPlan:
         except _Unpackable:
             return None
 
-    def run(self, width: int) -> list:
+    def run(self) -> list:
         """Each expression's matrix, evaluated at h = 2^width and unpacked;
-        exact for every width of at least ``self.width``."""
+        legs that hold one table share its int table and word matrices."""
+        width = self.width
         tables = [table.at(width) for table in self.scaled]
-        memos = [{} for _ in tables]
         reps = [tables[slot] for slot in self.slots]
-        leg_memos = [memos[slot] for slot in self.slots]
         out = []
         for expr in self.exprs:
             terms = {key: pack(poly, width) for key, poly in expr.terms.items()}
-            values = TensorExpression(expr.nlegs, terms).evaluate(reps, leg_memos)
+            values = TensorExpression(expr.nlegs, terms).evaluate(reps)
             out.append(values.map_entries(lambda v: expr.unpack(v, width)))
         return out
 
@@ -380,17 +376,17 @@ class ProductPlan:
             for parity, polys, legs in self.factors
         ]
 
-    def products(self, width: int) -> list:
+    def products(self) -> list:
         """The scaled product of each order at p = 2^width and
         h = 2^(width*span), as a matrix of ints; injective on the products
-        for every width of at least ``self.width``."""
-        mats = self._embedded(lambda poly: pack_ph(poly, width, self.span))
+        at the proven width."""
+        mats = self._embedded(lambda poly: pack_ph(poly, self.width, self.span))
         return [_chain(mats, order) for order in self.orders]
 
     def agree(self) -> bool:
         """Whether the products of all the orders are equal, decided at the
         proven width."""
-        first, *rest = self.products(self.width)
+        first, *rest = self.products()
         return all(first == other for other in rest)
 
 

@@ -87,15 +87,19 @@ class GeneratorTable:
     """Named generator matrices of one representation on one graded space.
 
     The builders cache their tables, so one table is shared by every
-    caller: neither it nor its matrices are written once built."""
+    caller: neither it nor its letter matrices are written once built.
+    The one thing that grows is ``words``, the memo of word products that
+    :meth:`word_matrix` fills, so each word's matrix is built once per
+    table."""
 
-    __slots__ = ("variant", "j", "parity", "matrices")
+    __slots__ = ("variant", "j", "parity", "matrices", "words")
 
     def __init__(self, variant: str, j: HalfInt, parity, matrices):
         self.variant = variant
         self.j = j
         self.parity = tuple(parity)
         self.matrices = dict(matrices)
+        self.words = {}
 
     @property
     def dim(self) -> int:
@@ -112,6 +116,32 @@ class GeneratorTable:
 
     def identity(self) -> GradedMatrix:
         return GradedMatrix.identity(self.parity)
+
+    def word_matrix(self, word: tuple) -> GradedMatrix:
+        """The ordered product of the word's letter matrices.
+
+        A word costs one product per letter past its longest memoized
+        prefix, and every new prefix is memoized.  A one-letter word is the
+        table's own matrix: never mutate the result."""
+        m = self.words.get(word)
+        if m is not None:
+            return m
+        if not word:
+            m = self.words[word] = self.identity()
+            return m
+        n = len(word) - 1
+        while n and word[:n] not in self.words:
+            n -= 1
+        if n:
+            m = self.words[word[:n]]
+        else:
+            m = self.words[word[:1]] = self.matrix(word[0])
+            n = 1
+        while n < len(word):
+            m = m @ self.matrix(word[n])
+            n += 1
+            self.words[word[:n]] = m
+        return m
 
 
 def rep_dim(j) -> int:

@@ -11,9 +11,9 @@ with |w| the parity of the word.  Coproduct, antipode and counit act on a
 chosen leg through lookup tables supplied by the caller, and `evaluate`
 turns the whole expression into a graded matrix given one representation
 table per leg.  A one-leg scalar character is applied by `counit`, whose
-result has the single empty key.  `word_matrix` is the one builder of a
-word's matrix in a table, memoized by prefix; `evaluate` and the twist
-series' ansatz both build their words through it.
+result has the single empty key.  A table builds and memoizes its own
+word matrices (`GeneratorTable.word_matrix`), so `evaluate` asks each
+leg's table for its words and keeps no memo of its own.
 """
 
 from __future__ import annotations
@@ -65,10 +65,8 @@ class TensorExpression:
         return cls(nlegs, {tuple(words): ONE})
 
     @classmethod
-    def word(cls, names, nlegs: int = 1, leg: int = 0) -> "TensorExpression":
-        words = [() for _ in range(nlegs)]
-        words[leg] = tuple(names)
-        return cls(nlegs, {tuple(words): ONE})
+    def word(cls, names) -> "TensorExpression":
+        return cls(1, {(tuple(names),): ONE})
 
     @classmethod
     def pure(cls, words, coeff: Scalar = ONE) -> "TensorExpression":
@@ -224,30 +222,26 @@ class TensorExpression:
 
     # -- evaluation ----------------------------------------------------------
 
-    def evaluate(self, reps, memos=None) -> GradedMatrix:
+    def evaluate(self, reps) -> GradedMatrix:
         """Evaluate in the given representations, one table per leg.
 
-        Each element of ``reps`` must expose ``matrix(name)``, ``identity()``
-        and ``parity``, and the coefficients must multiply its entries:
-        ``Scalar`` coefficients on ``Scalar`` tables, or ``int`` ones on the
-        ``int`` tables of :mod:`ospq.packed`.
-        A word maps to the ordered matrix product of its letters;  legs are
-        combined with the graded Kronecker product, the operator parity of
-        each new factor being the parity of its word.  The graded Kronecker
-        product is linear in its first factor once the second factor and
-        its parity are fixed, so the terms are grouped by their last-leg
-        word: each group's shorter-leg sum is evaluated first (recursively,
-        sharing the word memos) and costs one Kronecker product.  On one leg
-        each coefficient scales its word's matrix.
-
-        ``memos`` holds one dict per leg of the word matrices built so far.
-        Several evaluations on the same tables may share it, and two legs
-        that hold one table may share one dict.
+        Each element of ``reps`` must expose ``word_matrix(word)``, the
+        ordered product of the word's letter matrices, and ``parity``, as a
+        :class:`~ospq.reps.GeneratorTable` does; the coefficients must
+        multiply its entries: ``Scalar`` coefficients on ``Scalar`` tables,
+        or ``int`` ones on the ``int`` tables of :mod:`ospq.packed`.  Legs
+        are combined with the graded Kronecker product, the operator parity
+        of each new factor being the parity of its word.  The graded
+        Kronecker product is linear in its first factor once the second
+        factor and its parity are fixed, so the terms are grouped by their
+        last-leg word: each group's shorter-leg sum is evaluated first
+        (recursively) and costs one Kronecker product.  On one leg each
+        coefficient scales its word's matrix.  The tables memoize their
+        word matrices, so evaluations on the same tables, and legs that
+        hold one table, share them.
         """
         if len(reps) != self.nlegs:
             raise ValueError("need one representation per leg")
-        if memos is None:
-            memos = [{} for _ in reps]
         last = self.nlegs - 1
         if last:
             groups = {}
@@ -255,8 +249,8 @@ class TensorExpression:
                 groups.setdefault(key[last], {})[key[:last]] = coeff
             parts = (
                 graded_kron(
-                    TensorExpression(last, heads).evaluate(reps[:last], memos[:last]),
-                    word_matrix(memos[last], reps[last], word),
+                    TensorExpression(last, heads).evaluate(reps[:last]),
+                    reps[last].word_matrix(word),
                     b_op_parity=word_parity(word),
                 )
                 for word, heads in groups.items()
@@ -264,7 +258,7 @@ class TensorExpression:
         else:
             parts = []
             for (word,), coeff in self.terms.items():
-                m = word_matrix(memos[0], reps[0], word)
+                m = reps[0].word_matrix(word)
                 parts.append(m if coeff is ONE else m.scale(coeff))
         entries = {}
         for part in parts:
@@ -279,35 +273,6 @@ class TensorExpression:
         out = GradedMatrix(tensor_parity([rep.parity for rep in reps]))
         out.entries = entries
         return out
-
-
-def word_matrix(memo: dict, rep, word: tuple) -> GradedMatrix:
-    """The ordered product of the word's letter matrices in ``rep``.
-
-    ``memo`` holds the words already built; a word costs one product per
-    letter past its longest memoized prefix, and every new prefix is
-    memoized.  A one-letter word is the rep's own matrix: never mutate
-    the result.
-    """
-    m = memo.get(word)
-    if m is not None:
-        return m
-    if not word:
-        m = memo[word] = rep.identity()
-        return m
-    n = len(word) - 1
-    while n and word[:n] not in memo:
-        n -= 1
-    if n:
-        m = memo[word[:n]]
-    else:
-        m = memo[word[:1]] = rep.matrix(word[0])
-        n = 1
-    while n < len(word):
-        m = m @ rep.matrix(word[n])
-        n += 1
-        memo[word[:n]] = m
-    return m
 
 
 def tensor_product(*exprs) -> TensorExpression:

@@ -39,7 +39,6 @@ from .reps import classical_rep, r1_generators, x_nilpotency
 from .scalar import H as HPARAM
 from .scalar import ONE, Scalar
 from .texpr import TensorExpression as TE
-from .texpr import word_matrix
 
 # The order-n ansatz has (2^(2n+1) - 1)^2 columns, about 16 times more
 # per order: 16,129 at order 3, which solves in well under a second,
@@ -94,13 +93,10 @@ def _leg_words(max_len: int):
 def _word_classes(max_len: int, rep):
     """The distinct matrices in ``rep`` of the leg words of at most
     max_len letters, and each word's index among them."""
-    memo = {}
     classes = {}
     word_class = {}
     for word in _leg_words(max_len):
-        word_class[word] = classes.setdefault(
-            word_matrix(memo, rep, word), len(classes)
-        )
+        word_class[word] = classes.setdefault(rep.word_matrix(word), len(classes))
     return list(classes), word_class
 
 

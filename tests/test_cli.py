@@ -103,6 +103,17 @@ class TestExitCodes:
         assert out == ""
         assert "exceeds the cap of 189" in err
 
+    def test_oversized_identities_exit_two(self, capsys, monkeypatch):
+        # Refused before any work: j = 7/2 has dimension 15.
+        for name in ("q_rep", "m_matrix"):
+            monkeypatch.setattr(contraction, name, forbidden)
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "identities", "--j", "7/2", "--order", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert "exceeds the cap of 13" in err
+
     def test_oversized_ybe_q_exits_two(self, capsys, monkeypatch):
         # Refused before any work: (5/2, 5/2, 5/2) has dimension 1331.
         monkeypatch.setattr(qrmatrix, "universal_Rq", forbidden)

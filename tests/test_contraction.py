@@ -13,9 +13,11 @@ import pytest
 import ospq.contraction
 from ospq.contraction import (
     MAX_CONTRACT_DIM,
+    MAX_IDENTITY_DIM,
     MAX_RLL_DIM,
     ContractionResult,
     bridge_valuations,
+    conjugated_cartan,
     L_operator,
     _assemble_blocks,
     _spin_identity_failures,
@@ -395,6 +397,19 @@ def test_oversized_rll_refused_before_any_work(monkeypatch):
             rll_check(j)
 
 
+def test_oversized_identities_refused_before_any_work(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("work started on an oversized spin")
+
+    for name in ("q_rep", "m_matrix"):
+        monkeypatch.setattr(ospq.contraction, name, forbidden)
+    assert MAX_IDENTITY_DIM == 13
+    refuse_oversized((HalfInt(3),), MAX_IDENTITY_DIM)  # j = 3 is inside
+    for j in (HalfInt.from_twice(7), HalfInt(8)):
+        with pytest.raises(ValueError, match="exceeds the cap of 13"):
+            identity_check(j, 1)
+
+
 class TestSources:
     def test_formula_equals_universal(self):
         for j in (HALF, ONEJ, THREEHALF, TWOJ, HalfInt.from_twice(5), HalfInt(3)):
@@ -570,9 +585,10 @@ def test_int_and_halfint_spins_share_one_cache_entry(builder, cold_caches):
 
 
 def test_several_spin_arguments_share_one_cache_entry(cold_caches):
-    first = script_t(1, -1)
-    assert script_t(HalfInt(1), HalfInt(-1)) is first
-    assert script_t.cache_info().misses == 1
+    for builder in (script_t, conjugated_cartan):
+        first = builder(1, -1)
+        assert builder(HalfInt(1), HalfInt(-1)) is first
+        assert builder.cache_info().misses == 1
 
 
 def test_contract_inverts_each_bridge_once(monkeypatch, cold_caches):

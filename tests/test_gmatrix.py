@@ -279,13 +279,13 @@ def test_json_round_trip():
 # -- matrices and generator tables are immutable once built ------------------
 
 _MUTATORS = {"pop", "update", "setdefault", "clear", "popitem"}
-_SHARED = {"entries", "matrices"}
+_SHARED = {"entries", "matrices", "words"}
 
 
 def _shared_writes(source: str):
     """Qualified names of the functions that store into, delete from or
-    call a mutating method on some ``.entries`` or ``.matrices``
-    attribute, once per site."""
+    call a mutating method on some ``.entries``, ``.matrices`` or
+    ``.words`` attribute, once per site."""
     hits = []
 
     def is_shared(node):
@@ -316,8 +316,8 @@ def _shared_writes(source: str):
 
 class TestImmutableByContract:
     """Outside ``gmatrix.py`` a built matrix is never written, and no
-    generator table is written after its constructor, so caches may hand
-    out shared matrices and tables."""
+    generator table is written after its constructor, save its word memo
+    by ``word_matrix``, so caches may hand out shared matrices and tables."""
 
     def test_detector_sees_every_kind_of_write(self):
         source = (
@@ -337,8 +337,11 @@ class TestImmutableByContract:
             "    t.matrices['Y'] += m\n"
             "    y = {**t.matrices}\n"
             "    y['Y'] = t.matrices.get('Y')\n"
+            "    t.words[('e',)] = m\n"
+            "    t.words.clear()\n"
+            "    w = t.words.get(('e',))\n"
         )
-        assert _shared_writes(source) == ["f"] * 11
+        assert _shared_writes(source) == ["f"] * 13
 
     def test_only_evaluate_fills_its_own_new_matrix(self):
         package = Path(ospq.__file__).parent
@@ -348,9 +351,10 @@ class TestImmutableByContract:
                 for site in _shared_writes(path.read_text()):
                     hits.setdefault(f"{path.stem}:{site}", 0)
                     hits[f"{path.stem}:{site}"] += 1
-        # besides evaluate, the one write is a table's constructor setting
-        # its own dict
+        # besides evaluate, a table writes only its own dicts: the
+        # constructor sets them, and word_matrix fills the word memo
         assert hits == {
             "texpr:TensorExpression.evaluate": 1,
-            "reps:GeneratorTable.__init__": 1,
+            "reps:GeneratorTable.__init__": 2,
+            "reps:GeneratorTable.word_matrix": 3,
         }

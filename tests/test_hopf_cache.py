@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from ospq.contraction import r2_generators
+from ospq.gmatrix import GradedMatrix
 from ospq.halfint import HalfInt
 from ospq.hopf import (
     SUITE_CACHE_SIZE,
@@ -93,6 +94,31 @@ def test_y_flipped_table_fails_in_every_triple_that_holds_it(case):
             assert fails == []
     clear_suite_caches()
     assert sweep(tables) == warm
+
+
+def test_q_sweep_builds_each_word_matrix_once_per_table(monkeypatch):
+    # The q tables take the Scalar route, whose word matrices live in the
+    # tables' own memos; fresh copies of the cached tables start them empty.
+    tables = {
+        "q": [GeneratorTable(t.variant, t.j, t.parity, t.matrices) for t in good_tables()["q"]]
+    }
+    calls = [0]
+    matmul = GradedMatrix.__matmul__
+
+    def counted(a, b):
+        calls[0] += 1
+        return matmul(a, b)
+
+    monkeypatch.setattr(GradedMatrix, "__matmul__", counted)
+    first = sweep(tables)
+    assert all(fails == [] for fails in first.values())
+    # one product per memoized word of two or more letters, and no other
+    built = sum(len(word) > 1 for table in tables["q"] for word in table.words)
+    assert calls[0] == built > 0
+    clear_suite_caches()
+    calls[0] = 0
+    assert sweep(tables) == first
+    assert calls[0] == 0
 
 
 def test_residuals_are_fresh_lists():

@@ -86,7 +86,7 @@ def assert_packed_matches_scalar(exprs, reps) -> int:
     nonzero entries compared."""
     plan = PackedPlan.of(exprs, reps)
     assert plan is not None
-    packed = plan.run(plan.width)
+    packed = plan.run()
     nonzero = 0
     for expr, got in zip(exprs, packed):
         want = expr.evaluate(reps)
@@ -174,9 +174,12 @@ class TestWidth:
         plan = PackedPlan.of([expr], [rep])
         assert plan.width == top.bit_length() + 1
         want = expr.evaluate([rep])
-        assert plan.run(plan.width) == [want]
-        assert plan.run(plan.width + 5) == [want]
-        short = plan.run(plan.width - 1)[0]
+        proven = plan.width
+        assert plan.run() == [want]
+        plan.width = proven + 5
+        assert plan.run() == [want]
+        plan.width = proven - 1
+        short = plan.run()[0]
         assert short.entries and short.entries != want.entries
 
     def test_real_tables_need_few_bits(self):
@@ -333,7 +336,7 @@ def assert_packed_images(factors, parities):
     for m, _ in factors:
         scale = scale * one_term_scale(m)
     wants = scalar_products(factors, parities)
-    for got, want in zip(plan.products(plan.width), wants):
+    for got, want in zip(plan.products(), wants):
         scaled = want.scale(scale)
         polys = [v.num for v in scaled.entries.values()]
         assert all(v.den == {(0, 0): 1} for v in scaled.entries.values())
@@ -465,10 +468,13 @@ class TestProductWidth:
         plan = ProductPlan.of(factors, parities, ((0, 1), (1, 0)))
         assert plan.width == bits + 1
         assert not plan.agree()
-        for width in (plan.width, plan.width + 7):
-            first, second = plan.products(width)
+        proven = plan.width
+        for width in (proven, proven + 7):
+            plan.width = width
+            first, second = plan.products()
             assert first != second
-        first, second = plan.products(plan.width - 1)
+        plan.width = proven - 1
+        first, second = plan.products()
         assert first == second
         assert product_difference(factors, (0, 1), (1, 0), parities) == m @ n - n @ m
 
@@ -482,12 +488,27 @@ class TestProductWidth:
         assert plan.span == 1 + sum(degrees) > 1
 
 
+def word_prefixes(exprs) -> set:
+    """Every prefix of two or more letters of a word of ``exprs``: the words
+    whose matrices cost one product each."""
+    return {
+        word[:n]
+        for expr in exprs
+        for key in expr.terms
+        for word in key
+        for n in range(2, len(word) + 1)
+    }
+
+
 class TestSharedMemos:
     def test_refused_suites_build_each_word_matrix_once(self, monkeypatch):
-        # one table on both legs, so the legs share one memo as well
-        reps = [q_rep(ONEJ), q_rep(ONEJ)]
+        # a fresh copy of the cached table, with an empty memo, on both legs
+        cached = q_rep(ONEJ)
+        table = GeneratorTable(cached.variant, cached.j, cached.parity, cached.matrices)
+        reps = [table, table]
         exprs = [expr for _, expr in suite_expressions(q_algebra(), 2)]
         assert PackedPlan.of(exprs, reps) is None
+        want = [expr.evaluate([cached, cached]) for expr in exprs]
         calls = [0]
         matmul = GradedMatrix.__matmul__
 
@@ -496,8 +517,9 @@ class TestSharedMemos:
             return matmul(a, b)
 
         monkeypatch.setattr(GradedMatrix, "__matmul__", counted)
-        want = [expr.evaluate(reps) for expr in exprs]
-        fresh = calls[0]
+        assert evaluate_all(exprs, reps) == want
+        assert calls[0] == len(word_prefixes(exprs)) > 0
+        # the table keeps its word matrices: a second call builds none
         calls[0] = 0
         assert evaluate_all(exprs, reps) == want
-        assert 0 < calls[0] < fresh
+        assert calls[0] == 0

@@ -13,7 +13,7 @@ from ospq.gmatrix import GradedMatrix, graded_kron, tensor_parity
 from ospq.halfint import HalfInt
 from ospq.hopf import q_algebra, r1_algebra, r2_algebra
 from ospq.r1 import r1_generators
-from ospq.reps import q_rep
+from ospq.reps import GeneratorTable, q_rep
 from ospq.scalar import H, ONE, Scalar
 from ospq.texpr import TensorExpression as TE
 from ospq.texpr import tensor_product, word_parity
@@ -23,27 +23,13 @@ def sc(n):
     return Scalar.from_fraction(Fraction(n))
 
 
-class FakeRep:
-    """Minimal representation table for evaluation tests."""
-
-    def __init__(self, parity, mats):
-        self.parity = parity
-        self._mats = mats
-
-    def matrix(self, name):
-        return self._mats[name]
-
-    def identity(self):
-        return GradedMatrix.identity(self.parity)
-
-
 def fundamental():
     """Classical three-dimensional representation: h diagonal, e/f odd shifts."""
     parity = (0, 1, 0)
     e = GradedMatrix(parity, {(0, 1): ONE, (1, 2): ONE})
     f = GradedMatrix(parity, {(1, 0): -ONE, (2, 1): ONE})
     h = GradedMatrix(parity, {(0, 0): ONE, (2, 2): -ONE})
-    return FakeRep(parity, {"e": e, "f": f, "h": h})
+    return GeneratorTable("fundamental", None, parity, {"e": e, "f": f, "h": h})
 
 
 REP = fundamental()
