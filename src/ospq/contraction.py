@@ -135,6 +135,12 @@ class ContractionResult:
 # per half-spin step.
 MAX_CONTRACT_DIM = 169
 
+# The largest module dimension 4 j + 1 of either spin, that of j = 5:
+# inverting the bridge M by Gauss-Jordan grows steeply with one spin
+# alone, so (1/2, 5) takes about 1.9 s, (1/2, 6) 4.4 s, and (1/2, 8),
+# inside ``MAX_CONTRACT_DIM``, ran past 60 s.
+MAX_CONTRACT_SPIN_DIM = 21
+
 
 def contract(j1, j2, source: str = "universal", log_cancellation: bool = False):
     """Contract the standard R-matrix at spins (j1, j2).
@@ -144,11 +150,14 @@ def contract(j1, j2, source: str = "universal", log_cancellation: bool = False):
     Jordanian generators (the latter only exists for j1 = 1/2).  With
     ``log_cancellation`` the result records, per entry, the worst pole
     order that appeared among the summands before cancellation.  Pairs
-    whose product dimension exceeds ``MAX_CONTRACT_DIM`` raise
+    whose product dimension exceeds ``MAX_CONTRACT_DIM``, or with a spin
+    whose module dimension exceeds ``MAX_CONTRACT_SPIN_DIM``, raise
     ``ValueError`` at once.
     """
     j1, j2 = as_half(j1), as_half(j2)
     refuse_oversized((j1, j2), MAX_CONTRACT_DIM)
+    for j in (j1, j2):
+        refuse_oversized((j,), MAX_CONTRACT_SPIN_DIM)
     if source == "half-j-formula":
         if j1 != HalfInt.from_twice(1):
             raise ValueError("the closed block form needs j1 = 1/2")

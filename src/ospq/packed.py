@@ -7,26 +7,28 @@ of that value once every one lies strictly between -2^(B-1) and 2^(B-1)
 entries are such polynomials are therefore multiplied here as matrices
 of plain ints, by the unchanged :class:`~ospq.gmatrix.GradedMatrix`
 arithmetic, and nothing is approximated: each width is proven from a
-bound on the coefficients before any packed product is taken.  Two
-kinds of computation are packed.
+bound on the coefficients before any packed product is taken.
+
+One scaling rule clears the denominators (:func:`_scaled`): scalars
+whose denominators are one-term, k*p^a*h^b, are multiplied by their
+common scale D*p^A*h^B, with D the lcm of the k and A, B the largest a
+and b, which leaves integer polynomials in p and h.  The letters of a
+table, the coefficients of an expression and the entries of a pair
+matrix are each scaled so.  Two kinds of computation are packed.
 
 **Tensor expressions on the Jordanian tables** (:func:`evaluate_all`, the
-Hopf suites).  Every table entry and every coefficient is an integer
-polynomial in h over a one-term denominator k*h^e, with no p.  Such an
-expression is evaluated at h = X = 2^B by
+Hopf suites).  Every table entry, coefficient and scale is p-free.  Such
+an expression is evaluated at h = X = 2^B by
 :meth:`~ospq.texpr.TensorExpression.evaluate`, and each entry of the
 result is read back as an exact :class:`~ospq.scalar.Scalar`.
 
-* Each leg's table is scaled by s = D*h^E, with D the lcm of the
-  integers of its entry denominators and E their largest h-power, so that
-  its letter matrices hold integer polynomials in h.  m is the largest l1
-  norm of an entry.
-* Each expression's coefficients are brought to one scale
-  G = K*h^F * prod_legs s^Lmax, where K*h^F clears the coefficient
-  denominators and Lmax is the longest word on the leg.  A term whose
-  words have lengths L gets the integer polynomial
-  c' = c*K*h^F * prod_legs s^(Lmax - L), so that the sum of its terms
-  evaluates to G times the expression.
+* Each leg's table is scaled by its s = D*h^E.  m is the largest l1
+  norm of a scaled entry.
+* Each expression's coefficients, scaled by their K*h^F, are brought to
+  one scale G = K*h^F * prod_legs s^Lmax, where Lmax is the longest word
+  on the leg: a term whose words have lengths L is multiplied by
+  prod_legs s^(Lmax - L), giving its integer polynomial c', so that the
+  sum of its terms evaluates to G times the expression.
 * Every coefficient of that polynomial matrix is bounded in absolute
   value by
 
@@ -44,21 +46,18 @@ is a matrix over Q(p, h) on two legs of a tensor product, embedded by
 :func:`~ospq.gmatrix.embed_pair`, and the identity equates two products
 that use every factor once.
 
-* Each factor is scaled by D*p^Ea*h^Eb, with D the lcm of the integers
-  of its one-term entry denominators and Ea, Eb their largest powers of
-  p and h, so that it holds integer polynomials in p and h.  Both
-  products carry the same scale, the product of the factors' scales, so
-  the scaled products are equal exactly when the products are.
+* Both products carry the same scale, the product of the factors'
+  scales, so the scaled products are equal exactly when the products are.
 * The entrywise l1 norms of the scaled factors, embedded and multiplied
   in each order as matrices of non-negative ints, bound the l1 norm, and
   so every coefficient, of each entry of the scaled products; their
   p-degree is at most d, the sum of the factors' largest p-degrees.
-* With B = bound.bit_length() + 1 for the larger bound of the two sides,
-  every entry is evaluated at p = 2^B and h = 2^(B*(d + 1)): distinct
-  monomials p^a h^b of p-degree a <= d land on distinct digits, so the
-  evaluation is injective on both products, and the packed products are
-  equal exactly when the identity holds.  This is a proof, not a
-  probabilistic test.
+* Each monomial p^a*h^b becomes X^(a + span*b) with span = d + 1, and
+  with B = bound.bit_length() + 1 for the larger bound of the two sides
+  every entry is evaluated at X = 2^B: distinct monomials of p-degree
+  a <= d land on distinct digits, so the evaluation is injective on both
+  products, and the packed products are equal exactly when the identity
+  holds.  This is a proof, not a probabilistic test.
 
 An entry or a coefficient that cannot be packed (one with p in it, for
 the Hopf suites, or with a denominator of more than one term) refuses
@@ -111,20 +110,12 @@ def product_difference(factors, left, right, parities) -> GradedMatrix:
 
 
 def pack(poly: dict, width: int) -> int:
-    """The value at h = 2^width of the integer polynomial {h_exp: int}."""
+    """The value at X = 2^width of the integer polynomial {exp: int}."""
     return sum(c << (width * e) for e, c in poly.items())
 
 
-def pack_ph(poly: dict, width: int, span: int) -> int:
-    """The value at p = 2^width and h = 2^(width*span) of the integer
-    polynomial {(p_exp, h_exp): int}: the coefficient of p^a h^b is the
-    base-2^width digit a + span*b, one digit per monomial when every
-    p-degree is below ``span``."""
-    return sum(c << (width * (ep + span * eh)) for (ep, eh), c in poly.items())
-
-
 def unpack(value: int, width: int) -> dict:
-    """The polynomial {h_exp: int} whose coefficients are the balanced
+    """The polynomial {exp: int} whose coefficients are the balanced
     base-2^width digits of ``value``: the inverse of :func:`pack` on
     polynomials with every coefficient below 2^(width-1) in absolute value."""
     out = {}
@@ -146,22 +137,41 @@ class _Unpackable(Exception):
     """A scalar has p in it, or a denominator of more than one term."""
 
 
-def _fraction(s: Scalar):
-    """(numerator {(p_exp, h_exp): int}, k, a, b) of s = numerator /
-    (k p^a h^b); raises _Unpackable for a denominator of more than one term."""
-    if len(s.den) != 1:
+def _scaled(scalars: dict):
+    """(polys, D, a, b): each of ``scalars`` times D p^a h^b, as an integer
+    polynomial {(p_exp, h_exp): int} keyed like ``scalars``.  D is the lcm
+    of the integers of their one-term denominators, a and b the largest
+    powers of p and h in them; a denominator of more than one term raises
+    _Unpackable."""
+    if any(len(s.den) != 1 for s in scalars.values()):
         raise _Unpackable
-    ((a, b), k), = s.den.items()
-    return s.num, k, a, b
+    dens = [next(iter(s.den.items())) for s in scalars.values()]
+    den = lcm(*(k for _, k in dens))
+    top_p = max((a for (a, _), _ in dens), default=0)
+    top_h = max((b for (_, b), _ in dens), default=0)
+    polys = {
+        key: {
+            (ep + top_p - a, eh + top_h - b): c * (den // k)
+            for (ep, eh), c in s.num.items()
+        }
+        for (key, s), ((a, b), k) in zip(scalars.items(), dens)
+    }
+    return polys, den, top_p, top_h
 
 
-def _h_fraction(s: Scalar):
-    """(numerator {h_exp: int}, k, e) of s = numerator / (k h^e); raises
-    _Unpackable when s has p in it or a denominator of more than one term."""
-    num, k, dp, e = _fraction(s)
-    if dp or any(ep for ep, _ in num):
+def _h_scaled(scalars: dict):
+    """(polys, D, b) of :func:`_scaled`, each polynomial as {h_exp: int};
+    raises _Unpackable when p is in the scale or in a scaled polynomial."""
+    polys, den, top_p, top_h = _scaled(scalars)
+    if top_p:
         raise _Unpackable
-    return {eh: c for (_, eh), c in num.items()}, k, e
+    out = {key: {} for key in polys}
+    for key, poly in polys.items():
+        for (ep, eh), c in poly.items():
+            if ep:
+                raise _Unpackable
+            out[key][eh] = c
+    return out, den, top_h
 
 
 def _slots(reps):
@@ -187,24 +197,13 @@ class _ScaledTable:
 
     def __init__(self, rep, letters):
         self.parity = rep.parity
-        split = {
-            name: {ij: _h_fraction(v) for ij, v in rep.matrix(name).entries.items()}
-            for name in letters
-        }
-        fractions = [f for entries in split.values() for f in entries.values()]
-        self.den = lcm(*(k for _, k, _ in fractions))
-        self.hpow = max((e for _, _, e in fractions), default=0)
-        self.polys = {
-            name: {
-                ij: {eh + self.hpow - e: c * (self.den // k) for eh, c in num.items()}
-                for ij, (num, k, e) in entries.items()
-            }
-            for name, entries in split.items()
-        }
-        self.norm = max(
-            (_l1(poly) for entries in self.polys.values() for poly in entries.values()),
-            default=0,
+        polys, self.den, self.hpow = _h_scaled(
+            {(name, ij): v for name in letters for ij, v in rep.matrix(name).entries.items()}
         )
+        self.polys = {name: {} for name in letters}
+        for (name, ij), poly in polys.items():
+            self.polys[name][ij] = poly
+        self.norm = max(map(_l1, polys.values()), default=0)
 
     def word_bound(self, length: int) -> int:
         """A bound on the l1 norm of any entry of a scaled word matrix."""
@@ -243,24 +242,22 @@ class _PackedExpression:
 
     def __init__(self, expr, legs):
         self.nlegs = expr.nlegs
-        split = [(key, *_h_fraction(c)) for key, c in expr.terms.items()]
-        lmax = [max((len(key[l]) for key, *_ in split), default=0) for l in range(self.nlegs)]
-        big_k = lcm(*(k for _, _, k, _ in split))
-        big_f = max((f for _, _, _, f in split), default=0)
+        polys, big_k, big_f = _h_scaled(expr.terms)
+        lmax = [max((len(key[l]) for key in polys), default=0) for l in range(self.nlegs)]
         self.den = big_k * prod(leg.den**n for leg, n in zip(legs, lmax))
         self.hpow = big_f + sum(leg.hpow * n for leg, n in zip(legs, lmax))
         self.terms = {}
         self.bound = 0
-        for key, num, k, f in split:
-            mult, shift, bound = big_k // k, big_f - f, 1
+        for key, poly in polys.items():
+            mult, shift, bound = 1, 0, 1
             for leg, n, word in zip(legs, lmax, key):
                 gap = n - len(word)
                 if gap:
                     mult *= leg.den**gap
                     shift += leg.hpow * gap
                 bound *= leg.word_bound(len(word))
-            self.terms[key] = {eh + shift: c * mult for eh, c in num.items()}
-            self.bound += mult * _l1(num) * bound
+            self.terms[key] = {eh + shift: c * mult for eh, c in poly.items()}
+            self.bound += mult * _l1(poly) * bound
 
     def unpack(self, value: int, width: int) -> Scalar:
         coeffs = {e - self.hpow: c for e, c in unpack(value, width).items()}
@@ -314,23 +311,6 @@ class PackedPlan:
         return out
 
 
-def _scaled_pair(m: GradedMatrix) -> dict:
-    """The entries of m times D p^Ea h^Eb, as integer polynomials
-    {(p_exp, h_exp): int}: D is the lcm of the integers of the one-term
-    entry denominators, Ea and Eb their largest powers of p and h."""
-    split = {ij: _fraction(v) for ij, v in m.entries.items()}
-    den = lcm(*(k for _, k, _, _ in split.values()))
-    top_p = max((a for _, _, a, _ in split.values()), default=0)
-    top_h = max((b for _, _, _, b in split.values()), default=0)
-    return {
-        ij: {
-            (ep + top_p - a, eh + top_h - b): c * (den // k)
-            for (ep, eh), c in num.items()
-        }
-        for ij, (num, k, a, b) in split.items()
-    }
-
-
 class ProductPlan:
     """Pair matrices scaled to integer polynomials in p and h, with the
     width that proves packing injective on every product in ``orders``."""
@@ -338,14 +318,18 @@ class ProductPlan:
     __slots__ = ("factors", "parities", "orders", "span", "width")
 
     def __init__(self, factors, parities, orders):
-        # factors: (pair parity, scaled entries, leg pair) per factor
-        self.factors = factors
+        # factors: (pair parity, scaled entries, leg pair) per factor; once
+        # span is known each monomial p^a h^b becomes X^(a + span*b)
         self.parities = parities
         self.orders = orders
-        self.span = 1 + sum(
+        self.span = span = 1 + sum(
             max((ep for poly in polys.values() for ep, _ in poly), default=0)
             for _, polys, _ in factors
         )
+        for _, polys, _ in factors:
+            for ij, poly in polys.items():
+                polys[ij] = {a + span * b: c for (a, b), c in poly.items()}
+        self.factors = factors
         norms = [m.map_entries(abs) for m in self._embedded(_l1)]
         bound = max(
             max(_chain(norms, order).entries.values(), default=0) for order in orders
@@ -360,7 +344,7 @@ class ProductPlan:
         if any(sorted(order) != list(range(len(factors))) for order in orders):
             raise ValueError("each order must use every factor once")
         try:
-            scaled = [(m.parity, _scaled_pair(m), legs) for m, legs in factors]
+            scaled = [(m.parity, _scaled(m.entries)[0], legs) for m, legs in factors]
         except _Unpackable:
             return None
         return cls(scaled, tuple(parities), tuple(orders))
@@ -380,7 +364,7 @@ class ProductPlan:
         """The scaled product of each order at p = 2^width and
         h = 2^(width*span), as a matrix of ints; injective on the products
         at the proven width."""
-        mats = self._embedded(lambda poly: pack_ph(poly, self.width, self.span))
+        mats = self._embedded(lambda poly: pack(poly, self.width))
         return [_chain(mats, order) for order in self.orders]
 
     def agree(self) -> bool:

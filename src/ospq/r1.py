@@ -41,6 +41,7 @@ from .reps import (
     _require_family,
     classical_rep,
     r1_generators,
+    refuse_oversized,
     x_nilpotency,
 )
 from .scalar import H as HPARAM
@@ -120,9 +121,20 @@ def universal_Rh_r1(j1, j2, family: str = "minimal") -> GradedMatrix:
     return _exp_kron(rep1.matrix("X"), _th(rep2), -HPARAM) @ twist_matrix(rep1, rep2)
 
 
+# The largest (4 j1 + 1)(4 j2 + 1) that ``triangularity_check`` accepts,
+# that of the pair (5/2, 5/2), which takes about 1.1 s on 2 cores; (2, 2)
+# and (3, 3) take 0.55 and 2.6 s.  An unbalanced pair costs more: the
+# slowest inside, (1/2, 19/2), takes 2.6 s, and (1/2, 27/2), at 165, 9 s.
+MAX_TRIANGULARITY_DIM = 121
+
+
 def triangularity_check(j1, j2, family: str = "minimal") -> VerificationReport:
-    """R21 R = 1 and R intertwines the coproduct with its opposite."""
+    """R21 R = 1 and R intertwines the coproduct with its opposite.
+
+    Pairs whose product dimension exceeds ``MAX_TRIANGULARITY_DIM`` raise
+    ``ValueError`` before any work."""
     j1, j2 = HalfInt(j1), HalfInt(j2)
+    refuse_oversized((j1, j2), MAX_TRIANGULARITY_DIM)
     rep1 = r1_generators(j1, family)
     rep2 = r1_generators(j2, family)
     r = universal_Rh_r1(j1, j2, family)
@@ -237,22 +249,38 @@ def twist_property_check(j1, j2) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
+# The largest module dimension 4 j + 1 of any one spin that
+# ``cocycle_check`` accepts, that of j = 2: the minimal family takes 4.2
+# to 5.2 s at (2, 2, 2) on 2 cores, and hdiag 1.0 s.  The minimal twist
+# keeps one term per power of X that the last two modules do not kill,
+# and the cost about doubles with each half-step of the second or third
+# spin, so a product-dimension budget does not track it: (1/2, 5/2, 5/2),
+# at 363, takes 10 s, and (1/2, 7/2, 7/2), at 675, ran past 60 s, against
+# 0.57 to 0.74 s at (3/2)^3.
+MAX_COCYCLE_SPIN_DIM = 9
+
+
 def cocycle_check(j1, j2, j3, twist: str = "minimal") -> VerificationReport:
     """(G (x) 1) (Delta (x) id)G = (1 (x) G) (id (x) Delta)G on a triple.
 
     The minimal twist closes exactly; the hdiag series is verified order
-    by order in h, through ``SERIES_DEPTH``.
+    by order in h, through ``SERIES_DEPTH``.  A spin whose module
+    dimension exceeds ``MAX_COCYCLE_SPIN_DIM`` raises ``ValueError``
+    before any work.
     """
     _require_family(twist)
     j1, j2, j3 = HalfInt(j1), HalfInt(j2), HalfInt(j3)
+    for j in (j1, j2, j3):
+        refuse_oversized((j,), MAX_COCYCLE_SPIN_DIM)
     reps = [r1_generators(jj, twist) for jj in (j1, j2, j3)]
     alg = r1_algebra()
     g = _family_twist(twist, x_nilpotency(j2) + x_nilpotency(j3))
-    lhs = tensor_product(g, TE.unit(1)) * g.coproduct(0, alg.delta)
-    rhs = tensor_product(TE.unit(1), g) * g.coproduct(1, alg.delta)
-    failures = _residuals_maybe_orders(
-        "cocycle", (lhs - rhs).evaluate(reps), twist == "minimal"
-    )
+    # Each factor is evaluated on its own and the matrices multiplied, so
+    # the product of the two expressions is never expanded.
+    unit = TE.unit(1)
+    lhs = tensor_product(g, unit).evaluate(reps) @ g.coproduct(0, alg.delta).evaluate(reps)
+    rhs = tensor_product(unit, g).evaluate(reps) @ g.coproduct(1, alg.delta).evaluate(reps)
+    failures = _residuals_maybe_orders("cocycle", lhs - rhs, twist == "minimal")
     return VerificationReport(
         "cocycle", {"j1": j1, "j2": j2, "j3": j3, "family": twist}, failures
     )

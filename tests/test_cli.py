@@ -94,6 +94,35 @@ class TestExitCodes:
         assert out == ""
         assert "exceeds the cap of 169" in err
 
+    def test_oversized_contraction_spin_exits_two(self, capsys, monkeypatch):
+        # Refused before any work: j = 8 has module dimension 33, though the
+        # pair's 99 is inside the product cap.
+        monkeypatch.setattr(contraction, "m_matrix", forbidden)
+        code, out, err = run_cli(capsys, "contract", "--j1", "1/2", "--j2", "8")
+        assert code == 2
+        assert out == ""
+        assert "exceeds the cap of 21" in err
+
+    def test_oversized_triangularity_exits_two(self, capsys, monkeypatch):
+        # Refused before any work: (1/2, 14) has dimension 171.
+        monkeypatch.setattr(r1, "r1_generators", forbidden)
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "triangularity", "--j", "1/2", "14"
+        )
+        assert code == 2
+        assert out == ""
+        assert "exceeds the cap of 121" in err
+
+    def test_oversized_cocycle_exits_two(self, capsys, monkeypatch):
+        # Refused before any work: j = 5/2 has module dimension 11.
+        monkeypatch.setattr(r1, "r1_generators", forbidden)
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "cocycle", "--j", "1/2", "5/2", "5/2"
+        )
+        assert code == 2
+        assert out == ""
+        assert "exceeds the cap of 9" in err
+
     def test_oversized_rll_exits_two(self, capsys, monkeypatch):
         # Refused before any work: (1/2, 1/2, 11/2) has dimension 207.
         for name in ("universal_Rq", "m_matrix", "r2_generators"):

@@ -13,6 +13,7 @@ import pytest
 import ospq.contraction
 from ospq.contraction import (
     MAX_CONTRACT_DIM,
+    MAX_CONTRACT_SPIN_DIM,
     MAX_IDENTITY_DIM,
     MAX_RLL_DIM,
     ContractionResult,
@@ -381,6 +382,12 @@ class TestLargeSpins:
         for pair in ((HalfInt(3), HalfInt.from_twice(7)), (HalfInt(5), HalfInt(5))):
             for source in ("universal", "half-j-formula"):
                 with pytest.raises(ValueError, match="exceeds the cap of 169"):
+                    contract(*pair, source=source)
+        assert MAX_CONTRACT_SPIN_DIM == 21
+        refuse_oversized((HalfInt(5),), MAX_CONTRACT_SPIN_DIM)  # j = 5 is inside
+        for pair in ((HALF, HalfInt(8)), (HalfInt.from_twice(11), HALF)):
+            for source in ("universal", "half-j-formula"):
+                with pytest.raises(ValueError, match="exceeds the cap of 21"):
                     contract(*pair, source=source)
 
 

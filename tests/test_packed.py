@@ -28,9 +28,9 @@ from ospq.hopf import (
 from ospq.packed import (
     PackedPlan,
     ProductPlan,
+    _scaled,
     evaluate_all,
     pack,
-    pack_ph,
     product_difference,
     unpack,
 )
@@ -41,7 +41,7 @@ from ospq.reps import GeneratorTable, q_rep, r1_generators, r2_generators, rep_p
 from ospq.scalar import H, ONE, P, Scalar, rational
 from ospq.texpr import TensorExpression as TE
 
-from test_scalar import scalars
+from test_scalar import one_term_den_scalars, scalars
 
 HALF = HalfInt.from_twice(1)
 ONEJ = HalfInt(1)
@@ -216,11 +216,31 @@ class TestRefusal:
             want += matrix_residuals(label, expr.evaluate([bad]))
         assert want and relations_residuals(r2_algebra(), bad) == want
 
+    def test_p_in_the_scale_alone_refuses(self):
+        # H = h/p scales to the p-free h, but H H is h^2/p^2, not h^2
+        rep = GeneratorTable("test", None, (0,), {"H": GradedMatrix((0,), {(0, 0): H / P})})
+        exprs = [TE.word(["H", "H"])]
+        assert PackedPlan.of(exprs, [rep]) is None
+        assert evaluate_all(exprs, [rep]) == [expr.evaluate([rep]) for expr in exprs]
+
     def test_unused_p_dependent_letter_does_not_refuse(self):
         good = r2_generators(HALF)
         extra = with_matrix(good, "K", GradedMatrix(good.parity, {(0, 0): P}))
         exprs = [expr for _, expr in r2_algebra().relations]
         assert PackedPlan.of(exprs, [extra]) is not None
+
+
+class TestScaling:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(one_term_den_scalars(), max_size=6))
+    def test_scaled_polynomials_over_the_scale_are_the_input(self, values):
+        scalars = {("x", k): v for k, v in enumerate(values)}
+        polys, den, top_p, top_h = _scaled(scalars)
+        scale = Scalar.monomial(den, top_p, top_h)
+        assert list(polys) == list(scalars)
+        for key, poly in polys.items():
+            assert all(ep >= 0 and eh >= 0 and type(c) is int for (ep, eh), c in poly.items())
+            assert Scalar._make(poly, {(0, 0): 1}) / scale == scalars[key]
 
 
 class TestEntryProtocol:
@@ -321,6 +341,11 @@ def one_term_scale(m) -> Scalar:
     )
 
 
+def on_x(poly, span) -> dict:
+    """{(p_exp, h_exp): int} with p^a h^b put to X^(a + span*b)."""
+    return {a + span * b: c for (a, b), c in poly.items()}
+
+
 def scalar_products(factors, parities):
     mats = [embed_pair(m, parities, legs) for m, legs in factors]
     return [mats[i] @ mats[j] @ mats[k] for i, j, k in (LEFT, RIGHT)]
@@ -342,7 +367,7 @@ def assert_packed_images(factors, parities):
         assert all(v.den == {(0, 0): 1} for v in scaled.entries.values())
         assert all(abs(c) < 1 << (plan.width - 1) for num in polys for c in num.values())
         assert all(ep < plan.span for num in polys for ep, _ in num)
-        assert got == scaled.map_entries(lambda v: pack_ph(v.num, plan.width, plan.span))
+        assert got == scaled.map_entries(lambda v: pack(on_x(v.num, plan.span), plan.width))
     diff = wants[0] - wants[1]
     assert plan.agree() == diff.is_zero
     return diff
@@ -450,7 +475,7 @@ class TestProductWidth:
         monomial = st.tuples(st.integers(0, span - 1), st.integers(0, 6))
         poly = data.draw(st.dictionaries(monomial, coeff, max_size=10))
         poly = {k: c for k, c in poly.items() if c}
-        value = pack_ph(poly, width, span)
+        value = pack(on_x(poly, span), width)
         got = {divmod(e, span)[::-1]: c for e, c in unpack(value, width).items()}
         assert got == poly
 

@@ -5,11 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+import ospq.r1
 from ospq.gmatrix import GradedMatrix, inverse, swap_conjugate
 from ospq.halfint import HalfInt
 from ospq.hopf import r1_algebra, r1_hopf_check, r1_relations_check
 from ospq.qrmatrix import ybe_check
 from ospq.r1 import (
+    MAX_COCYCLE_SPIN_DIM,
+    MAX_TRIANGULARITY_DIM,
     _exp_kron,
     _th,
     antipode_check,
@@ -25,10 +28,14 @@ from ospq.r1 import (
     universal_Rh_r1,
     x_nilpotency,
 )
-from ospq.reps import GeneratorTable, classical_rep
+from ospq.report import matrix_residuals
+from ospq.reps import GeneratorTable, classical_rep, refuse_oversized
 from ospq.scalar import H, Scalar, scalar_from_string
+from ospq.texpr import TensorExpression as TE
+from ospq.texpr import tensor_product
 
 from helpers import from_rows
+from test_packed import perturbed
 
 HALF = HalfInt.from_twice(1)
 ONEJ = HalfInt(1)
@@ -291,6 +298,59 @@ class TestCocycle:
     def test_unknown_twist_rejected(self):
         with pytest.raises(ValueError):
             cocycle_check(HALF, HALF, HALF, "neither")
+
+    @pytest.mark.parametrize("letter", ["X", "H"])
+    @pytest.mark.parametrize(
+        "triple",
+        [(HALF, HALF, HALF), (HALF, ONEJ, HALF), (ONEJ, HALF, ONEJ)],
+        ids=lambda t: "-".join(str(x) for x in t),
+    )
+    def test_perturbed_middle_leg_matches_the_expanded_route(self, monkeypatch, triple, letter):
+        # The check multiplies the evaluated factors; the reference expands
+        # the product of the two sides first and evaluates it once.
+        tables = [r1_generators(j, "minimal") for j in triple]
+        tables[1] = perturbed(tables[1], letter)
+        legs = iter(zip(triple, tables))
+
+        def leg_table(j, family):
+            want_j, table = next(legs)
+            assert (j, family) == (want_j, "minimal")
+            return table
+
+        monkeypatch.setattr(ospq.r1, "r1_generators", leg_table)
+        got = cocycle_check(*triple, "minimal").failures
+        alg = r1_algebra()
+        g = twist_expression(x_nilpotency(triple[1]) + x_nilpotency(triple[2]))
+        lhs = tensor_product(g, TE.unit(1)) * g.coproduct(0, alg.delta)
+        rhs = tensor_product(TE.unit(1), g) * g.coproduct(1, alg.delta)
+        want = matrix_residuals("cocycle", (lhs - rhs).evaluate(tables))
+        assert 2 <= len(want) <= 16
+        assert got == want
+
+
+def forbidden(*args):
+    raise AssertionError("work started on an oversized input")
+
+
+def test_oversized_triangularity_refused_before_any_work(monkeypatch):
+    monkeypatch.setattr(ospq.r1, "r1_generators", forbidden)
+    assert MAX_TRIANGULARITY_DIM == 11 * 11
+    refuse_oversized((HALF, HalfInt.from_twice(19)), MAX_TRIANGULARITY_DIM)  # inside
+    for pair in ((HalfInt(3), HalfInt(3)), (HALF, HalfInt(10))):
+        for family in FAMILIES:
+            with pytest.raises(ValueError, match="exceeds the cap of 121"):
+                triangularity_check(*pair, family)
+
+
+def test_oversized_cocycle_refused_before_any_work(monkeypatch):
+    monkeypatch.setattr(ospq.r1, "r1_generators", forbidden)
+    assert MAX_COCYCLE_SPIN_DIM == 9
+    refuse_oversized((HalfInt(2),), MAX_COCYCLE_SPIN_DIM)  # j = 2 is inside
+    big = HalfInt.from_twice(5)
+    for triple in ((big, HALF, HALF), (HALF, big, HALF), (HALF, HALF, big)):
+        for family in FAMILIES:
+            with pytest.raises(ValueError, match="exceeds the cap of 9"):
+                cocycle_check(*triple, family)
 
 
 class TestAntipodeTransformer:
