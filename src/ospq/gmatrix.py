@@ -29,8 +29,8 @@ Outside this module a matrix is never written after it is built (a test
 parses the package to pin this), so matrices may be shared and hashed.
 
 Entries are usually :class:`~ospq.scalar.Scalar`, but ``@``, ``+``, ``-``,
-``scale``, ``map_entries`` and ``graded_kron`` ask of an entry only this
-protocol:
+``scale``, ``map_entries``, ``graded_kron`` and ``kron_into`` ask of an
+entry only this protocol:
 
 * truthiness, false only for an exact zero: such an entry is dropped,
   and an absent entry is read as an exact zero;
@@ -212,28 +212,42 @@ class GradedMatrix:
 
 
 def graded_kron(a: GradedMatrix, b: GradedMatrix, b_op_parity=None) -> GradedMatrix:
-    """Graded Kronecker product on the first-factor-major basis."""
+    """Graded Kronecker product on the first-factor-major basis, built by
+    :func:`kron_into`.  The operator parity of ``b`` is inferred when it
+    is homogeneous and must be declared otherwise."""
     if b_op_parity is None:
         b_op_parity = b.operator_parity()
         if b_op_parity is None:
             raise NonHomogeneous(
                 "second tensor factor has mixed parity and none was declared"
             )
-    parity = tuple(
-        (pa + pb) % 2 for pa in a.parity for pb in b.parity
-    )
-    db = b.dim
-    out = GradedMatrix(parity)
-    entries = {}
-    for (i, j), av in a.entries.items():
-        sign = -1 if (b_op_parity and a.parity[j]) else 1
-        for (k, l), bv in b.entries.items():
-            val = av * bv
-            if sign < 0:
-                val = -val
-            entries[(i * db + k, j * db + l)] = val
-    out.entries = entries
+    out = GradedMatrix(tensor_parity((a.parity, b.parity)))
+    kron_into(out.entries, a.entries, a.parity, b, b_op_parity)
     return out
+
+
+def kron_into(entries: dict, a_entries: dict, a_parity, b: GradedMatrix, b_op_parity):
+    """Add the graded Kronecker product of a and b into ``entries``.
+
+    ``a`` is given by its entries and its parity vector, so a sum that
+    was never made a matrix can be a first factor.  Entry (i, j) of a and
+    entry (k, l) of b give entry (i*db + k, j*db + l), db = b.dim, with
+    the sign (-1)^{|b| * a_parity[j]}: this is the one place the graded
+    sign rule of the Kronecker product is applied.  A sum that cancels is
+    left in ``entries`` as a zero, for the caller to drop."""
+    db = b.dim
+    b_items = b.entries.items()
+    get = entries.get
+    for (i, j), av in a_entries.items():
+        negate = b_op_parity and a_parity[j]
+        row, col = i * db, j * db
+        for (k, l), bv in b_items:
+            key = (row + k, col + l)
+            val = av * bv
+            if negate:
+                val = -val
+            cur = get(key)
+            entries[key] = val if cur is None else cur + val
 
 
 def tensor_parity(parities) -> tuple:

@@ -16,6 +16,10 @@ Each suite builds its expressions once per algebra and evaluates them all
 through :func:`ospq.packed.evaluate_all`: on integers at h = 2^B with a
 proven width when the tables and coefficients have no p (the Jordanian
 algebras), on ``Scalar``s otherwise.  Both routes give the same residuals.
+Coassociativity is first offered a certificate: when every coassociator
+has no terms once each run of group-like letters is merged into a power
+of Thalf, and the closure relations of that family hold on all three
+tables, its residuals are empty without any evaluation.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from types import MappingProxyType
 
 from .packed import evaluate_all
 from .report import VerificationReport, matrix_residuals
-from .reps import r1_generators, r2_generators
+from .reps import r1_generators, r2_generators, refuse_oversized
 from .scalar import H as HPARAM
 from .scalar import ONE, P, rational
 from .texpr import TensorExpression as TE
@@ -71,6 +75,51 @@ def _primitive(name: str) -> TE:
 _LETTERS = ("H", "E", "F", "T", "Tinv", "Thalf", "Tinvhalf", "X", "Y")
 # The group-like letters, each with its inverse, which is also its antipode.
 _GROUP_LIKE = {"T": "Tinv", "Tinv": "T", "Thalf": "Tinvhalf", "Tinvhalf": "Thalf"}
+# The power of Thalf that each group-like letter is on a table where the
+# closure relations hold.
+_THALF_POWER = {"T": 2, "Tinv": -2, "Thalf": 1, "Tinvhalf": -1}
+
+
+def _closure() -> list:
+    """The three relations that close the group-like family of a
+    Jordanian algebra.  On a table where they hold, T Tinv = 1 makes T
+    invertible with inverse Tinv, Thalf Tinvhalf = 1 makes Thalf
+    invertible with inverse Tinvhalf, and Thalf^2 = T: every letter of the
+    family is the power ``_THALF_POWER`` of one invertible Thalf."""
+    one = TE.unit(1)
+    return [
+        ("T*Tinv", W("T", "Tinv") - one),
+        ("Thalf^2", W("Thalf", "Thalf") - W("T")),
+        ("Thalf*Tinvhalf", W("Thalf", "Tinvhalf") - one),
+    ]
+
+
+def merged_word(word) -> tuple:
+    """The word with each run of adjacent group-like letters replaced by
+    its total power of Thalf, an int, and a run of power 0 dropped;
+    nothing is reordered.  On a table where the closure relations hold
+    (:func:`_closure`), a word and its merged form, in which n stands for
+    Thalf^n, have the same matrix."""
+    out = []
+    for name in word:
+        power = _THALF_POWER.get(name)
+        if power is None:
+            out.append(name)
+        elif out and isinstance(out[-1], int):
+            out[-1] += power
+        else:
+            out.append(power)
+    return tuple(x for x in out if x != 0)
+
+
+def _merged(expr: TE) -> TE:
+    """The expression with every word replaced by its merged form, equal
+    terms summed."""
+    acc = {}
+    for key, coeff in expr.terms.items():
+        merged = tuple(merged_word(word) for word in key)
+        acc[merged] = acc[merged] + coeff if merged in acc else coeff
+    return TE(expr.nlegs, acc)
 
 
 def _jordanian(name, relations, delta, smap) -> HopfAlgebra:
@@ -81,12 +130,6 @@ def _jordanian(name, relations, delta, smap) -> HopfAlgebra:
     the coproduct and antipode of E, X and the group-like T family, and
     the three relations that close that family, which follow each
     algebra's own relations."""
-    one = TE.unit(1)
-    closure = [
-        ("T*Tinv", W("T", "Tinv") - one),
-        ("Thalf^2", W("Thalf", "Thalf") - W("T")),
-        ("Thalf*Tinvhalf", W("Thalf", "Tinvhalf") - one),
-    ]
     shared_delta = {
         "E": TE.pure((("E",), ("Tinvhalf",))) + TE.pure((("Thalf",), ("E",))),
         "X": _primitive("X"),
@@ -103,7 +146,7 @@ def _jordanian(name, relations, delta, smap) -> HopfAlgebra:
     return HopfAlgebra(
         name,
         _LETTERS,
-        [*relations, *closure],
+        [*relations, *_closure()],
         {letter: delta[letter] for letter in _LETTERS},
         {letter: smap[letter] for letter in _LETTERS},
         {letter: ONE if letter in _GROUP_LIKE else zero for letter in _LETTERS},
@@ -352,9 +395,48 @@ def delta_homomorphy_residuals(algebra: HopfAlgebra, rep1, rep2) -> list:
     return _residuals(_expressions(algebra, _coproduct_relations), [rep1, rep2])
 
 
+@lru_cache(maxsize=SUITE_CACHE_SIZE)
+def _coassociativity_certificate(algebra: HopfAlgebra):
+    """The labels of the relations whose holding on every leg makes each
+    coassociator of the algebra vanish, or None when there is no such
+    certificate.  No relation is needed when every coassociator has no
+    terms.  The closure relations are needed when the algebra has them
+    and every coassociator has no terms once merged (:func:`_merged`): on
+    tables where they hold, each word has the matrix of its merged form,
+    so each coassociator has the zero matrix of its merged form (the
+    simplest case of Bergman's diamond lemma)."""
+    coassociators = [expr for _, expr in _expressions(algebra, _coassociators)]
+    if all(expr.is_zero for expr in coassociators):
+        return ()
+    closure = _closure()
+    if all(relation in algebra.relations for relation in closure) and all(
+        _merged(expr).is_zero for expr in coassociators
+    ):
+        return tuple(label for label, _ in closure)
+    return None
+
+
+def _relations_hold(algebra: HopfAlgebra, rep, labels) -> bool:
+    """Whether the relations named in ``labels`` hold on ``rep``, read
+    from :func:`relations_residuals`; no relation is evaluated when
+    ``labels`` is empty."""
+    if not labels:
+        return True
+    return all(item[0] not in labels for item in relations_residuals(algebra, rep))
+
+
 @_suite_cache
 def coassociativity_residuals(algebra: HopfAlgebra, rep1, rep2, rep3) -> list:
-    return _residuals(_expressions(algebra, _coassociators), [rep1, rep2, rep3])
+    """The residuals of (Delta (x) id) Delta = (id (x) Delta) Delta on
+    each letter.  When the algebra's certificate
+    (:func:`_coassociativity_certificate`) holds on all three tables they
+    are empty and no matrix is built; otherwise every coassociator is
+    evaluated."""
+    reps = [rep1, rep2, rep3]
+    needed = _coassociativity_certificate(algebra)
+    if needed is not None and all(_relations_hold(algebra, rep, needed) for rep in reps):
+        return []
+    return _residuals(_expressions(algebra, _coassociators), reps)
 
 
 @_suite_cache
@@ -404,7 +486,21 @@ def hopf_suite_failures(algebra: HopfAlgebra, reps) -> list:
     return fails
 
 
+# The largest module dimension 4 j + 1 of any one spin that
+# ``r2_hopf_check`` accepts, that of j = 5.  Coassociativity is certified
+# without a matrix on the built tables, so the coproduct homomorphism on
+# the first two legs sets the cost.  One fresh CLI process per (j, j, j),
+# on 2 cores: j = 3 0.41 s (19 MB peak RSS), 4 1.27 s (23 MB), 5 2.95 s
+# (33 MB), 6 8.76 s (54 MB), 7 21.9 s (91 MB).
+MAX_HOPF_R2_SPIN_DIM = 21
+
+
 def r2_hopf_check(j1, j2, j3) -> VerificationReport:
+    """All five suites of the r2 algebra on a triple of spins.  A spin
+    whose module dimension exceeds ``MAX_HOPF_R2_SPIN_DIM`` raises
+    ``ValueError`` before any table is built."""
+    for j in (j1, j2, j3):
+        refuse_oversized((j,), MAX_HOPF_R2_SPIN_DIM)
     reps = [r2_generators(j) for j in (j1, j2, j3)]
     fails = hopf_suite_failures(r2_algebra(), reps)
     return VerificationReport(
@@ -412,7 +508,21 @@ def r2_hopf_check(j1, j2, j3) -> VerificationReport:
     )
 
 
+# The largest module dimension 4 j + 1 of any one spin that
+# ``r1_hopf_check`` accepts, that of j = 5, set as for r2 from the
+# minimal family (one fresh CLI process per (j, j, j), 2 cores): j = 3
+# 0.43 s (20 MB peak RSS), 4 1.40 s (27 MB), 5 5.53 s (41 MB), 6 19.2 s
+# (69 MB), 7 45.1 s (119 MB).
+MAX_R1_HOPF_SPIN_DIM = 21
+
+
 def r1_hopf_check(j1, j2, j3, family: str = "minimal") -> VerificationReport:
+    """All five suites of the r1 algebra on a triple of spins, in one
+    dressing family.  A spin whose module dimension exceeds
+    ``MAX_R1_HOPF_SPIN_DIM`` raises ``ValueError`` before any table is
+    built."""
+    for j in (j1, j2, j3):
+        refuse_oversized((j,), MAX_R1_HOPF_SPIN_DIM)
     reps = [r1_generators(j, family) for j in (j1, j2, j3)]
     fails = hopf_suite_failures(r1_algebra(), reps)
     return VerificationReport(

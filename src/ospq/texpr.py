@@ -19,8 +19,20 @@ leg's table for its words and keeps no memo of its own.
 from __future__ import annotations
 
 from .errors import UnknownGenerator
-from .gmatrix import GradedMatrix, graded_kron, tensor_parity
+from .gmatrix import GradedMatrix, graded_kron, kron_into, tensor_parity
 from .scalar import ONE, Scalar
+
+# ``graded_kron`` is not used here but stays bound: the benchmark's
+# tracer rebinds it in every module that imported it by name, and its
+# test pins this module among them.
+__all__ = [
+    "ODD_LETTERS",
+    "TensorExpression",
+    "graded_kron",
+    "letter_parity",
+    "tensor_product",
+    "word_parity",
+]
 
 ODD_LETTERS = frozenset({"e", "f", "E", "F"})
 
@@ -234,45 +246,51 @@ class TensorExpression:
         of each new factor being the parity of its word.  The graded
         Kronecker product is linear in its first factor once the second
         factor and its parity are fixed, so the terms are grouped by their
-        last-leg word: each group's shorter-leg sum is evaluated first
-        (recursively) and costs one Kronecker product.  On one leg each
-        coefficient scales its word's matrix.  The tables memoize their
-        word matrices, so evaluations on the same tables, and legs that
-        hold one table, share them.
+        last-leg word: each group's shorter-leg sum is accumulated first
+        (recursively, by a module function, so this method is entered once
+        per evaluation) and then costs one :func:`~ospq.gmatrix.kron_into`
+        into the result's entries.  On one leg each coefficient times its
+        word's matrix is added in place.  Every level sums into one entries
+        dict and drops its zeros once, at its end; no matrix is built but
+        the result.  The tables memoize their word matrices, so evaluations
+        on the same tables, and legs that hold one table, share them.
         """
         if len(reps) != self.nlegs:
             raise ValueError("need one representation per leg")
-        last = self.nlegs - 1
-        if last:
-            groups = {}
-            for key, coeff in self.terms.items():
-                groups.setdefault(key[last], {})[key[:last]] = coeff
-            parts = (
-                graded_kron(
-                    TensorExpression(last, heads).evaluate(reps[:last]),
-                    reps[last].word_matrix(word),
-                    b_op_parity=word_parity(word),
-                )
-                for word, heads in groups.items()
-            )
-        else:
-            parts = []
-            for (word,), coeff in self.terms.items():
-                m = reps[0].word_matrix(word)
-                parts.append(m if coeff is ONE else m.scale(coeff))
-        entries = {}
-        for part in parts:
-            for ij, val in part.entries.items():
-                cur = entries.get(ij)
-                if cur is not None:
-                    val = cur + val
-                    if not val:
-                        del entries[ij]
-                        continue
-                entries[ij] = val
-        out = GradedMatrix(tensor_parity([rep.parity for rep in reps]))
-        out.entries = entries
+        parities = [(0,)]
+        for rep in reps:
+            parities.append(tensor_parity((parities[-1], rep.parity)))
+        out = GradedMatrix(parities[-1])
+        out.entries = _accumulate(self.terms, reps, parities)
         return out
+
+
+def _accumulate(terms, reps, parities) -> dict:
+    """The nonzero entries of the sum of ``terms`` on the legs ``reps``;
+    ``parities[k]`` is the parity vector of the first k legs."""
+    last = len(reps) - 1
+    entries = {}
+    if last:
+        groups = {}
+        for key, coeff in terms.items():
+            groups.setdefault(key[last], {})[key[:last]] = coeff
+        for word, heads in groups.items():
+            kron_into(
+                entries,
+                _accumulate(heads, reps[:last], parities),
+                parities[last],
+                reps[last].word_matrix(word),
+                word_parity(word),
+            )
+    else:
+        get = entries.get
+        for (word,), coeff in terms.items():
+            for ij, val in reps[0].word_matrix(word).entries.items():
+                if coeff is not ONE:
+                    val = val * coeff
+                cur = get(ij)
+                entries[ij] = val if cur is None else cur + val
+    return {ij: val for ij, val in entries.items() if val}
 
 
 def tensor_product(*exprs) -> TensorExpression:

@@ -123,6 +123,27 @@ class TestExitCodes:
         assert out == ""
         assert "exceeds the cap of 9" in err
 
+    def test_oversized_hopf_r2_exits_two(self, capsys, monkeypatch):
+        # Refused before any table is built: j = 11/2 has module dimension 23.
+        monkeypatch.setattr(hopf, "r2_generators", forbidden)
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "hopf-r2", "--j", "1/2", "1/2", "11/2"
+        )
+        assert code == 2
+        assert out == ""
+        assert "exceeds the cap of 21" in err
+
+    def test_oversized_r1_hopf_exits_two(self, capsys, monkeypatch):
+        # Refused before any table is built: j = 11/2 has module dimension 23.
+        monkeypatch.setattr(hopf, "r1_generators", forbidden)
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "r1-hopf", "--j", "11/2", "1/2", "1/2",
+            "--family", "hdiag",
+        )
+        assert code == 2
+        assert out == ""
+        assert "exceeds the cap of 21" in err
+
     def test_oversized_rll_exits_two(self, capsys, monkeypatch):
         # Refused before any work: (1/2, 1/2, 11/2) has dimension 207.
         for name in ("universal_Rq", "m_matrix", "r2_generators"):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import ospq.texpr as texpr
 from ospq.contraction import r2_generators
-from ospq.gmatrix import GradedMatrix, graded_kron, tensor_parity
+from ospq.gmatrix import GradedMatrix, graded_kron, kron_into, tensor_parity
 from ospq.halfint import HalfInt
 from ospq.hopf import q_algebra, r1_algebra, r2_algebra
 from ospq.r1 import r1_generators
@@ -445,11 +445,11 @@ class TestGroupedEvaluate:
     def test_one_kronecker_product_per_last_leg_word(self, monkeypatch):
         calls = []
 
-        def counting_kron(a, b, b_op_parity=None):
+        def counting_kron(entries, a_entries, a_parity, b, b_op_parity):
             calls.append(b_op_parity)
-            return graded_kron(a, b, b_op_parity=b_op_parity)
+            kron_into(entries, a_entries, a_parity, b, b_op_parity)
 
-        monkeypatch.setattr(texpr, "graded_kron", counting_kron)
+        monkeypatch.setattr(texpr, "kron_into", counting_kron)
         alg = r2_algebra()
         legs = [r2_generators(HALF_J), r2_generators(ONE_J)]
         for label, expr in alg.relations:
