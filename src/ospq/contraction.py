@@ -25,14 +25,16 @@ formed on series.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import product
+
 from .errors import Inconsistency
 from .gmatrix import GradedMatrix, block_matrix, graded_kron, inverse
 from .halfint import HalfInt, as_half, spin_cache
-from .hopf import r2_algebra
+from .hopf import GROUP_LIKE, SUITE_CACHE_SIZE, expression_residuals, r2_algebra
 from .laurent import Laurent, valuation
 from .nilfun import nil_series
-from .packed import product_difference
-from .qrmatrix import universal_Rq
+from .qrmatrix import universal_Rq, ybe_check
 from .report import VerificationReport, matrix_residuals
 from .reps import (
     bracket,
@@ -44,7 +46,7 @@ from .reps import (
     weight_twice,
 )
 from .scalar import H as HPARAM
-from .scalar import ONE, P, ZERO, Scalar, p_power, rational, scalar_to_string
+from .scalar import ONE, P, Scalar, p_power, rational
 from .texpr import TensorExpression as TE
 from .texpr import tensor_product
 
@@ -275,37 +277,34 @@ def tilde_t(j) -> GradedMatrix:
 # -- the L-operator and its Hopf behaviour ------------------------------------
 
 
-def l_operator_words():
-    """Upper-triangular 3x3 table of Jordanian-letter expressions."""
-    zero = TE(1, {})
-    one = TE.unit(1)
-    quarter = HPARAM * rational(1, 4)
+def _l_words(h, letter) -> list:
+    """The upper-triangular 3x3 table of L, with h taken as ``h`` and each
+    letter named in ``letter`` read as the letter it maps to."""
+
+    def w(*names):
+        return TE.word(letter.get(name, name) for name in names)
+
+    zero, one = TE(1, {}), TE.unit(1)
     return [
         [
-            TE.word(("T",)),
-            TE.word(("Thalf", "E")).scale(HPARAM),
-            -TE.word(("H",)).scale(HPARAM)
-            + (TE.word(("T",)) - TE.word(("Tinv",))).scale(quarter),
+            w("T"),
+            w("Thalf", "E").scale(h),
+            -w("H").scale(h) + (w("T") - w("Tinv")).scale(h * rational(1, 4)),
         ],
-        [zero, one, -TE.word(("Tinvhalf", "E")).scale(HPARAM)],
-        [zero, zero, TE.word(("Tinv",))],
+        [zero, one, -w("Tinvhalf", "E").scale(h)],
+        [zero, zero, w("Tinv")],
     ]
+
+
+def l_operator_words():
+    """Upper-triangular 3x3 table of Jordanian-letter expressions."""
+    return _l_words(HPARAM, {})
 
 
 def l_inverse_words():
-    zero = TE(1, {})
-    one = TE.unit(1)
-    quarter = HPARAM * rational(1, 4)
-    return [
-        [
-            TE.word(("Tinv",)),
-            -TE.word(("Tinvhalf", "E")).scale(HPARAM),
-            TE.word(("H",)).scale(HPARAM)
-            + (TE.word(("T",)) - TE.word(("Tinv",))).scale(quarter),
-        ],
-        [zero, one, TE.word(("Thalf", "E")).scale(HPARAM)],
-        [zero, zero, TE.word(("T",))],
-    ]
+    """The closed-form inverse of L: L with h -> -h and each group-like
+    letter swapped for its inverse."""
+    return _l_words(-HPARAM, GROUP_LIKE)
 
 
 def _assemble_blocks(words, rep) -> GradedMatrix:
@@ -343,46 +342,49 @@ def rll_check(j) -> VerificationReport:
     r = contract(half, half).matrix
     ell = L_operator(j)
     parities = (rep_parity(half), rep_parity(half), rep_parity(j))
-    factors = [(r, (0, 1)), (ell, (0, 2)), (ell, (1, 2))]
-    diff = product_difference(factors, (0, 1, 2), (2, 1, 0), parities)
-    fails = matrix_residuals("RLL", diff)
+    fails = [("RLL", (i, k), v) for i, k, v in ybe_check(r, ell, ell, parities)]
     return VerificationReport("rll", {"j": j}, fails)
 
 
-def frt_hopf_check(j1, j2) -> VerificationReport:
-    """Coproduct, counit and antipode of L against the matrix Hopf rules.
+@lru_cache(maxsize=SUITE_CACHE_SIZE)
+def frt_rules(alg) -> tuple:
+    """The matrix Hopf rules of L in ``alg``, built once per algebra: the
+    coproduct rules Delta(L[a][c]) = sum_b L[a][b] (x) L[b][c] on two legs,
+    the counit rules eps(L[a][c]) = delta_ac on none and the antipode
+    rules S(L[a][c]) = Linv[a][c] on one, each a tuple of (label,
+    expression that must vanish)."""
+    words, inv = l_operator_words(), l_inverse_words()
+    rules = ([], [], [])
+    for a, c in product(range(3), repeat=2):
+        l_ac, at = words[a][c], f"L[{a}][{c}]"
+        rhs = sum((tensor_product(words[a][b], words[b][c]) for b in range(3)), TE(2, {}))
+        rules[0].append((f"coproduct:{at}", l_ac.coproduct(0, alg.delta) - rhs))
+        delta_ac = TE.unit(0) if a == c else TE(0, {})
+        rules[1].append((f"counit:{at}", l_ac.counit(0, alg.eps) - delta_ac))
+        rules[2].append((f"antipode:{at}", l_ac.antipode(0, alg.smap) - inv[a][c]))
+    return tuple(map(tuple, rules))
 
-    Entrywise: Delta(L[a][c]) must equal sum_b L[a][b] (x) L[b][c]; the
-    counit of L must be the identity table; the antipode of L must be the
-    closed-form inverse, entry by entry.
-    """
+
+# The largest module dimension 4 j + 1 of either spin that
+# ``frt_hopf_check`` accepts, that of j = 12.  Fresh CLI processes, 2 cores:
+# (j, j) at j = 4, 6, 8, 10, 12, 14 took 0.15, 0.29, 0.89, 2.0-2.7, 5.3 and
+# 13.0 s (17, 24, 47, 116, 266, 549 MB peak RSS); (1/2, j) at j = 8, 12,
+# 16, 24, 32 took 0.27, 0.86, 2.45, 11.2 and 33.4 s (18 to 65 MB).
+MAX_FRT_HOPF_SPIN_DIM = 49
+
+
+def frt_hopf_check(j1, j2) -> VerificationReport:
+    """L against :func:`frt_rules` of the r2 algebra: the coproduct rules
+    on the spin-(j1, j2) tables and the antipode rules on the spin-j1 one.
+    A spin whose module dimension exceeds ``MAX_FRT_HOPF_SPIN_DIM`` raises
+    ``ValueError`` before any table is built."""
+    for j in (j1, j2):
+        refuse_oversized((j,), MAX_FRT_HOPF_SPIN_DIM)
     j1, j2 = as_half(j1), as_half(j2)
-    alg = r2_algebra()
-    rep1, rep2 = r2_generators(j1), r2_generators(j2)
-    words = l_operator_words()
-    inv_words = l_inverse_words()
-    fails = []
-    for a in range(3):
-        for c in range(3):
-            lhs = words[a][c].coproduct(0, alg.delta)
-            rhs = TE(2, {})
-            for b in range(3):
-                rhs = rhs + tensor_product(words[a][b], words[b][c])
-            diff = (lhs - rhs).evaluate([rep1, rep2])
-            fails += matrix_residuals(f"coproduct:L[{a}][{c}]", diff)
-    for a in range(3):
-        for c in range(3):
-            got = words[a][c].counit(0, alg.eps).terms.get((), ZERO)
-            want = ONE if a == c else ZERO
-            if got != want:
-                fails.append(
-                    (f"counit:L[{a}][{c}]", (0, 0), scalar_to_string(got - want))
-                )
-    for a in range(3):
-        for c in range(3):
-            lhs = words[a][c].antipode(0, alg.smap).evaluate([rep1])
-            rhs = inv_words[a][c].evaluate([rep1])
-            fails += matrix_residuals(f"antipode:L[{a}][{c}]", lhs - rhs)
+    coproduct, counit, antipode = frt_rules(r2_algebra())
+    rep1 = r2_generators(j1)
+    fails = expression_residuals(coproduct, [rep1, r2_generators(j2)])
+    fails += expression_residuals(counit, []) + expression_residuals(antipode, [rep1])
     return VerificationReport("frt-hopf", {"j1": j1, "j2": j2}, fails)
 
 

@@ -155,7 +155,7 @@ class GradedMatrix:
 
     def __pow__(self, n: int) -> "GradedMatrix":
         if n < 0:
-            return inverse(self) ** (-n)
+            raise ValueError("a matrix power needs n >= 0; invert explicitly")
         out = GradedMatrix.identity(self.parity)
         base = self
         while n:

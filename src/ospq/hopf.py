@@ -13,13 +13,15 @@ chosen representations:
 
 Everything returns exact residuals; an empty failure list is a pass.
 Each suite builds its expressions once per algebra and evaluates them all
-through :func:`ospq.packed.evaluate_all`: on integers at h = 2^B with a
-proven width when the tables and coefficients have no p (the Jordanian
-algebras), on ``Scalar``s otherwise.  Both routes give the same residuals.
-Coassociativity is first offered a certificate: when every coassociator
-has no terms once each run of group-like letters is merged into a power
-of Thalf, and the closure relations of that family hold on all three
-tables, its residuals are empty without any evaluation.
+in :func:`expression_residuals`, which the FRT rules of
+:mod:`ospq.contraction` share, through :func:`ospq.packed.evaluate_all`:
+on integers at h = 2^B with a proven width when the tables and
+coefficients have no p (the Jordanian algebras), on ``Scalar``s
+otherwise.  Both routes give the same residuals.  Coassociativity is
+first offered a certificate: when every coassociator has no terms once
+each run of group-like letters is merged into a power of Thalf, and the
+closure relations of that family hold on all three tables, its residuals
+are empty without any evaluation.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ def _primitive(name: str) -> TE:
 
 _LETTERS = ("H", "E", "F", "T", "Tinv", "Thalf", "Tinvhalf", "X", "Y")
 # The group-like letters, each with its inverse, which is also its antipode.
-_GROUP_LIKE = {"T": "Tinv", "Tinv": "T", "Thalf": "Tinvhalf", "Tinvhalf": "Thalf"}
+GROUP_LIKE = {"T": "Tinv", "Tinv": "T", "Thalf": "Tinvhalf", "Tinvhalf": "Thalf"}
 # The power of Thalf that each group-like letter is on a table where the
 # closure relations hold.
 _THALF_POWER = {"T": 2, "Tinv": -2, "Thalf": 1, "Tinvhalf": -1}
@@ -133,12 +135,12 @@ def _jordanian(name, relations, delta, smap) -> HopfAlgebra:
     shared_delta = {
         "E": TE.pure((("E",), ("Tinvhalf",))) + TE.pure((("Thalf",), ("E",))),
         "X": _primitive("X"),
-        **{t: _group_like(t) for t in _GROUP_LIKE},
+        **{t: _group_like(t) for t in GROUP_LIKE},
     }
     shared_smap = {
         "E": -W("E"),
         "X": -W("X"),
-        **{t: W(inv) for t, inv in _GROUP_LIKE.items()},
+        **{t: W(inv) for t, inv in GROUP_LIKE.items()},
     }
     delta = {**shared_delta, **delta}
     smap = {**shared_smap, **smap}
@@ -149,7 +151,7 @@ def _jordanian(name, relations, delta, smap) -> HopfAlgebra:
         [*relations, *_closure()],
         {letter: delta[letter] for letter in _LETTERS},
         {letter: smap[letter] for letter in _LETTERS},
-        {letter: ONE if letter in _GROUP_LIKE else zero for letter in _LETTERS},
+        {letter: ONE if letter in GROUP_LIKE else zero for letter in _LETTERS},
     )
 
 
@@ -343,13 +345,10 @@ def _suite_cache(suite):
     return residuals
 
 
-def _residuals(labelled, reps) -> list:
+def expression_residuals(labelled, reps) -> list:
     """The failures of (label, expression) pairs that must vanish on ``reps``."""
     mats = evaluate_all([expr for _, expr in labelled], reps)
-    fails = []
-    for (label, _), m in zip(labelled, mats):
-        fails += matrix_residuals(label, m)
-    return fails
+    return [x for (label, _), m in zip(labelled, mats) for x in matrix_residuals(label, m)]
 
 
 @lru_cache(maxsize=SUITE_CACHE_SIZE)
@@ -387,12 +386,12 @@ def _antipode_differences(algebra: HopfAlgebra):
 
 @_suite_cache
 def relations_residuals(algebra: HopfAlgebra, rep) -> list:
-    return _residuals(algebra.relations, [rep])
+    return expression_residuals(algebra.relations, [rep])
 
 
 @_suite_cache
 def delta_homomorphy_residuals(algebra: HopfAlgebra, rep1, rep2) -> list:
-    return _residuals(_expressions(algebra, _coproduct_relations), [rep1, rep2])
+    return expression_residuals(_expressions(algebra, _coproduct_relations), [rep1, rep2])
 
 
 @lru_cache(maxsize=SUITE_CACHE_SIZE)
@@ -436,17 +435,17 @@ def coassociativity_residuals(algebra: HopfAlgebra, rep1, rep2, rep3) -> list:
     needed = _coassociativity_certificate(algebra)
     if needed is not None and all(_relations_hold(algebra, rep, needed) for rep in reps):
         return []
-    return _residuals(_expressions(algebra, _coassociators), reps)
+    return expression_residuals(_expressions(algebra, _coassociators), reps)
 
 
 @_suite_cache
 def counit_residuals(algebra: HopfAlgebra, rep) -> list:
-    return _residuals(_expressions(algebra, _counit_differences), [rep])
+    return expression_residuals(_expressions(algebra, _counit_differences), [rep])
 
 
 @_suite_cache
 def antipode_residuals(algebra: HopfAlgebra, rep) -> list:
-    return _residuals(_expressions(algebra, _antipode_differences), [rep])
+    return expression_residuals(_expressions(algebra, _antipode_differences), [rep])
 
 
 def hopf_suite_failures(algebra: HopfAlgebra, reps) -> list:

@@ -10,10 +10,10 @@ enters through the multiplication rule
 with |w| the parity of the word.  Coproduct, antipode and counit act on a
 chosen leg through lookup tables supplied by the caller, and `evaluate`
 turns the whole expression into a graded matrix given one representation
-table per leg.  A one-leg scalar character is applied by `counit`, whose
-result has the single empty key.  A table builds and memoizes its own
-word matrices (`GeneratorTable.word_matrix`), so `evaluate` asks each
-leg's table for its words and keeps no memo of its own.
+table per leg (on no legs, where `counit` takes a one-leg expression, a
+1x1 matrix).  A table builds and memoizes its own word matrices
+(`GeneratorTable.word_matrix`), so `evaluate` asks each leg's table for
+its words and keeps no memo of its own.
 """
 
 from __future__ import annotations
@@ -243,17 +243,14 @@ class TensorExpression:
         multiply its entries: ``Scalar`` coefficients on ``Scalar`` tables,
         or ``int`` ones on the ``int`` tables of :mod:`ospq.packed`.  Legs
         are combined with the graded Kronecker product, the operator parity
-        of each new factor being the parity of its word.  The graded
+        of each new factor being the parity of its word; on no legs the
+        result is the 1x1 even matrix of the coefficient.  The graded
         Kronecker product is linear in its first factor once the second
         factor and its parity are fixed, so the terms are grouped by their
-        last-leg word: each group's shorter-leg sum is accumulated first
-        (recursively, by a module function, so this method is entered once
-        per evaluation) and then costs one :func:`~ospq.gmatrix.kron_into`
-        into the result's entries.  On one leg each coefficient times its
-        word's matrix is added in place.  Every level sums into one entries
-        dict and drops its zeros once, at its end; no matrix is built but
-        the result.  The tables memoize their word matrices, so evaluations
-        on the same tables, and legs that hold one table, share them.
+        last-leg word: each group's shorter-leg sum is accumulated first, by
+        a module function, and then costs one :func:`~ospq.gmatrix.kron_into`
+        into the result's entries.  Every level sums into one entries dict
+        and drops its zeros once; no matrix is built but the result.
         """
         if len(reps) != self.nlegs:
             raise ValueError("need one representation per leg")
@@ -268,6 +265,8 @@ class TensorExpression:
 def _accumulate(terms, reps, parities) -> dict:
     """The nonzero entries of the sum of ``terms`` on the legs ``reps``;
     ``parities[k]`` is the parity vector of the first k legs."""
+    if not reps:
+        return {(0, 0): coeff for coeff in terms.values()}
     last = len(reps) - 1
     entries = {}
     if last:

@@ -15,7 +15,6 @@ from ospq.cli import load_fixture
 from ospq.contraction import (
     contract,
     identity_check,
-    r2_generators,
     rll_check,
     tilde_t_routes,
 )
@@ -37,12 +36,11 @@ from ospq.r1 import (
     antipode_check,
     cocycle_check,
     disentangle_check,
-    r1_generators,
     triangularity_check,
     twist_property_check,
     universal_Rh_r1,
 )
-from ospq.reps import GeneratorTable, q_rep, rep_parity
+from ospq.reps import GeneratorTable, q_rep, r1_generators, r2_generators, rep_parity
 from ospq.twist import hdiag_twist_check, series_twist
 
 HALF = HalfInt(Fraction(1, 2))

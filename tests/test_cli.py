@@ -153,6 +153,16 @@ class TestExitCodes:
         assert out == ""
         assert "exceeds the cap of 189" in err
 
+    def test_oversized_frt_hopf_exits_two(self, capsys, monkeypatch):
+        # Refused before any table is built: j = 25/2 has module dimension 51.
+        monkeypatch.setattr(contraction, "r2_generators", forbidden)
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "frt-hopf", "--j", "1/2", "25/2"
+        )
+        assert code == 2
+        assert out == ""
+        assert "exceeds the cap of 49" in err
+
     def test_oversized_identities_exit_two(self, capsys, monkeypatch):
         # Refused before any work: j = 7/2 has dimension 15.
         for name in ("q_rep", "m_matrix"):

@@ -14,6 +14,7 @@ import ospq.contraction
 from ospq.contraction import (
     MAX_CONTRACT_DIM,
     MAX_CONTRACT_SPIN_DIM,
+    MAX_FRT_HOPF_SPIN_DIM,
     MAX_IDENTITY_DIM,
     MAX_RLL_DIM,
     ContractionResult,
@@ -26,12 +27,13 @@ from ospq.contraction import (
     eq2_series,
     eta,
     frt_hopf_check,
+    frt_rules,
     identity_check,
     l_inverse_words,
+    l_operator_words,
     m_inverse,
     m_matrix,
     q_cartan_power,
-    r2_generators,
     rll_check,
     script_t,
     tilde_t,
@@ -46,18 +48,22 @@ from ospq.gmatrix import (
     swap_conjugate,
 )
 from ospq.halfint import HalfInt
-from ospq.hopf import r2_algebra, relations_residuals
+from ospq.hopf import HopfAlgebra, r2_algebra, relations_residuals
 from ospq.laurent import Laurent, valuation_floor
 from ospq.qrmatrix import universal_Rq, ybe_check
+from ospq.report import matrix_residuals
 from ospq.reps import (
     GeneratorTable,
     classical_rep,
     q_rep,
+    r2_generators,
     refuse_oversized,
     rep_parity,
     tilde_t_powers,
 )
-from ospq.scalar import H, ONE, Scalar, scalar_from_string
+from ospq.scalar import H, ONE, ZERO, Scalar, rational, scalar_from_string, scalar_to_string
+from ospq.texpr import TensorExpression as TE
+from ospq.texpr import tensor_product
 
 from helpers import from_rows
 
@@ -404,6 +410,18 @@ def test_oversized_rll_refused_before_any_work(monkeypatch):
             rll_check(j)
 
 
+def test_oversized_frt_hopf_refused_before_any_table(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("work started on an oversized spin")
+
+    monkeypatch.setattr(ospq.contraction, "r2_generators", forbidden)
+    assert MAX_FRT_HOPF_SPIN_DIM == 49
+    refuse_oversized((HalfInt(12),), MAX_FRT_HOPF_SPIN_DIM)  # j = 12 is inside
+    for pair in ((HALF, HalfInt.from_twice(25)), (HalfInt(16), HALF)):
+        with pytest.raises(ValueError, match="exceeds the cap of 49"):
+            frt_hopf_check(*pair)
+
+
 def test_oversized_identities_refused_before_any_work(monkeypatch):
     def forbidden(*args):
         raise AssertionError("work started on an oversized spin")
@@ -644,6 +662,121 @@ class TestLOperator:
             HalfInt.from_twice(pair[0]), HalfInt.from_twice(pair[1])
         )
         assert report.failures == []
+
+
+def reference_frt_failures(alg, rep1, rep2):
+    """The FRT rules checked by three direct evaluate loops, the counit
+    rules read off as scalars: the route the labelled rules replaced."""
+    words, inv_words = l_operator_words(), l_inverse_words()
+    fails = []
+    for a in range(3):
+        for c in range(3):
+            lhs = words[a][c].coproduct(0, alg.delta)
+            rhs = TE(2, {})
+            for b in range(3):
+                rhs = rhs + tensor_product(words[a][b], words[b][c])
+            diff = (lhs - rhs).evaluate([rep1, rep2])
+            fails += matrix_residuals(f"coproduct:L[{a}][{c}]", diff)
+    for a in range(3):
+        for c in range(3):
+            got = words[a][c].counit(0, alg.eps).terms.get((), ZERO)
+            want = ONE if a == c else ZERO
+            if got != want:
+                fails.append(
+                    (f"counit:L[{a}][{c}]", (0, 0), scalar_to_string(got - want))
+                )
+    for a in range(3):
+        for c in range(3):
+            lhs = words[a][c].antipode(0, alg.smap).evaluate([rep1])
+            rhs = inv_words[a][c].evaluate([rep1])
+            fails += matrix_residuals(f"antipode:L[{a}][{c}]", lhs - rhs)
+    return sorted(fails)
+
+
+def perturbed(name, change):
+    """A builder of spin-j r2 tables with letter ``name`` changed, a fresh
+    table per call.  L has no F, so only its own letters are perturbed."""
+
+    def build(j):
+        good = r2_generators(j)
+        mats = dict(good.matrices)
+        mats[name] = change(mats[name])
+        return GeneratorTable(good.variant, good.j, good.parity, mats)
+
+    return build
+
+
+PERTURBED = {
+    "T-doubled": perturbed("T", lambda m: m.scale(rational(2))),
+    "Thalf-plus-h": perturbed("Thalf", lambda m: m + GradedMatrix(m.parity, {(0, 1): H})),
+}
+
+
+def blocks(failures) -> set:
+    return {label.split(":")[0] for label, _, _ in failures}
+
+
+class TestFrtRules:
+    """``frt_hopf_check`` runs its rules through the Hopf suites' residual
+    path; the direct loops are its reference."""
+
+    @pytest.mark.parametrize("j1", [HALF, ONEJ, THREEHALF])
+    @pytest.mark.parametrize("j2", [HALF, ONEJ, THREEHALF])
+    def test_matches_the_direct_loops(self, j1, j2):
+        want = reference_frt_failures(r2_algebra(), r2_generators(j1), r2_generators(j2))
+        assert want == []
+        assert frt_hopf_check(j1, j2).failures == want
+
+    @pytest.mark.parametrize("case", sorted(PERTURBED))
+    @pytest.mark.parametrize("pair", [(HALF, ONEJ), (ONEJ, HALF)])
+    def test_matches_on_a_perturbed_table(self, monkeypatch, case, pair):
+        build = PERTURBED[case]
+        monkeypatch.setattr(ospq.contraction, "r2_generators", build)
+        got = frt_hopf_check(*pair).failures
+        want = reference_frt_failures(r2_algebra(), *(build(j) for j in pair))
+        assert got == want
+        assert blocks(want) == {"coproduct", "antipode"}
+
+    def test_matches_on_a_perturbed_counit(self, monkeypatch):
+        good = r2_algebra()
+        bad = HopfAlgebra(
+            "r2-eps(T)=2", good.letters, good.relations, good.delta, good.smap,
+            {**good.eps, "T": rational(2)},
+        )
+        monkeypatch.setattr(ospq.contraction, "r2_algebra", lambda: bad)
+        rep = r2_generators(HALF)
+        got = frt_hopf_check(HALF, HALF).failures
+        assert got == reference_frt_failures(bad, rep, rep)
+        counit = [item for item in got if item[0].startswith("counit:")]
+        assert counit == [
+            ("counit:L[0][0]", (0, 0), "1"),
+            ("counit:L[0][2]", (0, 0), "h/4"),
+        ]
+
+    def test_rules_are_built_once_per_algebra(self):
+        alg = r2_algebra()
+        assert frt_rules(alg) is frt_rules(alg)
+        coproduct, counit, antipode = frt_rules(alg)
+        assert {expr.nlegs for _, expr in coproduct} == {2}
+        assert {expr.nlegs for _, expr in counit} == {0}
+        assert {expr.nlegs for _, expr in antipode} == {1}
+        assert len(coproduct) == len(counit) == len(antipode) == 9
+
+
+def test_rll_residuals_are_the_direct_product_difference(monkeypatch):
+    ell = L_operator(HALF)
+    bad = dict(ell.entries)
+    bad[(0, 2)] = bad[(0, 2)] + ONE  # poison one h-entry
+    ell_bad = GradedMatrix(ell.parity, bad)
+    monkeypatch.setattr(ospq.contraction, "L_operator", lambda j: ell_bad)
+    r = contract(HALF, HALF).matrix
+    ps = (rep_parity(HALF),) * 3
+    r12 = embed_pair(r, ps, (0, 1))
+    l1 = embed_pair(ell_bad, ps, (0, 2))
+    l2 = embed_pair(ell_bad, ps, (1, 2))
+    want = matrix_residuals("RLL", r12 @ l1 @ l2 - l2 @ l1 @ r12)
+    assert want
+    assert rll_check(HALF).failures == want
 
 
 class TestContractedYBE:

@@ -229,6 +229,15 @@ class TestInverse:
         with pytest.raises(ZeroDivisionError):
             inverse(M((0, 0), [[1, 1], [1, 1]]))
 
+    def test_power_is_non_negative_only(self):
+        # an inverse is asked for by name, never by a negative power
+        m = M((0, 0, 1), [[1, 2, 0], [0, 1, 5], [1, 0, 1]])
+        assert m**0 == GradedMatrix.identity(m.parity)
+        assert m**3 == m @ m @ m
+        for n in (-1, -2):
+            with pytest.raises(ValueError, match="n >= 0"):
+                m**n
+
 
 class TestNilpotentCalculus:
     def test_exp_log_inverse_pair(self):

@@ -4,7 +4,6 @@ from itertools import product
 
 import pytest
 
-from ospq.contraction import r2_generators
 from ospq.gmatrix import GradedMatrix
 from ospq.halfint import HalfInt
 from ospq.hopf import (
@@ -19,8 +18,7 @@ from ospq.hopf import (
     r2_algebra,
     relations_residuals,
 )
-from ospq.r1 import r1_generators
-from ospq.reps import GeneratorTable, q_rep
+from ospq.reps import GeneratorTable, q_rep, r1_generators, r2_generators
 
 HALF = HalfInt.from_twice(1)
 ONEJ = HalfInt(1)

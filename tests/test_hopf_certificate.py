@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ospq import hopf
-from ospq.contraction import r2_generators
 from ospq.gmatrix import GradedMatrix
 from ospq.halfint import HalfInt
 from ospq.hopf import (
@@ -26,9 +25,8 @@ from ospq.hopf import (
     relations_residuals,
 )
 from ospq.packed import evaluate_all
-from ospq.r1 import r1_generators
 from ospq.report import matrix_residuals
-from ospq.reps import GeneratorTable, q_rep
+from ospq.reps import GeneratorTable, q_rep, r1_generators, r2_generators
 from ospq.scalar import rational
 from ospq.texpr import TensorExpression as TE
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from ospq.contraction import r2_generators
 from ospq.halfint import HalfInt
 from ospq.hopf import (
     HopfAlgebra,
@@ -13,6 +12,7 @@ from ospq.hopf import (
     r2_algebra,
     r2_hopf_check,
 )
+from ospq.reps import r2_generators
 from ospq.scalar import H
 from ospq.texpr import TensorExpression as TE
 

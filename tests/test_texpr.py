@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ospq.texpr as texpr
-from ospq.contraction import r2_generators
 from ospq.gmatrix import GradedMatrix, graded_kron, kron_into, tensor_parity
 from ospq.halfint import HalfInt
 from ospq.hopf import q_algebra, r1_algebra, r2_algebra
-from ospq.r1 import r1_generators
-from ospq.reps import GeneratorTable, q_rep
-from ospq.scalar import H, ONE, Scalar
+from ospq.reps import GeneratorTable, q_rep, r1_generators, r2_generators
+from ospq.packed import evaluate_all
+from ospq.scalar import H, ONE, P, Scalar
 from ospq.texpr import TensorExpression as TE
 from ospq.texpr import tensor_product, word_parity
 
@@ -104,6 +103,20 @@ class TestEvaluation:
         unit = TE.unit(nlegs).evaluate(reps)
         assert zero @ unit == zero
         assert zero + unit == unit
+
+    def test_zero_legs_evaluate_to_the_one_by_one_coefficient(self):
+        counit = TE.letter("T").counit(0, r2_algebra().eps)
+        assert counit.nlegs == 0
+        one = GradedMatrix((0,), {(0, 0): ONE})
+        zero = TE(0, {})
+        assert counit.evaluate([]) == one
+        assert (counit.scale(H) - TE.unit(0)).evaluate([]).entries == {(0, 0): H - ONE}
+        assert zero.evaluate([]).dim == 1 and zero.evaluate([]).is_zero
+        assert zero.evaluate([]).parity == (0,)
+        # the packed route reads the coefficient back, and refuses p
+        assert evaluate_all([counit, zero], []) == [one, zero.evaluate([])]
+        with_p = TE.unit(0).scale(P)
+        assert evaluate_all([with_p], []) == [GradedMatrix((0,), {(0, 0): P})]
 
     def test_result_is_never_a_rep_matrix(self):
         e = REP.matrix("e")
@@ -303,22 +316,36 @@ class TestScalarCoefficients:
 # -- differential oracle: evaluate against the plain per-term evaluation ----
 
 
+ODD = {"e", "f", "E", "F"}
+
+
 def reference_evaluate(expr, reps):
-    """One term at a time: every word from the identity, the Kronecker
-    product of the legs, then the coefficient, then a running sum."""
-    total = GradedMatrix.zero(tensor_parity([rep.parity for rep in reps]))
+    """One term at a time: every word from the identity, then each choice
+    of one nonzero entry per leg, placed at its first-leg-major index with
+    the coefficient and its grading sign, then a running sum.  The sign
+    is written out here, apart from ``gmatrix``: the word on leg k passes
+    the columns of the legs before it, which gives
+    (-1)^(|w_k| * sum_{l<k} parity_l(col_l))."""
+    acc = {}
     for key, coeff in expr.terms.items():
         legs = []
-        for k, word in enumerate(key):
-            m = GradedMatrix.identity(reps[k].parity)
+        for rep, word in zip(reps, key):
+            m = GradedMatrix.identity(rep.parity)
             for name in word:
-                m = m @ reps[k].matrix(name)
-            legs.append(m)
-        term = legs[0]
-        for k in range(1, expr.nlegs):
-            term = graded_kron(term, legs[k], b_op_parity=word_parity(key[k]))
-        total = total + term.scale(coeff)
-    return total
+                m = m @ rep.matrix(name)
+            legs.append(m.entries.items())
+        odd = [sum(name in ODD for name in word) % 2 for word in key]
+        for cells in product(*legs):
+            row = col = passed = sign = 0
+            val = coeff
+            for rep, w_odd, ((i, j), v) in zip(reps, odd, cells):
+                row, col = row * rep.dim + i, col * rep.dim + j
+                sign ^= w_odd & passed
+                passed ^= rep.parity[j]
+                val = val * v
+            acc[(row, col)] = acc.get((row, col), 0) + (-val if sign else val)
+    parity = [sum(bits) % 2 for bits in product(*(rep.parity for rep in reps))]
+    return GradedMatrix(parity, acc)
 
 
 def hopf_suite_expressions(algebra, reps):

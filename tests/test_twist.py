@@ -10,9 +10,9 @@ import pytest
 from ospq.gmatrix import graded_kron
 from ospq.halfint import HalfInt
 from ospq.hopf import r1_algebra
-from ospq.r1 import cocycle_check, inverse_map_words, r1_generators, x_nilpotency
+from ospq.r1 import cocycle_check, inverse_map_words
 from ospq.report import series_residuals
-from ospq.reps import classical_rep
+from ospq.reps import classical_rep, r1_generators, x_nilpotency
 from ospq.scalar import H, ONE, scalar_from_string, scalar_to_string
 from ospq.texpr import TensorExpression as TE
 from ospq.twist import (
