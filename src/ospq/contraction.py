@@ -19,8 +19,11 @@ poles that cancel are never reduced away as fractions; a genuine pole
 raises instead of being approximated.  Each entry is expanded only as far
 as that coefficient needs, a bound read from the exact valuations at
 p = 1 of the entries it meets.  M and M^-1 are Kronecker products of one
-bridge per spin, so each bridge is expanded once and the products are
-formed on series.
+bridge per spin, so each bridge is expanded once.  The Kronecker
+products and the chain M^-1 (R_q M) are formed on packed t-digits at one
+proven width (:class:`~ospq.packed.SeriesPlan`), each entry cut to its
+own precision, and the pole orders of the cancellation log are read from
+the same packed valuations.
 """
 
 from __future__ import annotations
@@ -29,11 +32,12 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import Inconsistency
-from .gmatrix import GradedMatrix, block_matrix, graded_kron, inverse
+from .gmatrix import GradedMatrix, block_matrix, inverse
 from .halfint import HalfInt, as_half, spin_cache
 from .hopf import GROUP_LIKE, SUITE_CACHE_SIZE, expression_residuals, r2_algebra
 from .laurent import Laurent, valuation
 from .nilfun import nil_series
+from .packed import SeriesPlan
 from .qrmatrix import universal_Rq, ybe_check
 from .report import VerificationReport, matrix_residuals
 from .reps import (
@@ -132,15 +136,17 @@ class ContractionResult:
 
 
 # The largest (4 j1 + 1)(4 j2 + 1) that ``contract`` accepts, that of the
-# pair (3, 3), which takes about 2.9 s on 2 cores; (5/2, 5/2), at 121,
-# takes about 1.2 s and (2, 2) 0.27 s, so the cost grows 2.5 to 4.3 times
-# per half-spin step.
+# pair (3, 3).  A fresh ``ospq contract --format json`` process on 2 cores
+# takes about 1.9 s there (36 MB peak RSS), 0.7 s at (5/2, 5/2), dimension
+# 121 (25 MB), and 0.27 s at (2, 2) (20 MB), so the cost grows about 2.7
+# times per half-spin step.
 MAX_CONTRACT_DIM = 169
 
 # The largest module dimension 4 j + 1 of either spin, that of j = 5:
 # inverting the bridge M by Gauss-Jordan grows steeply with one spin
-# alone, so (1/2, 5) takes about 1.9 s, (1/2, 6) 4.4 s, and (1/2, 8),
-# inside ``MAX_CONTRACT_DIM``, ran past 60 s.
+# alone, so a fresh process takes about 0.5 s at (1/2, 4) and 1.9 s at
+# (1/2, 5) (20 MB), as long as at (3, 3); when this cap was set, (1/2, 6)
+# took 4.4 s and (1/2, 8), inside ``MAX_CONTRACT_DIM``, ran past 60 s.
 MAX_CONTRACT_SPIN_DIM = 21
 
 
@@ -190,27 +196,15 @@ def contract(j1, j2, source: str = "universal", log_cancellation: bool = False):
         (k, l): Laurent.from_scalar(s, 1 - col_i[k] - row_m[l])
         for (k, l), s in rq.entries.items()
     })
-    right = series @ _kron_series(
-        (m_matrix(j1), m_matrix(j2)), (vm1, vm2), need_m, 0
-    )
-    left = _kron_series((m_inverse(j1), m_inverse(j2)), (vi1, vi2), need_i, 1)
-
-    log = []
-    if log_cancellation:
-        # valuations add, so a summand's pole order is -(v(left) + v(right))
-        cols = {}
-        for (k, jj), val in right.entries.items():
-            cols.setdefault(k, []).append((jj, val.val))
-        worst = {}
-        for (i, k), lv in left.entries.items():
-            for jj, rv in cols.get(k, ()):
-                order = -(lv.val + rv)
-                if order > worst.get((i, jj), 0):
-                    worst[(i, jj)] = order
-        log = [(i, jj, order) for (i, jj), order in sorted(worst.items())]
-
-    contracted = (left @ right).map_entries(Laurent.limit)
-    return ContractionResult(j1, j2, "universal", contracted, log)
+    chain = SeriesPlan(
+        series,
+        _bridge_series((m_matrix(j1), m_matrix(j2)), (vm1, vm2), need_m, 0),
+        _bridge_series((m_inverse(j1), m_inverse(j2)), (vi1, vi2), need_i, 1),
+        need_m,
+        need_i,
+    ).run()
+    log = chain.pole_orders() if log_cancellation else ()
+    return ContractionResult(j1, j2, "universal", chain.limit(), log)
 
 
 def _lowest(vals: dict, axis: int) -> dict:
@@ -229,13 +223,10 @@ def _kron_lowest(low1: dict, low2: dict) -> dict:
     return {a * d2 + b: x + y for a, x in low1.items() for b, y in low2.items()}
 
 
-def _kron_series(legs, vals, need: dict, axis: int) -> GradedMatrix:
-    """graded_kron of the two even legs on series, each entry known below
-    t^need[n] for n its row (axis 0) or column (axis 1).
-
-    Each leg entry is expanded once, as far as its most demanding partner
-    needs, and each product is then cut to its own precision.
-    """
+def _bridge_series(legs, vals, need: dict, axis: int) -> tuple:
+    """The two even legs of a Kronecker product on series, each entry
+    expanded as far as its most demanding partner needs for the product
+    to be known below t^need[n], n its row (axis 0) or column (axis 1)."""
     d2 = legs[1].dim
     precs = ({}, {})
     for k1, x in vals[0].items():
@@ -243,16 +234,12 @@ def _kron_series(legs, vals, need: dict, axis: int) -> GradedMatrix:
             n = need[k1[axis] * d2 + k2[axis]]
             precs[0][k1] = max(precs[0].get(k1, n - y), n - y)
             precs[1][k2] = max(precs[1].get(k2, n - x), n - x)
-    m1, m2 = (
+    return tuple(
         GradedMatrix(m.parity, {
             key: Laurent.from_scalar(s, prec[key]) for key, s in m.entries.items()
         })
         for m, prec in zip(legs, precs)
     )
-    big = graded_kron(m1, m2, b_op_parity=0)
-    return GradedMatrix(big.parity, {
-        key: x.truncate(need[key[axis]]) for key, x in big.entries.items()
-    })
 
 
 # -- classical-side closed forms ---------------------------------------------

@@ -38,12 +38,12 @@ entry only this protocol:
   same type (``scale`` multiplies by its argument).
 
 ``identity``, ``graded_primitive``, ``entry``, ``inverse`` and the JSON
-form need ``Scalar`` entries.  There are two other entry types.  One is
-:class:`~ospq.laurent.Laurent`, the truncated Laurent series in t = p - 1
-on which the contraction and the ODE oracle run; it has no ``__bool__``,
-so it is always kept.  The other is the plain ``int``, the value at
-h = 2^B of an integer polynomial in h on which :mod:`ospq.packed`
-evaluates the Hopf suites.
+form need ``Scalar`` entries.  The other entry type is the plain ``int``:
+a packed integer polynomial of :mod:`ospq.packed`, or the l1 norm that
+bounds its width.  The contraction hands its operands to
+:mod:`ospq.packed` as matrices of :class:`~ospq.laurent.Laurent` series,
+which it never multiplies as matrices; a series has no ``__bool__``, so
+it is always kept.
 """
 
 from __future__ import annotations

@@ -30,7 +30,9 @@ itself when none is known).  A coefficient asked for at or beyond the
 precision raises :class:`~ospq.errors.PrecisionShortfall`, so a shortfall
 can never pass for a zero.  The series implements the entry protocol of
 :class:`~ospq.gmatrix.GradedMatrix`, so matrices of them multiply with the
-ordinary ``@``.
+ordinary ``@``.  The contraction forms its products on packed t-digits
+instead (:class:`~ospq.packed.SeriesPlan`), under the same precision
+rules, and reads each t^0 coefficient there.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
 
-from .errors import BadSeriesHead, DivisionByZero, PoleAtUnity, PrecisionShortfall
+from .errors import BadSeriesHead, DivisionByZero, PrecisionShortfall
 from .scalar import Scalar
 
 
@@ -238,13 +240,6 @@ class Laurent:
         """The coefficient of t^k as {h_exp: Fraction}."""
         den = self.den
         return {e: Fraction(c, den) for e, c in self._numerators(k).items()}
-
-    def limit(self) -> Scalar:
-        """The value at p = 1; a surviving negative power is a genuine pole."""
-        const = self._numerators(0)
-        if self.val < 0:
-            raise PoleAtUnity(f"a pole of order {-self.val} at p = 1 survives")
-        return Scalar.from_h_laurent(const, self.den)
 
     def _numerators(self, k: int) -> dict:
         """The coefficient of t^k times den, as {h_exp: int}."""

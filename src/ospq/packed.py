@@ -5,8 +5,7 @@ enough power of two: its coefficients are the balanced base-2^B digits
 of that value once every one lies strictly between -2^(B-1) and 2^(B-1)
 (Kronecker substitution: Kronecker 1882; Harvey 2009).  Matrices whose
 entries are such polynomials are therefore multiplied here as matrices
-of plain ints, by the unchanged :class:`~ospq.gmatrix.GradedMatrix`
-arithmetic, and nothing is approximated: each width is proven from a
+of plain ints, and nothing is approximated: each width is proven from a
 bound on the coefficients before any packed product is taken.
 
 One scaling rule clears the denominators (:func:`_scaled`): scalars
@@ -14,7 +13,7 @@ whose denominators are one-term, k*p^a*h^b, are multiplied by their
 common scale D*p^A*h^B, with D the lcm of the k and A, B the largest a
 and b, which leaves integer polynomials in p and h.  The letters of a
 table, the coefficients of an expression and the entries of a pair
-matrix are each scaled so.  Two kinds of computation are packed.
+matrix are each scaled so.  Three kinds of computation are packed.
 
 **Tensor expressions on the Jordanian tables** (:func:`evaluate_all`, the
 Hopf suites).  Every table entry, coefficient and scale is p-free.  Such
@@ -64,8 +63,51 @@ the Hopf suites, or with a denominator of more than one term) refuses
 the packed route: :func:`evaluate_all` then evaluates on ``Scalar``s, as
 ``expr.evaluate(reps)`` does, and :func:`product_difference` takes the
 two products on ``Scalar``s, as it does when the packed products differ,
-so that every residual is the exact ``Scalar`` one.  Nothing here is
-cached.
+so that every residual is the exact ``Scalar`` one.  These two kinds
+multiply their packed matrices by the unchanged
+:class:`~ospq.gmatrix.GradedMatrix` arithmetic.
+
+**Series chains of the contraction** (:class:`SeriesPlan`,
+``contraction.contract``).  The operands are truncated Laurent series in
+t = p - 1 over Q[h] (:mod:`ospq.laurent`): R_q and the two legs each of
+M = M1 (x) M2 and M^-1, every entry known below its own t^N and with
+its own valuation v, and the chain is M^-1 (R_q M), whose t^0
+coefficients are the contraction.  Such entries always pack.
+
+* Each matrix is scaled to the lcm of its entries' denominators, and
+  each h-slice of an entry is an integer polynomial in t, its digits
+  counted from t^v, packed at t = 2^W.
+* The width.  The entrywise l1 norms of the scaled operands, taken as
+  int matrices, give |M| = |M1| (x) |M2|, |M^-1| likewise, |R_q| |M|
+  and |M^-1| |R_q| |M|.  A product's l1 norm is at most the product of
+  its factors' and a sum's at most the sum of its summands', and a cut
+  only drops digits, so each of these bounds every coefficient of every
+  h-slice of that stage's entries before they are cut.  W is
+  bound.bit_length() + 1 for the largest entry of the four, fixed
+  before any product is packed, so every such coefficient lies strictly
+  between -2^(W-1) and 2^(W-1).
+* The products.  The Kronecker products, R_q M and M^-1 (R_q M) are
+  formed on ints, one big-int product per pair of h-slices.  Every
+  accumulated entry gets the precision the Laurent rules give it:
+  min(Na + vb, Nb + va) for a summand, the least over its summands for
+  a sum, and the asked-for N in a Kronecker product, which raises
+  PrecisionShortfall when a summand falls short of it.  It is then cut
+  there with one mask and a sign fix: the balanced residue mod 2^(W n),
+  n the number of digits below t^N, is exactly those digits, and its
+  lowest set bit gives the new valuation.
+* Why a digit at or above t^N never reaches a kept digit.  The packed
+  value is the exact integer polynomial at 2^W, with nothing reduced,
+  so its digits from the n-th on add a multiple of 2^(W n), whatever
+  their size: those digits are the unknown part of the series, and may
+  be sums of any length.  The digits below t^N lie in the balanced
+  range, so their sum is below 2^(W n - 1) in absolute value, and the
+  balanced residue is that sum.  Carries run only upwards.
+* The limit.  Each final entry's t^0 digit becomes a ``Scalar`` by
+  ``Scalar.from_h_laurent``.  A final entry known below t^0 or lower
+  raises PrecisionShortfall, and one with a nonzero digit at a negative
+  power of t raises PoleAtUnity.
+
+Nothing here is cached.
 """
 
 from __future__ import annotations
@@ -74,7 +116,8 @@ from functools import reduce
 from math import lcm, prod
 from operator import matmul
 
-from .gmatrix import GradedMatrix, embed_pair, tensor_parity
+from .errors import PoleAtUnity, PrecisionShortfall
+from .gmatrix import GradedMatrix, embed_pair, graded_kron, tensor_parity
 from .reps import GeneratorTable
 from .scalar import Scalar
 from .texpr import TensorExpression
@@ -377,3 +420,220 @@ class ProductPlan:
 def _chain(mats, order) -> GradedMatrix:
     """The product of ``mats`` in ``order``, left to right."""
     return reduce(matmul, (mats[k] for k in order))
+
+
+
+# -- series chains of the contraction -----------------------------------------
+
+
+class _Series:
+    """A matrix of truncated series in t over Z[h] with one denominator.
+
+    ``cells`` maps (row, col) to (prec, val, slices): the entry times
+    ``den`` is known below t^prec, val is its lowest exponent with a
+    nonzero known coefficient (prec when there is none), and ``slices``
+    maps an h-exponent to that slice's t-digits, digit d being the
+    coefficient of t^(val + d).  The digits are a polynomial {d: int}
+    before packing and its value at 2^width after."""
+
+    __slots__ = ("parity", "den", "cells")
+
+    def __init__(self, parity, den: int, cells: dict):
+        self.parity = parity
+        self.den = den
+        self.cells = cells
+
+    @classmethod
+    def of(cls, matrix: GradedMatrix) -> "_Series":
+        """The :class:`~ospq.laurent.Laurent` entries of ``matrix`` over
+        their lcm."""
+        den = lcm(*(x.den for x in matrix.entries.values()))
+        cells = {}
+        for key, x in matrix.entries.items():
+            slices = {}
+            for (t, e), c in x.terms.items():
+                slices.setdefault(e, {})[t - x.val] = c * (den // x.den)
+            cells[key] = (x.prec, x.val, slices)
+        return cls(matrix.parity, den, cells)
+
+    def norms(self) -> GradedMatrix:
+        """The l1 norm of each entry's digits, as a matrix of ints."""
+        return GradedMatrix(self.parity, {
+            key: sum(map(_l1, slices.values()))
+            for key, (_, _, slices) in self.cells.items()
+        })
+
+    def at(self, width: int) -> "_Series":
+        return _Series(self.parity, self.den, {
+            key: (prec, val, {e: pack(poly, width) for e, poly in slices.items()})
+            for key, (prec, val, slices) in self.cells.items()
+        })
+
+
+class SeriesPlan:
+    """The contraction's operands, R_q and the even legs of M and M^-1,
+    as :class:`_Series`, with the one width proven for the chain
+    M^-1 (R_q M).  ``need_m[l]`` is the precision asked of row l of
+    M = M1 (x) M2 and ``need_i[k]`` that of column k of M^-1."""
+
+    __slots__ = ("rq", "m_legs", "i_legs", "need_m", "need_i", "width")
+
+    def __init__(self, rq, m_legs, i_legs, need_m: dict, need_i: dict):
+        self.rq = _Series.of(rq)
+        self.m_legs = [_Series.of(leg) for leg in m_legs]
+        self.i_legs = [_Series.of(leg) for leg in i_legs]
+        self.need_m = need_m
+        self.need_i = need_i
+        big_m, big_i = (
+            graded_kron(*(leg.norms() for leg in legs), b_op_parity=0)
+            for legs in (self.m_legs, self.i_legs)
+        )
+        right = self.rq.norms() @ big_m
+        bound = max(
+            max(m.entries.values(), default=0) for m in (big_m, big_i, right, big_i @ right)
+        )
+        self.width = bound.bit_length() + 1
+
+    def run(self) -> "SeriesChain":
+        """M^-1 and R_q M on packed ints at the plan's width."""
+        width = self.width
+        big_m = _kron(*(leg.at(width) for leg in self.m_legs), self.need_m, 0, width)
+        big_i = _kron(*(leg.at(width) for leg in self.i_legs), self.need_i, 1, width)
+        return SeriesChain(big_i, _product(self.rq.at(width), big_m, width), width)
+
+
+class SeriesChain:
+    """M^-1 and R_q M of the contraction, packed at one width."""
+
+    __slots__ = ("left", "right", "width")
+
+    def __init__(self, left: _Series, right: _Series, width: int):
+        self.left = left
+        self.right = right
+        self.width = width
+
+    def product(self) -> _Series:
+        """M^-1 (R_q M), each entry cut to its own precision."""
+        return _product(self.left, self.right, self.width)
+
+    def limit(self) -> GradedMatrix:
+        """The t^0 coefficient of each entry of M^-1 (R_q M) as a
+        ``Scalar``.  An entry known below t^0 or lower raises
+        PrecisionShortfall, and a nonzero coefficient at a negative power
+        of t raises PoleAtUnity."""
+        final = self.product()
+        width = self.width
+        mask, half = (1 << width) - 1, 1 << (width - 1)
+        entries = {}
+        for key, (prec, val, slices) in final.cells.items():
+            if prec <= 0:
+                raise PrecisionShortfall(
+                    f"coefficient of t^0 asked of a series known below t^{prec}"
+                )
+            if val < 0:
+                raise PoleAtUnity(f"a pole of order {-val} at p = 1 survives")
+            if val == 0:
+                coeffs = {}
+                for e, x in slices.items():
+                    digit = x & mask
+                    if digit >= half:
+                        digit -= 1 << width
+                    if digit:
+                        coeffs[e] = digit
+                entries[key] = Scalar.from_h_laurent(coeffs, final.den)
+        return GradedMatrix(final.parity, entries)
+
+    def pole_orders(self) -> list:
+        """(i, j, order) for each entry of M^-1 (R_q M) whose summands had
+        a pole at p = 1, with the worst order among them: valuations add,
+        so a summand's order is -(v(M^-1[i, k]) + v((R_q M)[k, j]))."""
+        cols = {}
+        for (k, j), (_, val, _) in self.right.cells.items():
+            cols.setdefault(k, []).append((j, val))
+        worst = {}
+        for (i, k), (_, lv, _) in self.left.cells.items():
+            for j, rv in cols.get(k, ()):
+                order = -(lv + rv)
+                if order > worst.get((i, j), 0):
+                    worst[(i, j)] = order
+        return [(i, j, order) for (i, j), order in sorted(worst.items())]
+
+
+def _kron(a: _Series, b: _Series, need: dict, axis: int, width: int) -> _Series:
+    """The Kronecker product of two even legs, each entry cut to
+    ``need[n]``, n its row (axis 0) or column (axis 1).  A product known
+    below a lower power of t raises PrecisionShortfall."""
+    dim = len(b.parity)
+    cells = {}
+    for (i, j), (pa, va, sa) in a.cells.items():
+        for (k, l), (pb, vb, sb) in b.cells.items():
+            key = (i * dim + k, j * dim + l)
+            prec, known = need[key[axis]], min(pa + vb, pb + va)
+            if known < prec:
+                raise PrecisionShortfall(
+                    f"truncation to t^{prec} asked of a series known below t^{known}"
+                )
+            cells[key] = _cut(prec, va + vb, _times({}, sa, sb, 0), width)
+    parity = tensor_parity((a.parity, b.parity))
+    return _Series(parity, a.den * b.den, cells)
+
+
+def _product(a: _Series, b: _Series, width: int) -> _Series:
+    """a @ b, each entry known below the least precision of its summands
+    and cut there; a summand of entries known below t^Na and t^Nb, of
+    valuations va and vb, is known below t^min(Na + vb, Nb + va)."""
+    rows = {}
+    for (k, j), cell in b.cells.items():
+        rows.setdefault(k, []).append((j, cell))
+    acc = {}
+    for (i, k), (pa, va, sa) in a.cells.items():
+        for j, (pb, vb, sb) in rows.get(k, ()):
+            prec, low = min(pa + vb, pb + va), va + vb
+            cur = acc.get((i, j))
+            if cur is None:
+                acc[i, j] = cur = [prec, low, {}]
+            elif prec < cur[0]:
+                cur[0] = prec
+            if sa and sb:
+                # the sum's digit 0 is the lowest exponent of its summands
+                if not cur[2]:
+                    cur[1] = low
+                elif low < cur[1]:
+                    up = width * (cur[1] - low)
+                    cur[1], cur[2] = low, {e: x << up for e, x in cur[2].items()}
+                _times(cur[2], sa, sb, width * (low - cur[1]))
+    return _Series(a.parity, a.den * b.den, {
+        key: _cut(prec, low, slices, width) for key, (prec, low, slices) in acc.items()
+    })
+
+
+def _times(out: dict, sa: dict, sb: dict, shift: int) -> dict:
+    """Add the product of the packed slices ``sa`` and ``sb``, shifted up
+    by ``shift`` bits, into ``out``."""
+    for ea, xa in sa.items():
+        for eb, xb in sb.items():
+            e = ea + eb
+            out[e] = out.get(e, 0) + (xa * xb << shift)
+    return out
+
+
+def _cut(prec: int, low: int, slices: dict, width: int) -> tuple:
+    """(prec, val, slices) of packed slices whose digit 0 is t^low, known
+    below t^prec: each slice kept as its balanced residue mod 2^(width n),
+    n = prec - low, which is its digits below t^prec; val is read from
+    the lowest set bit, and the digits are then counted from t^val."""
+    if prec <= low:
+        return prec, prec, {}
+    mod = 1 << (width * (prec - low))
+    half = mod >> 1
+    kept, skip = {}, prec - low
+    for e, x in slices.items():
+        x &= mod - 1
+        if x >= half:
+            x -= mod
+        if x:
+            kept[e] = x
+            skip = min(skip, ((x & -x).bit_length() - 1) // width)
+    if skip:
+        kept = {e: x >> (width * skip) for e, x in kept.items()}
+    return prec, low + skip, kept

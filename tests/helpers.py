@@ -1,7 +1,9 @@
 """Helpers shared by the test modules."""
 
+from ospq.errors import PoleAtUnity
 from ospq.gmatrix import GradedMatrix, block_matrix
 from ospq.halfint import as_half
+from ospq.laurent import Laurent
 from ospq.reps import q_rep
 from ospq.scalar import ONE, P, Scalar
 
@@ -43,3 +45,12 @@ def rq_half_j(j) -> GradedMatrix:
         [zero, zero, big_tinv],
     ]
     return block_matrix((0, 1, 0), blocks)
+
+
+def series_limit(x: Laurent) -> Scalar:
+    """The value at p = 1 of a truncated series: its t^0 coefficient,
+    which it must know, with no nonzero coefficient at a negative power."""
+    const = x.coefficient(0)
+    if x.val < 0:
+        raise PoleAtUnity(f"a pole of order {-x.val} at p = 1 survives")
+    return Scalar.from_h_laurent({e: int(c * x.den) for e, c in const.items()}, x.den)

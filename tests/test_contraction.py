@@ -65,7 +65,7 @@ from ospq.scalar import H, ONE, ZERO, Scalar, rational, scalar_from_string, scal
 from ospq.texpr import TensorExpression as TE
 from ospq.texpr import tensor_product
 
-from helpers import from_rows
+from helpers import from_rows, series_limit
 
 HALF = HalfInt.from_twice(1)
 ONEJ = HalfInt(1)
@@ -297,7 +297,7 @@ class TestLaurentRoute:
         square = x * x
         assert square.prec == 0
         with pytest.raises(PrecisionShortfall):
-            square.limit()
+            series_limit(square)
 
 
 def global_floor_route(j1, j2):
@@ -328,7 +328,7 @@ def global_floor_route(j1, j2):
             if order > worst.get((i, jj), 0):
                 worst[(i, jj)] = order
     log = tuple((i, jj, order) for (i, jj), order in sorted(worst.items()))
-    return (left @ right).map_entries(Laurent.limit), log
+    return (left @ right).map_entries(series_limit), log
 
 
 LADDER = (HALF, ONEJ, THREEHALF, TWOJ)
@@ -349,15 +349,32 @@ class TestEntrywisePrecision:
     @pytest.mark.parametrize("pair", [(HALF, HALF), (THREEHALF, THREEHALF)])
     def test_one_order_less_falls_short(self, pair, monkeypatch):
         # every entry of R_q, M and M^-1 known one order less than the
-        # rule asks: some t^0 coefficient of the product is then unknown
-        expand, cut = Laurent.from_scalar.__func__, Laurent.truncate
+        # rule asks: some t^0 coefficient of the product is then unknown.
+        # The series are cut on packed ints, never by Laurent.truncate.
+        expand = Laurent.from_scalar.__func__
         monkeypatch.setattr(
             Laurent,
             "from_scalar",
             classmethod(lambda cls, s, prec: expand(cls, s, prec - 1)),
         )
-        monkeypatch.setattr(Laurent, "truncate", lambda x, prec: cut(x, prec - 1))
+        monkeypatch.setattr(Laurent, "truncate", None)
         with pytest.raises(PrecisionShortfall):
+            contract(*pair)
+
+    @pytest.mark.parametrize("pair", [(HALF, HALF), (THREEHALF, THREEHALF)])
+    def test_inverse_legs_one_order_short(self, pair, monkeypatch):
+        # the legs of M^-1 expanded for need_i lowered by one, while the
+        # packed Kronecker product still cuts to need_i: its own check
+        # must refuse before any product of the chain is read
+        expand = ospq.contraction._bridge_series
+
+        def short(legs, vals, need, axis):
+            if axis == 1:
+                need = {k: n - 1 for k, n in need.items()}
+            return expand(legs, vals, need, axis)
+
+        monkeypatch.setattr(ospq.contraction, "_bridge_series", short)
+        with pytest.raises(PrecisionShortfall, match="truncation"):
             contract(*pair)
 
     def test_bridge_valuations_are_exact(self):

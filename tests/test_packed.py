@@ -1,10 +1,12 @@
-"""The packed-integer routes against the Scalar route.
+"""The packed-integer routes against the Scalar and Laurent routes.
 
 ``ospq.packed`` evaluates p-free expressions at h = 2^B on ints and unpacks
 the result, with ``TensorExpression.evaluate`` on ``Scalar``s as the
-reference; and it decides the Yang-Baxter and RLL product identities at
+reference; it decides the Yang-Baxter and RLL product identities at
 p = 2^B, h = 2^(B*span), with the products of the embedded ``Scalar``
-matrices as the reference.
+matrices as the reference; and it forms the contraction's series chain
+M^-1 (R_q M) on t-digits at t = 2^B, with ``graded_kron``, ``truncate``
+and ``@`` on ``Laurent`` series as the reference.
 """
 
 from fractions import Fraction
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from ospq import hopf
 from ospq.contraction import L_operator, contract, rll_check
+from ospq.errors import PoleAtUnity, PrecisionShortfall
 from ospq.gmatrix import GradedMatrix, embed_pair, graded_kron, tensor_parity
 from ospq.halfint import HalfInt
 from ospq.hopf import (
@@ -25,9 +28,11 @@ from ospq.hopf import (
     r2_algebra,
     relations_residuals,
 )
+from ospq.laurent import Laurent
 from ospq.packed import (
     PackedPlan,
     ProductPlan,
+    SeriesPlan,
     _scaled,
     evaluate_all,
     pack,
@@ -41,6 +46,7 @@ from ospq.reps import GeneratorTable, q_rep, r1_generators, r2_generators, rep_p
 from ospq.scalar import H, ONE, P, Scalar, rational
 from ospq.texpr import TensorExpression as TE
 
+from helpers import series_limit
 from test_scalar import one_term_den_scalars, scalars
 
 HALF = HalfInt.from_twice(1)
@@ -187,6 +193,158 @@ class TestWidth:
             exprs = [expr for _, expr in suite_expressions(algebra_of(), 3)]
             rep = rep_of(j)
             assert PackedPlan.of(exprs, [rep] * 3).width <= 40
+
+
+
+@st.composite
+def series_entries(draw):
+    """A Laurent entry with h-slices of either sign, its own denominator
+    and perhaps a negative valuation; one in five has no known digit."""
+    den = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 9]))
+    low = draw(st.integers(-2, 1))
+    prec = low + draw(st.integers(4, 6))
+    if draw(st.integers(0, 4)) == 0:
+        return Laurent({}, den, prec)
+    cells = st.tuples(st.integers(low, prec), st.integers(-2, 2))
+    terms = draw(st.dictionaries(cells, st.integers(-9, 9), min_size=1, max_size=6))
+    return Laurent({k: c for k, c in terms.items() if c and k[0] < prec}, den, prec)
+
+
+@st.composite
+def series_matrices(draw, parity):
+    n = len(parity)
+    cells = [(i, k) for i in range(n) for k in range(n)]
+    kept = draw(st.lists(st.sampled_from(cells), min_size=1, unique=True))
+    return GradedMatrix(parity, {cell: draw(series_entries()) for cell in kept})
+
+
+def reachable(legs, axis) -> dict:
+    """The precision below which each row (axis 0) or column (axis 1) of
+    the Kronecker product of two series legs is known; 3 where it has no
+    entry."""
+    d2 = legs[1].dim
+    out = dict.fromkeys(range(legs[0].dim * d2), 3)
+    for (i, j), a in legs[0].entries.items():
+        for (k, l), b in legs[1].entries.items():
+            n = (i * d2 + k, j * d2 + l)[axis]
+            out[n] = min(out[n], a.prec + b.val, b.prec + a.val)
+    return out
+
+
+def laurent_chain(rq, m_legs, i_legs, need_m, need_i):
+    """M^-1, R_q M and M^-1 (R_q M) on Laurent series: each Kronecker
+    product by ``graded_kron``, cut by ``truncate``, multiplied by ``@``."""
+
+    def kron(legs, need, axis):
+        big = graded_kron(*legs, b_op_parity=0)
+        return GradedMatrix(
+            big.parity, {key: x.truncate(need[key[axis]]) for key, x in big.entries.items()}
+        )
+
+    left, right = kron(i_legs, need_i, 1), rq @ kron(m_legs, need_m, 0)
+    return left, right, left @ right
+
+
+def known(matrix) -> dict:
+    """Each Laurent entry as (prec, val, its nonzero known coefficients)."""
+    return {
+        key: (x.prec, x.val, {k: Fraction(c, x.den) for k, c in x.terms.items()})
+        for key, x in matrix.entries.items()
+    }
+
+
+def unpacked(series, width) -> dict:
+    """:func:`known` of a packed series matrix, read digit by digit."""
+    return {
+        key: (prec, val, {
+            (d + val, e): Fraction(c, series.den)
+            for e, x in slices.items()
+            for d, c in unpack(x, width).items()
+        })
+        for key, (prec, val, slices) in series.cells.items()
+    }
+
+
+def outcome(fn):
+    """``fn()``, or the type of the series error it raises."""
+    try:
+        return fn()
+    except (PrecisionShortfall, PoleAtUnity) as exc:
+        return type(exc)
+
+
+def assert_chain_matches(rq, m_legs, i_legs, need_m, need_i):
+    """The packed chain agrees with :func:`laurent_chain` on every entry's
+    coefficients, valuation and precision, and on the limit or the error."""
+    want = outcome(lambda: laurent_chain(rq, m_legs, i_legs, need_m, need_i))
+    plan = SeriesPlan(rq, m_legs, i_legs, need_m, need_i)
+    chain = outcome(plan.run)
+    if isinstance(want, type):
+        assert chain is want
+        return None
+    got = (chain.left, chain.right, chain.product())
+    assert [unpacked(x, plan.width) for x in got] == [known(x) for x in want]
+    limit = outcome(lambda: want[2].map_entries(series_limit))
+    assert outcome(chain.limit) == limit
+    return chain
+
+
+class TestSeriesChain:
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_matches_the_laurent_route(self, data):
+        dims = data.draw(st.tuples(st.integers(1, 2), st.integers(1, 2)))
+        parities = [(0, 1)[:d] for d in dims]
+        m_legs = [data.draw(series_matrices(par)) for par in parities]
+        i_legs = [data.draw(series_matrices(par)) for par in parities]
+        rq = data.draw(series_matrices(tensor_parity(parities)))
+        # a need past the reachable precision must raise on both routes
+        need_m, need_i = (
+            {n: top - data.draw(st.sampled_from([0, 0, 0, 0, 0, 1, 2, -1])) for n, top in reachable(legs, axis).items()}
+            for legs, axis in ((m_legs, 0), (i_legs, 1))
+        )
+        assert_chain_matches(rq, m_legs, i_legs, need_m, need_i)
+
+    def test_known_digits_that_all_cancel(self):
+        # row 0 of R_q is (x, x) and column 0 of M is (y, -y), so every
+        # known digit of (R_q M)[0, 0] cancels; that entry keeps its
+        # precision and bounds the entries it meets in M^-1 (R_q M)
+        x = Laurent({(-1, 1): 2, (0, -1): 3, (2, 0): 1}, 5, 3)
+        y = Laurent({(-2, 0): 1, (1, 2): -4}, 3, 2)
+        one = Laurent({(0, 0): 1}, 1, 4)
+        unit = GradedMatrix((0,), {(0, 0): one})
+        m2 = GradedMatrix((0, 1), {(0, 0): y, (1, 0): -y, (1, 1): one})
+        rq = GradedMatrix((0, 1), {(0, 0): x, (0, 1): x, (1, 1): one})
+        i2 = GradedMatrix((0, 1), {(0, 0): one, (0, 1): x, (1, 1): one})
+        need = {0: 0, 1: 0}
+        chain = assert_chain_matches(rq, (unit, m2), (unit, i2), need, need)
+        prec, val, slices = chain.right.cells[0, 0]
+        assert val == prec and not slices
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_one_bit_short_of_the_bound_reads_wrongly(self, dim):
+        # Every entry is one monomial with a positive coefficient, so each
+        # entry of every product is one too, and the t^0 coefficient of
+        # M^-1 (R_q M), 4 * 7 * 15 * dim^2, reaches the bound.
+        def full(c, t, e, parity):
+            x = Laurent({(t, e): c}, 1, 3)
+            return GradedMatrix(parity, {(a, b): x for a in range(len(parity)) for b in range(len(parity))})
+
+        wide = (0, 1)[:dim]
+        m_legs = (full(3, -1, 1, (0,)), full(5, 1, -1, wide))
+        i_legs = (full(2, 0, 0, (0,)), full(2, 0, 0, wide))
+        rq = full(7, 0, 0, wide)
+        need_m, need_i = reachable(m_legs, 0), reachable(i_legs, 1)
+        plan = SeriesPlan(rq, m_legs, i_legs, need_m, need_i)
+        top = 420 * dim * dim
+        assert plan.width == top.bit_length() + 1
+        want = assert_chain_matches(rq, m_legs, i_legs, need_m, need_i).limit()
+        assert set(want.entries.values()) == {rational(top)}
+        proven = plan.width
+        plan.width = proven + 5
+        assert plan.run().limit() == want
+        plan.width = proven - 1
+        assert plan.run().limit() != want
 
 
 class TestRefusal:
