@@ -308,6 +308,15 @@ def _transformer_display(rep: GeneratorTable, family: str) -> GradedMatrix:
     return iden - x.scale(HPARAM) + (x @ x).scale(HPARAM * HPARAM * rational(1, 2))
 
 
+# The largest module dimension 4 j + 1 that ``antipode_check`` accepts,
+# that of j = 13/2.  Fresh CLI processes on 2 cores: hdiag took 0.31, 0.89,
+# 2.66, 2.74, 8.1, 7.2 and 24.6 s at j = 4, 5, 6, 13/2, 7, 15/2 and 8 (21,
+# 29, 48, 55, 107, 121 and 241 MB) and ran past 40 s at j = 10; minimal
+# took 0.86, 0.68, 0.81, 2.2, 5.1 and 9.2 s at j = 6, 13/2, 7, 8, 10 and
+# 12 (25 to 104 MB).  The hdiag family sets the budget.
+MAX_ANTIPODE_DIM = 27
+
+
 def antipode_check(j, family: str = "minimal") -> VerificationReport:
     """Transformer both ways, plus the conjugation law for the antipode.
 
@@ -316,9 +325,12 @@ def antipode_check(j, family: str = "minimal") -> VerificationReport:
     two folds the antipode into the twist.  The conjugation law says
     the transformer carries the dressed antipode of each classical word
     to minus that word.  Everything is exact for the minimal family;
-    for hdiag the comparisons hold through second order in h.
+    for hdiag the comparisons hold through second order in h.  A spin
+    whose module dimension exceeds ``MAX_ANTIPODE_DIM`` raises
+    ``ValueError`` before any table is built.
     """
     _require_family(family)
+    refuse_oversized((j,), MAX_ANTIPODE_DIM)
     j = HalfInt(j)
     rep = r1_generators(j, family)
     alg = r1_algebra()
@@ -338,8 +350,19 @@ def antipode_check(j, family: str = "minimal") -> VerificationReport:
     return VerificationReport("antipode", {"j": j, "family": family}, failures)
 
 
+# The largest module dimension 4 j + 1 that ``disentangle_check``
+# accepts, that of j = 20.  Fresh CLI processes on 2 cores took 0.31,
+# 1.17, 3.33, 7.8 and 16.4 s at j = 10, 15, 20, 25 and 30, with peak RSS
+# growing only from 18 to 30 MB.
+MAX_DISENTANGLE_DIM = 81
+
+
 def disentangle_check(j) -> VerificationReport:
-    """mu[exp(half h (x) log core)] equals exp(-h h b+), exactly in h."""
+    """mu[exp(half h (x) log core)] equals exp(-h h b+), exactly in h.
+
+    A spin whose module dimension exceeds ``MAX_DISENTANGLE_DIM`` raises
+    ``ValueError`` before any table is built."""
+    refuse_oversized((j,), MAX_DISENTANGLE_DIM)
     j = HalfInt(j)
     cl = classical_rep(j)
     h, bp = cl.matrix("h"), cl.matrix("b+")

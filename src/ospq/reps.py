@@ -34,50 +34,57 @@ from .scalar import ONE, Scalar, p_power, rational
 HALF = HalfInt.from_twice(1)
 
 def bracket(kind: str, x, base: int = 1) -> Scalar:
-    """Evaluate one of the four deformation brackets at ``x``, base q^base."""
+    """Evaluate one of the four deformation brackets at ``x``, base q^base.
+
+    The arguments are checked here and the value is built once per
+    (kind, x as a HalfInt, base)."""
+    if kind == "plus":
+        if base != 1:
+            raise BadBracketArg("plus bracket is only defined at base q")
+        if not isinstance(x, int) or isinstance(x, bool) or x < 1:
+            raise BadBracketArg("plus bracket needs a positive integer")
+        return _bracket(kind, HalfInt(x), 1)
+    if kind not in ("q", "double", "curly"):
+        raise BadBracketArg(f"unknown bracket kind {kind!r}")
+    xx = as_half(x)
+    a = int(base)
+    if a == 0:
+        raise BadBracketArg("bracket base must be nonzero")
+    return _bracket(kind, xx, a)
+
+
+@lru_cache(maxsize=None)
+def _bracket(kind: str, xx: HalfInt, a: int) -> Scalar:
     if kind == "q":
-        xx = as_half(x)
-        a = int(base)
-        if a == 0:
-            raise BadBracketArg("bracket base must be nonzero")
         num = p_power(xx * a) - p_power(xx * (-a))
         den = p_power(HalfInt(a)) - p_power(HalfInt(-a))
         return num / den
     if kind == "double":
-        xx = as_half(x)
-        a = int(base)
-        if a == 0:
-            raise BadBracketArg("bracket base must be nonzero")
         num = p_power(xx * a)
         tail = p_power(xx * (-a))
         num = num + tail if xx.twice % 2 else num - tail
         den = p_power(HalfInt.from_twice(a)) + p_power(HalfInt.from_twice(-a))
         return num / den
     if kind == "plus":
-        if base != 1:
-            raise BadBracketArg("plus bracket is only defined at base q")
-        if not isinstance(x, int) or isinstance(x, bool) or x < 1:
-            raise BadBracketArg("plus bracket needs a positive integer")
-        val = bracket("double", HalfInt.from_twice(x))
-        return val if x % 2 else -val
-    if kind == "curly":
-        xx = as_half(x)
-        a = int(base)
-        if a == 0:
-            raise BadBracketArg("bracket base must be nonzero")
-        num = ONE - p_power(xx * a)
-        den = ONE - p_power(HalfInt(a))
-        return num / den
-    raise BadBracketArg(f"unknown bracket kind {kind!r}")
+        val = _bracket("double", HalfInt.from_twice(xx.twice // 2), 1)
+        return val if xx.twice % 4 else -val
+    num = ONE - p_power(xx * a)
+    den = ONE - p_power(HalfInt(a))
+    return num / den
 
 
 def plus_factorial(n: int) -> Scalar:
-    """[n]+! = [1]+ [2]+ ... [n]+, with [0]+! = 1."""
+    """[n]+! = [1]+ [2]+ ... [n]+, with [0]+! = 1, built once per n."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise BadBracketArg("factorial needs a nonnegative integer")
-    total = ONE
-    for k in range(1, n + 1):
-        total = total * bracket("plus", k)
+    return _plus_factorial(n)
+
+
+@lru_cache(maxsize=None)
+def _plus_factorial(n: int) -> Scalar:
+    if not n:
+        return ONE
+    total = _plus_factorial(n - 1) * bracket("plus", n)
     if total.is_zero:
         raise Inconsistency("plus-bracket factorial vanished")
     return total

@@ -25,7 +25,12 @@ carries the integer content too, so dividing by it leaves the pair
 primitive with no separate content pass.  Integer coefficients are only
 ever divided where the quotient is known to be exact: by their own gcd,
 or after ``divmod`` has shown a zero remainder
-(:class:`~ospq.errors.CancellationFailure` otherwise).
+(:class:`~ospq.errors.CancellationFailure` otherwise).  When one side
+has no h the GCD is taken in Z[p] alone, against each h-coefficient of
+the other side in turn.  A sum a/b + c/d over different denominators
+is Henrici's (J. ACM 3, 1956): with g = gcd(b, d), the numerator
+t = a (d/g) + c (b/g) can share a factor with g only, so t is reduced
+against g and never against the whole product b d.
 
 Nothing in this module (or anywhere in the package) uses floating point.
 The classical limit p -> 1 is taken by exact substitution on the reduced
@@ -344,6 +349,10 @@ def _pgcd(a: dict, b: dict) -> dict:
         raise ValueError("gcd of zero polynomial")
     if len(a) == 1 or len(b) == 1:
         return _monomial_gcd(a, b)
+    if _pdeg_h(a) == 0:
+        return _pgcd_h_free(a, b)
+    if _pdeg_h(b) == 0:
+        return _pgcd_h_free(b, a)
     # strip common monomial content first
     epa = min(k[0] for k in a)
     eha = min(k[1] for k in a)
@@ -376,6 +385,18 @@ def _pgcd(a: dict, b: dict) -> dict:
     if out[_plead_key(out)] < 0:
         out = _pneg(out)
     return out
+
+
+def _pgcd_h_free(a: dict, b: dict) -> dict:
+    """``_pgcd`` for an a with no h: a common factor of a polynomial in p
+    alone lies in Z[p], so the gcd is that of a and every h-coefficient
+    of b, taken in Z[p] and stopped once it is 1."""
+    g = {ep: c for (ep, _), c in a.items()}
+    for u in _h_major(b).values():
+        g = _u_gcd(g, u)
+        if g == _UONE:
+            return dict(_PONE)
+    return {(ep, 0): c for ep, c in g.items()}
 
 
 def _u_mul_h(m: dict, g: dict) -> dict:
@@ -570,8 +591,22 @@ class Scalar:
                 {(ep + lp - p2, eh + lh - h2): v * c2 for (ep, eh), v in other.num.items()},
             )
             return Scalar._over_monomial(num, {(lp, lh): c2 * k2})
-        num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
-        return Scalar._make(num, _pmul(self.den, other.den))
+        # Henrici's sum: with g = gcd(b, d), only g can share a factor with
+        # t = a (d/g) + c (b/g), so t is reduced against g alone
+        b, d = self.den, other.den
+        g = _pgcd(b, d)
+        if g != _PONE:
+            b, d = _pdiv_exact(b, g), _pdiv_exact(d, g)
+        t = _padd(_pmul(self.num, d), _pmul(other.num, b))
+        if not t:
+            return ZERO
+        den = _pmul(b, d)
+        if g != _PONE:
+            g2 = _pgcd(t, g)
+            if g2 != _PONE:
+                t, g = _pdiv_exact(t, g2), _pdiv_exact(g, g2)
+            den = _pmul(den, g)
+        return Scalar._normalized(t, den)
 
     __radd__ = __add__
 

@@ -123,6 +123,27 @@ class TestExitCodes:
         assert out == ""
         assert "exceeds the cap of 9" in err
 
+    def test_oversized_antipode_exits_two(self, capsys, monkeypatch):
+        # Refused before any table is built: j = 7 has module dimension 29.
+        for name in ("r1_generators", "antipode_transformer"):
+            monkeypatch.setattr(r1, name, forbidden)
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "antipode", "--family", "hdiag", "--j", "7"
+        )
+        assert code == 2
+        assert out == ""
+        assert "exceeds the cap of 27" in err
+
+    def test_oversized_disentangle_exits_two(self, capsys, monkeypatch):
+        # Refused before any table is built: j = 41/2 has module dimension 83.
+        monkeypatch.setattr(r1, "classical_rep", forbidden)
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "disentangle", "--j", "41/2"
+        )
+        assert code == 2
+        assert out == ""
+        assert "exceeds the cap of 81" in err
+
     def test_oversized_hopf_r2_exits_two(self, capsys, monkeypatch):
         # Refused before any table is built: j = 11/2 has module dimension 23.
         monkeypatch.setattr(hopf, "r2_generators", forbidden)

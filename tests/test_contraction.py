@@ -538,6 +538,52 @@ class TestJordanianGenerators:
         assert (F @ M @ E).is_zero
 
 
+def evaluated_bridge_blocks(j) -> list:
+    """The conjugation and additivity residuals of ``_spin_identity_failures``
+    with every product formed: the route the certificate replaces."""
+    c = ospq.contraction
+    half = HalfInt.from_twice(1)
+    alphas = [HalfInt(1), HalfInt(-1), half, -half]
+    fails = []
+    for alpha in alphas:
+        lhs = c.m_inverse(j) @ q_cartan_power(j, alpha) @ c.m_matrix(j)
+        fails += matrix_residuals(
+            f"conjugation:alpha={alpha}", lhs - c.conjugated_cartan(j, alpha)
+        )
+    for alpha in alphas:
+        for beta in alphas:
+            lhs = c.conjugated_cartan(j, alpha + beta)
+            rhs = c.conjugated_cartan(j, alpha) @ c.conjugated_cartan(j, beta)
+            fails += matrix_residuals(f"additivity:alpha={alpha},beta={beta}", lhs - rhs)
+    return fails
+
+
+def bridge_blocks_and_cartan_products(j) -> tuple:
+    """The conjugation and additivity failures of a cold
+    ``_spin_identity_failures(j)``, and how many products of two
+    conjugated Cartan matrices it formed."""
+    operands = []
+    matmul = GradedMatrix.__matmul__
+
+    def recording(a, b):
+        operands.append((a, b))
+        return matmul(a, b)
+
+    GradedMatrix.__matmul__ = recording
+    try:
+        fails = _spin_identity_failures(j)
+    finally:
+        GradedMatrix.__matmul__ = matmul
+    cartans = [conjugated_cartan(j, HalfInt.from_twice(t)) for t in range(-4, 5)]
+
+    def is_cartan(m):
+        return any(m is c for c in cartans)
+
+    products = sum(is_cartan(a) and is_cartan(b) for a, b in operands)
+    bridge = [f for f in fails if f[0].startswith(("conjugation:", "additivity:"))]
+    return bridge, products
+
+
 class TestIdentities:
     @pytest.mark.parametrize("twice_j", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -575,6 +621,42 @@ class TestIdentities:
         report = identity_check(ONEJ, 1)
         labels = {label.split(":")[0] for label, _, _ in report.failures}
         assert {"conjugation", "additivity"} <= labels
+
+    @pytest.mark.parametrize("j", (HALF, ONEJ, THREEHALF, TWOJ), ids=str)
+    def test_bridge_blocks_match_the_evaluated_route(self, j, cold_caches):
+        got, products = bridge_blocks_and_cartan_products(j)
+        assert got == evaluated_bridge_blocks(j) == []
+        # certified: no product of two conjugated Cartan matrices is formed
+        assert products == 0
+
+    def test_perturbed_inverse_bridge_takes_the_evaluated_route(
+        self, monkeypatch, cold_caches
+    ):
+        # h in the top right corner of M^-1 adds h E[0, last] (q^{gamma h} M
+        # - E(q^{2 gamma} eta e^2) q^{gamma h}) to each conjugation
+        # residual, which is zero: the last rows of M and of every E(...)
+        # are those of the identity.  For the same reason the limits at
+        # p = 1 stay finite.  Only M^-1 M = 1 fails, so the certificate
+        # must not hold, and the sixteen additivity products give today's
+        # residuals.
+        built = m_inverse
+
+        def perturbed(j):
+            m = built(j)
+            if j != ONEJ:
+                return m
+            entries = dict(m.entries)
+            corner = (0, m.dim - 1)
+            entries[corner] = entries.get(corner, ZERO) + H
+            return GradedMatrix(m.parity, entries)
+
+        monkeypatch.setattr(ospq.contraction, "m_inverse", perturbed)
+        got, products = bridge_blocks_and_cartan_products(ONEJ)
+        want = evaluated_bridge_blocks(ONEJ)
+        assert got == want
+        assert {label.split(":")[0] for label, _, _ in want} == {"additivity"}
+        assert products == 16
+        assert bridge_blocks_and_cartan_products(HALF) == ([], 0)
 
     def test_n_free_blocks_are_built_once_per_spin(self, cold_caches):
         for n in (1, 2, 3):

@@ -11,7 +11,9 @@ from ospq.halfint import HalfInt
 from ospq.hopf import r1_algebra, r1_hopf_check, r1_relations_check
 from ospq.qrmatrix import ybe_check
 from ospq.r1 import (
+    MAX_ANTIPODE_DIM,
     MAX_COCYCLE_SPIN_DIM,
+    MAX_DISENTANGLE_DIM,
     MAX_TRIANGULARITY_DIM,
     _exp_kron,
     _th,
@@ -351,6 +353,24 @@ def test_oversized_cocycle_refused_before_any_work(monkeypatch):
         for family in FAMILIES:
             with pytest.raises(ValueError, match="exceeds the cap of 9"):
                 cocycle_check(*triple, family)
+
+
+def test_oversized_antipode_refused_before_any_table(monkeypatch):
+    for name in ("r1_generators", "antipode_transformer"):
+        monkeypatch.setattr(ospq.r1, name, forbidden)
+    assert MAX_ANTIPODE_DIM == 27
+    refuse_oversized((HalfInt.from_twice(13),), MAX_ANTIPODE_DIM)  # j = 13/2 is inside
+    for family in FAMILIES:
+        with pytest.raises(ValueError, match="exceeds the cap of 27"):
+            antipode_check(HalfInt(7), family)
+
+
+def test_oversized_disentangle_refused_before_any_table(monkeypatch):
+    monkeypatch.setattr(ospq.r1, "classical_rep", forbidden)
+    assert MAX_DISENTANGLE_DIM == 81
+    refuse_oversized((HalfInt(20),), MAX_DISENTANGLE_DIM)  # j = 20 is inside
+    with pytest.raises(ValueError, match="exceeds the cap of 81"):
+        disentangle_check(HalfInt.from_twice(41))
 
 
 class TestAntipodeTransformer:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from ospq import reps
 from ospq.errors import BadBracketArg
 from ospq.gmatrix import GradedMatrix
 from ospq.halfint import HalfInt
@@ -80,6 +81,48 @@ class TestBrackets:
         assert plus_factorial(3) == -(P - P**-1) * (P**2 - ONE + P**-2)
         with pytest.raises(BadBracketArg):
             plus_factorial(-1)
+
+
+class TestBracketCache:
+    def test_int_checks_fire_after_the_int_entries_are_cached(self):
+        # True == 1 and HalfInt(2) == 2 hash alike, so a check made inside
+        # the cache would be skipped once the int entries exist
+        assert bracket("plus", 1) == ONE
+        assert bracket("plus", 2) == -(P - P**-1)
+        assert plus_factorial(1) == ONE
+        with pytest.raises(BadBracketArg):
+            bracket("plus", True)
+        with pytest.raises(BadBracketArg):
+            bracket("plus", HalfInt(2))
+        with pytest.raises(BadBracketArg):
+            plus_factorial(True)
+
+    def test_int_and_halfint_share_one_entry(self):
+        reps._bracket.cache_clear()
+        first = bracket("q", 1)
+        assert bracket("q", HalfInt(1)) is first
+        info = reps._bracket.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    def test_cached_values_match_a_fresh_build(self):
+        built = [bracket(kind, x, base) for kind, x, base in self.CALLS]
+        reps._bracket.cache_clear()
+        reps._plus_factorial.cache_clear()
+        assert [bracket(kind, x, base) for kind, x, base in self.CALLS] == built
+        assert [plus_factorial(n) for n in (4, 0, 3)] == [
+            bracket("plus", 1) * bracket("plus", 2) * bracket("plus", 3) * bracket("plus", 4),
+            ONE,
+            bracket("plus", 2) * bracket("plus", 3),
+        ]
+
+    CALLS = [
+        ("q", 3, 2),
+        ("q", HalfInt.parse("3/2"), -2),
+        ("double", HalfInt.parse("5/2"), 1),
+        ("plus", 3, 1),
+        ("plus", 4, 1),
+        ("curly", 2, -4),
+    ]
 
 
 class TestClassicalRep:

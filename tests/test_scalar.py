@@ -18,13 +18,25 @@ from ospq.gmatrix import graded_kron, inverse
 from ospq.halfint import HalfInt
 from ospq.qrmatrix import universal_Rq
 from ospq.scalar import (
+    _UONE,
     H,
     ONE,
     P,
     ZERO,
     Scalar,
+    _content_p,
+    _h_major,
+    _h_major_div_u,
+    _h_prem,
+    _monomial_gcd,
     _padd,
+    _pdiv_exact,
+    _pgcd,
+    _plead_key,
     _pmul,
+    _pneg,
+    _u_gcd,
+    _u_mul_h,
     p_power,
     scalar_from_string,
     scalar_to_string,
@@ -492,3 +504,132 @@ def test_one_term_pmul_matches_double_loop(a, b):
             want[key] = want.get(key, 0) + ca * cb
     want = {key: c for key, c in want.items() if c}
     assert _pmul(a.num, b.num) == want == _pmul(b.num, a.num)
+
+
+# -- Henrici sums and h-free GCDs against the full-GCD route ------------------
+
+
+def reference_pgcd(a: dict, b: dict) -> dict:
+    """The GCD in Z[p, h] by the primitive h-PRS alone, with no h-free
+    shortcut: the oracle for ``_pgcd`` and for Henrici's sum."""
+    if len(a) == 1 or len(b) == 1:
+        return _monomial_gcd(a, b)
+    epa, eha = min(k[0] for k in a), min(k[1] for k in a)
+    epb, ehb = min(k[0] for k in b), min(k[1] for k in b)
+    mono = (min(epa, epb), min(eha, ehb))
+    ma = _h_major({(ep - epa, eh - eha): c for (ep, eh), c in a.items()})
+    mb = _h_major({(ep - epb, eh - ehb): c for (ep, eh), c in b.items()})
+    ca, cb = _content_p(ma), _content_p(mb)
+    g0 = _u_gcd(ca, cb)
+    pa, pb = _h_major_div_u(ma, ca), _h_major_div_u(mb, cb)
+    if max(pa) == 0 or max(pb) == 0:
+        prim = {0: _UONE}
+    else:
+        while True:
+            if not pb:
+                prim = pa
+                break
+            if max(pb) == 0:
+                prim = {0: _UONE}
+                break
+            r = _h_prem(pa, pb)
+            pa = pb
+            pb = _h_major_div_u(r, _content_p(r)) if r else {}
+    out = {}
+    for eh, u in _u_mul_h(prim, g0).items():
+        for ep, c in u.items():
+            out[(ep + mono[0], eh + mono[1])] = c
+    return _pneg(out) if out[_plead_key(out)] < 0 else out
+
+
+def reference_sum(a: Scalar, b: Scalar) -> tuple:
+    """(num, den) of a + b as the sum over b d, reduced by one full GCD."""
+    num = _padd(_pmul(a.num, b.den), _pmul(b.num, a.den))
+    if not num:
+        return ZERO.num, ZERO.den
+    den = _pmul(a.den, b.den)
+    g = reference_pgcd(num, den)
+    num, den = _pdiv_exact(num, g), _pdiv_exact(den, g)
+    if den[_plead_key(den)] < 0:
+        num, den = _pneg(num), _pneg(den)
+    return num, den
+
+
+# Factors of the denominators the package meets: q-brackets and
+# cyclotomic polynomials in p, an integer, and a few that carry h.
+_FACTORS = [
+    S(text)
+    for text in (
+        "p^2+1", "p^2-1", "p^4+p^2+1", "p^4+1", "p+1", "p^4-p^2+1", "3",
+        "2*p^2+3", "p^2+h", "h*p+1", "h^2+p^2+1",
+    )
+]
+
+
+@st.composite
+def bracket_dens(draw):
+    """A product of one to three factors from ``_FACTORS`` and a monomial."""
+    den = Scalar.monomial(draw(st.integers(1, 4)), draw(st.integers(0, 2)), draw(st.integers(0, 1)))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        den = den * draw(st.sampled_from(_FACTORS))
+    return den
+
+
+@st.composite
+def over_bracket_dens(draw):
+    return draw(polys().filter(bool)) / draw(bracket_dens())
+
+
+@st.composite
+def henrici_pairs(draw):
+    """Two scalars over products of ``_FACTORS``.  A third are a and r - a
+    for a drawn r, whose sum r often cancels a factor the two denominators
+    share into their gcd; a sixth are a and -a, which sum to zero."""
+    a = draw(over_bracket_dens())
+    kind = draw(st.integers(0, 5))
+    if kind == 0:
+        return a, -a
+    if kind <= 2:
+        return a, draw(over_bracket_dens()) - a
+    return a, draw(over_bracket_dens())
+
+
+@settings(max_examples=300, deadline=None)
+@given(henrici_pairs())
+def test_henrici_sum_matches_the_full_gcd_route(pair):
+    a, b = pair
+    got = a + b
+    assert (got.num, got.den) == reference_sum(a, b)
+    if got.is_zero:
+        assert got is ZERO
+    else:
+        _assert_canonical(got)
+    assert scalar_to_string(got) == scalar_to_string(b + a)
+
+
+@st.composite
+def h_free_gcd_pairs(draw):
+    """Two polynomials, one free of h and one not, in either order, built
+    from the h-free factors of ``_FACTORS`` so that they often share some."""
+    a = draw(polys().map(lambda s: s.substitute_h(1)).filter(bool))
+    b = draw(polys().filter(lambda s: s.h_degree() > 0))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        factor = draw(st.sampled_from(_FACTORS[:8]))
+        a = a * factor
+        if draw(st.booleans()):
+            b = b * factor
+    return (a.num, b.num) if draw(st.booleans()) else (b.num, a.num)
+
+
+@settings(max_examples=300, deadline=None)
+@given(h_free_gcd_pairs())
+def test_h_free_gcd_matches_the_prs(pair):
+    a, b = pair
+    assert _pgcd(a, b) == reference_pgcd(a, b)
+
+
+def test_h_free_gcd_keeps_integer_content_and_p_powers():
+    a = S("6*p^3+12*p^5").num
+    b = S("4*p^2*h+8*p^4*h+2*p^2").num
+    assert _pgcd(a, b) == reference_pgcd(a, b) == {(2, 0): 2}
+    assert _pgcd(S("2*p^2+2").num, S("(p^2+1)*(h+3*p)").num) == {(2, 0): 1, (0, 0): 1}
