@@ -21,7 +21,13 @@ import time
 from fractions import Fraction
 from importlib import resources
 
-from .contraction import contract, frt_hopf_check, identity_check, rll_check
+from .contraction import (
+    contract,
+    frt_hopf_check,
+    identity_check,
+    refuse_oversized_contracted_triple,
+    rll_check,
+)
 from .gmatrix import GradedMatrix
 from .halfint import HalfInt
 from .hopf import r1_hopf_check, r1_relations_check, r2_hopf_check
@@ -43,6 +49,7 @@ from .reps import (
     q_rep,
     r1_generators,
     r2_generators,
+    refuse_oversized,
     rep_parity,
 )
 from .twist import hdiag_twist_check
@@ -54,6 +61,24 @@ REP_BUILDERS = {
     "r2": r2_generators,
     "r1-minimal": lambda j: r1_generators(j, "minimal"),
     "r1-hdiag": lambda j: r1_generators(j, "hdiag"),
+}
+
+# The largest module dimension 4 j + 1 that ``rep`` emits, per variant,
+# checked before the table is built.  Fresh ``ospq rep`` processes on 2
+# cores (JSON to /dev/null; the output grows as the square of the
+# dimension):
+#   classical: j = 40, 80, 120 took 0.15, 0.39, 0.76 s (28, 64, 123 MB);
+#   q: j = 40, 80, 120 took 0.29, 1.33, 4.16 s (37, 102, 214 MB);
+#   r2: j = 32, 48, 64 took 0.54, 1.45, 3.00 s (39, 69, 112 MB);
+#   r1-minimal: j = 24, 32, 40, 48 took 1.22, 2.60, 4.88, 10.0 s (34 to 91 MB);
+#   r1-hdiag: j = 32, 40, 48, 64 took 0.92, 1.66, 2.88, 6.87 s (39 to 110 MB).
+# The checks build these tables at smaller spins only.
+MAX_REP_DIM = {
+    "classical": 321,
+    "q": 321,
+    "r2": 257,
+    "r1-minimal": 129,
+    "r1-hdiag": 193,
 }
 
 R_KINDS = ("q", "contracted", "r1")
@@ -192,6 +217,8 @@ def _run_ybe(spins, args):
     if args.kind == "q":
         residuals = ybe_check_q(j1, j2, j3)
     else:
+        if args.kind == "contracted":
+            refuse_oversized_contracted_triple(spins)
         parities = (rep_parity(j1), rep_parity(j2), rep_parity(j3))
         residuals = ybe_check(
             _pair_r_matrix(args.kind, args.family, j1, j2),
@@ -336,6 +363,7 @@ def _emit_reports(reports, args) -> int:
 
 
 def _cmd_rep(args) -> int:
+    refuse_oversized((args.j,), MAX_REP_DIM[args.variant])
     rep = REP_BUILDERS[args.variant](args.j)
     matrices = {
         name: _substituted(rep.matrix(name), args.h) for name in sorted(rep.names())

@@ -12,6 +12,13 @@ element with its inverse and square root, ``tilde_t_powers``, are built
 in :mod:`ospq.reps`; this module checks the element against its limit
 and assembles the closed block form from the table.
 
+The bridge M = E_{q^2}(eta e^2), its inverse and the quotients
+E(eta e^2)^-1 E(q^{2 alpha} eta e^2) are functions of e^2, built as
+series in the shift (:class:`~ospq.nilfun.ShiftSeries`): M^-1 is the
+series inverse of M, and no matrix is inverted.  The conjugation rules
+of ``identity_check`` are certified on the same series where they
+hold.
+
 Everything here is matrix-level and exact.  The contraction expands
 R_q, M and M^-1 as truncated Laurent series in t = p - 1
 (:mod:`ospq.laurent`) and keeps the t^0 coefficient of the product, so the
@@ -29,14 +36,14 @@ the same packed valuations.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 from .errors import Inconsistency
-from .gmatrix import GradedMatrix, block_matrix, inverse
+from .gmatrix import GradedMatrix, block_matrix
 from .halfint import HalfInt, as_half, spin_cache
 from .hopf import GROUP_LIKE, SUITE_CACHE_SIZE, expression_residuals, r2_algebra
 from .laurent import Laurent, valuation
-from .nilfun import nil_series
+from .nilfun import ShiftSeries, nil_series, shift_length
 from .packed import SeriesPlan
 from .qrmatrix import universal_Rq, ybe_check
 from .report import VerificationReport, matrix_residuals
@@ -74,18 +81,29 @@ def eq2_series(x: GradedMatrix) -> GradedMatrix:
     return nil_series(x, lambda n: q2_factorial(n).reciprocal())
 
 
+def eq2_shift_series(c: Scalar, n: int) -> ShiftSeries:
+    """E_{q^2}(c x) mod x^n: the k-th coefficient is c^k / [k]_{q^2}!."""
+    return ShiftSeries.of(n, lambda k: c**k * q2_factorial(k).reciprocal())
+
+
 @spin_cache
 def m_matrix(j) -> GradedMatrix:
-    """The contraction bridge on the spin-j module."""
-    rep = q_rep(j)
-    e2 = rep.matrix("e") @ rep.matrix("e")
-    return eq2_series(e2.scale(eta()))
+    """The contraction bridge E_{q^2}(eta e^2) on the spin-j module."""
+    parity = rep_parity(j)
+    return eq2_shift_series(eta(), shift_length(len(parity), 2)).matrix(parity, 2)
 
 
 @spin_cache
 def m_inverse(j) -> GradedMatrix:
-    """The inverse of the contraction bridge on the spin-j module."""
-    return inverse(m_matrix(j))
+    """The inverse of the contraction bridge on the spin-j module: the
+    inverse of the series that ``m_matrix(j)`` reads back as.  A bridge
+    that is not a series in e^2 is inverted as the unipotent matrix it
+    is, by sum_k (1 - M)^k."""
+    m = m_matrix(j)
+    series = ShiftSeries.read(m, 2)
+    if series is None:
+        return nil_series(GradedMatrix.identity(m.parity) - m, lambda k: ONE)
+    return series.inverse().matrix(m.parity, 2)
 
 
 @spin_cache
@@ -111,10 +129,16 @@ def q_cartan_power(j, alpha) -> GradedMatrix:
 
 @spin_cache
 def script_t(j, alpha) -> GradedMatrix:
-    """The shifted-exponential quotient E(eta e^2)^-1 E(q^{2 alpha} eta e^2)."""
-    e = q_rep(j).matrix("e")
-    shift = p_power(alpha * 2)  # q^{2 alpha}
-    return m_inverse(j) @ eq2_series((e @ e).scale(eta() * shift))
+    """The shifted-exponential quotient E(eta e^2)^-1 E(q^{2 alpha} eta e^2):
+    a product of series when ``m_inverse(j)`` reads back as one, else the
+    product of the two matrices."""
+    minv = m_inverse(j)
+    shift = eta() * p_power(alpha * 2)  # q^{2 alpha} eta
+    inv = ShiftSeries.read(minv, 2)
+    if inv is None:
+        e = q_rep(j).matrix("e")
+        return minv @ eq2_series((e @ e).scale(shift))
+    return (inv * eq2_shift_series(shift, inv.length)).matrix(minv.parity, 2)
 
 
 @spin_cache
@@ -144,11 +168,11 @@ class ContractionResult:
 # times per half-spin step.
 MAX_CONTRACT_DIM = 169
 
-# The largest module dimension 4 j + 1 of either spin, that of j = 5:
-# inverting the bridge M by Gauss-Jordan grows steeply with one spin
-# alone, so a fresh process takes about 0.5 s at (1/2, 4) and 1.9 s at
-# (1/2, 5) (20 MB), as long as at (3, 3); when this cap was set, (1/2, 6)
-# took 4.4 s and (1/2, 8), inside ``MAX_CONTRACT_DIM``, ran past 60 s.
+# The largest module dimension 4 j + 1 of either spin, that of j = 5.
+# The bridge and its inverse are series in e^2, so what grows steeply
+# with one spin alone is R_q and its packed chain: fresh processes
+# on 2 cores took 0.40, 1.09 and 10.2 s at (1/2, 5), (1/2, 6) and (1/2, 8)
+# (19 to 28 MB).
 MAX_CONTRACT_SPIN_DIM = 21
 
 
@@ -165,9 +189,7 @@ def contract(j1, j2, source: str = "universal", log_cancellation: bool = False):
     ``ValueError`` at once.
     """
     j1, j2 = as_half(j1), as_half(j2)
-    refuse_oversized((j1, j2), MAX_CONTRACT_DIM)
-    for j in (j1, j2):
-        refuse_oversized((j,), MAX_CONTRACT_SPIN_DIM)
+    _refuse_oversized_pair(j1, j2)
     if source == "half-j-formula":
         if j1 != HalfInt.from_twice(1):
             raise ValueError("the closed block form needs j1 = 1/2")
@@ -207,6 +229,29 @@ def contract(j1, j2, source: str = "universal", log_cancellation: bool = False):
     ).run()
     log = chain.pole_orders() if log_cancellation else ()
     return ContractionResult(j1, j2, "universal", chain.limit(), log)
+
+
+def _refuse_oversized_pair(j1, j2) -> None:
+    refuse_oversized((j1, j2), MAX_CONTRACT_DIM)
+    for j in (j1, j2):
+        refuse_oversized((j,), MAX_CONTRACT_SPIN_DIM)
+
+
+# The largest (4 j1 + 1)(4 j2 + 1)(4 j3 + 1) of a Yang-Baxter check on
+# contracted R-matrices, that of (5/2, 5/2, 5/2).  Fresh ``verify --suite
+# ybe --kind contracted`` processes on 2 cores: (2, 2, 2) took 1.01 s
+# (47 MB), (5/2)^3 3.76 s (113 MB) and (3, 3, 3) 12.1 s (299 MB); the
+# product of the three R-matrices, not the contractions, sets the cost.
+MAX_CONTRACTED_YBE_DIM = 1331
+
+
+def refuse_oversized_contracted_triple(spins) -> None:
+    """Raise ``ValueError`` unless the triple fits ``MAX_CONTRACTED_YBE_DIM``
+    and each of its three pairs fits the caps of :func:`contract`, before
+    the first pair is contracted."""
+    refuse_oversized(spins, MAX_CONTRACTED_YBE_DIM)
+    for a, b in combinations(spins, 2):
+        _refuse_oversized_pair(as_half(a), as_half(b))
 
 
 def _lowest(vals: dict, axis: int) -> dict:
@@ -315,8 +360,9 @@ def L_operator(j) -> GradedMatrix:
 
 
 # The largest dimension 9 (4 j + 1) of the (1/2, 1/2, j) product that
-# ``rll_check`` accepts, that of j = 5, which takes about 2 s on 2 cores;
-# j = 4 takes 0.4 s, and j = 11/2 and 6 take 3.8 and 7.3 s.
+# ``rll_check`` accepts, that of j = 5, the largest spin ``contract``
+# takes.  Fresh processes on 2 cores took 0.17, 0.38, 0.65 and 1.15 s at
+# j = 4, 5, 11/2 and 6 (18 to 21 MB).
 MAX_RLL_DIM = 189
 
 
@@ -355,20 +401,28 @@ def frt_rules(alg) -> tuple:
 
 
 # The largest module dimension 4 j + 1 of either spin that
-# ``frt_hopf_check`` accepts, that of j = 12.  Fresh CLI processes, 2 cores:
-# (j, j) at j = 4, 6, 8, 10, 12, 14 took 0.15, 0.29, 0.89, 2.0-2.7, 5.3 and
-# 13.0 s (17, 24, 47, 116, 266, 549 MB peak RSS); (1/2, j) at j = 8, 12,
-# 16, 24, 32 took 0.27, 0.86, 2.45, 11.2 and 33.4 s (18 to 65 MB).
-MAX_FRT_HOPF_SPIN_DIM = 49
+# ``frt_hopf_check`` accepts, that of j = 24, and the largest product
+# (4 j1 + 1)(4 j2 + 1), that of (12, 12).  Fresh processes on 2 cores
+# took 0.17, 0.65, 1.98 and 10.0 s at (1/2, j) for j = 16, 24, 32 and 48
+# (20 to 164 MB): one large spin is cheap, as its table is built from
+# series in e^2, and pairs of large spins set the budget: (10, 10),
+# (12, 12), (14, 14) and (16, 16) took 1.37, 3.94, 10.8 and 20.2 s (116,
+# 265, 549 and 1165 MB), and (17/2, 16), (4, 24), (11/2, 24) and (4, 32)
+# 3.55, 2.84, 5.19 and 8.63 s (237, 168, 306 and 412 MB).  Of the pairs
+# inside both caps, (11/2, 24) costs the most.
+MAX_FRT_HOPF_SPIN_DIM = 97
+MAX_FRT_HOPF_DIM = 2401
 
 
 def frt_hopf_check(j1, j2) -> VerificationReport:
     """L against :func:`frt_rules` of the r2 algebra: the coproduct rules
     on the spin-(j1, j2) tables and the antipode rules on the spin-j1 one.
-    A spin whose module dimension exceeds ``MAX_FRT_HOPF_SPIN_DIM`` raises
+    A spin whose module dimension exceeds ``MAX_FRT_HOPF_SPIN_DIM``, or a
+    pair whose product dimension exceeds ``MAX_FRT_HOPF_DIM``, raises
     ``ValueError`` before any table is built."""
     for j in (j1, j2):
         refuse_oversized((j,), MAX_FRT_HOPF_SPIN_DIM)
+    refuse_oversized((j1, j2), MAX_FRT_HOPF_DIM)
     j1, j2 = as_half(j1), as_half(j2)
     coproduct, counit, antipode = frt_rules(r2_algebra())
     rep1 = r2_generators(j1)
@@ -444,6 +498,25 @@ def identity_check(j, n: int) -> VerificationReport:
     return VerificationReport("identities", {"j": j, "n": n}, fails)
 
 
+def _conjugation_certified(bridge: ShiftSeries, quotient: GradedMatrix, gamma) -> bool:
+    """Whether M^-1 q^{gamma h} M = S q^{gamma h} follows from series
+    alone, for the bridge M with M^-1 M = 1 read back as ``bridge`` and S
+    the quotient ``script_t(j, gamma)``.
+
+    With q = q^{gamma h},
+    M^-1 q M - S q = M^-1 (q M q^-1 - M S) q + (M^-1 M - 1) S q,
+    and q M q^-1 multiplies the k-th coefficient m_k of M by q^{2 gamma k},
+    the weight drop across S^k.  So the rule holds when S reads back as a
+    series s with m_k q^{2 gamma k} = (m s)_k for every k."""
+    s = ShiftSeries.read(quotient, 2)
+    if s is None:
+        return False
+    twisted = ShiftSeries(
+        c * p_power(gamma * (2 * k)) for k, c in enumerate(bridge.coeffs)
+    )
+    return twisted == bridge * s
+
+
 @spin_cache
 def _spin_identity_failures(j) -> tuple:
     """The failures of the identities of ``identity_check`` that do not
@@ -454,11 +527,17 @@ def _spin_identity_failures(j) -> tuple:
     alphas = [HalfInt(1), HalfInt(-1), half, -half]
     big_m = m_matrix(j)
     big_minv = m_inverse(j)
+    inverts = big_minv @ big_m == GradedMatrix.identity(big_m.parity)
+    bridge = ShiftSeries.read(big_m, 2) if inverts else None
     # The conjugation rule at every gamma that is an alpha or an alpha +
     # beta; only the alphas are reported.
     conjugation = {}
     for twice in range(-4, 5):
         gamma = HalfInt.from_twice(twice)
+        quotient = script_t(j, gamma)
+        if bridge is not None and _conjugation_certified(bridge, quotient, gamma):
+            conjugation[gamma] = []
+            continue
         lhs = big_minv @ q_cartan_power(j, gamma) @ big_m
         rhs = conjugated_cartan(j, gamma)
         conjugation[gamma] = matrix_residuals(f"conjugation:alpha={gamma}", lhs - rhs)
@@ -470,7 +549,7 @@ def _spin_identity_failures(j) -> tuple:
     # additivity residual is zero, and no product is formed.
     certified = (
         not any(conjugation.values())
-        and big_minv @ big_m == GradedMatrix.identity(big_m.parity)
+        and inverts
         and all(
             q_cartan_power(j, alpha) @ q_cartan_power(j, beta)
             == q_cartan_power(j, alpha + beta)
@@ -487,18 +566,18 @@ def _spin_identity_failures(j) -> tuple:
                     f"additivity:alpha={alpha},beta={beta}", lhs - rhs
                 )
 
-    # Shift identity of the base-q^2 exponential on the nilpotent argument.
+    # Shift identity of the base-q^2 exponential on the nilpotent argument
+    # x = e^2, as series in x.
+    n = shift_length(big_m.dim, 2)
+    q2, qm2 = p_power(HalfInt(2)), p_power(HalfInt(-2))
+    lhs = eq2_shift_series(eta() * q2, n) - eq2_shift_series(eta() * qm2, n)
+    rhs = eq2_shift_series(eta(), n).times_x().scale(eta() * (q2 - qm2))
+    fails += matrix_residuals("shift-identity", (lhs - rhs).matrix(big_m.parity, 2))
+
     e = q_rep(j).matrix("e")
     e2 = e @ e
-    arg = e2.scale(eta())
-    lhs = eq2_series(arg.scale(p_power(HalfInt(2)))) - eq2_series(
-        arg.scale(p_power(HalfInt(-2)))
-    )
-    rhs = (arg @ eq2_series(arg)).scale(p_power(HalfInt(2)) - p_power(HalfInt(-2)))
-    fails += matrix_residuals("shift-identity", lhs - rhs)
-
     lhs = script_t(j, 1) - script_t(j, -1)
-    rhs = e2.scale(eta() * (p_power(HalfInt(2)) - p_power(HalfInt(-2))))
+    rhs = e2.scale(eta() * (q2 - qm2))
     fails += matrix_residuals("quotient-difference", lhs - rhs)
 
     # Classical-side group-like element: closed form against the limit,

@@ -529,7 +529,20 @@ def r1_hopf_check(j1, j2, j3, family: str = "minimal") -> VerificationReport:
     )
 
 
+# The largest module dimension 4 j + 1 that ``r1_relations_check``
+# accepts, that of j = 16.  With the tables built from series in e^2,
+# fresh CLI processes on 2 cores took 0.43, 3.10, 9.89, 20.9 and 35.5 s
+# for the minimal family at j = 10, 16, 20, 24 and 28 (27, 62, 115, 201 and
+# 340 MB), and 0.35, 1.22, 3.29, 7.91 and 13.6 s for hdiag (24 to 244 MB).
+# The minimal family sets the budget.
+MAX_R1_RELATIONS_DIM = 65
+
+
 def r1_relations_check(j, family: str = "minimal") -> VerificationReport:
+    """The defining relations on the spin-j table of the family.  A spin
+    whose module dimension exceeds ``MAX_R1_RELATIONS_DIM`` raises
+    ``ValueError`` before the table is built."""
+    refuse_oversized((j,), MAX_R1_RELATIONS_DIM)
     rep = r1_generators(j, family)
     fails = relations_residuals(r1_algebra(), rep)
     return VerificationReport(

@@ -34,7 +34,7 @@ from fractions import Fraction
 from .gmatrix import GradedMatrix, graded_kron, graded_primitive, swap_conjugate
 from .halfint import HalfInt
 from .hopf import r1_algebra
-from .nilfun import nil_exp, nil_log_unit
+from .nilfun import ShiftSeries, nil_exp, shift_length
 from .report import VerificationReport, matrix_residuals, series_residuals
 from .reps import (
     GeneratorTable,
@@ -309,12 +309,12 @@ def _transformer_display(rep: GeneratorTable, family: str) -> GradedMatrix:
 
 
 # The largest module dimension 4 j + 1 that ``antipode_check`` accepts,
-# that of j = 13/2.  Fresh CLI processes on 2 cores: hdiag took 0.31, 0.89,
-# 2.66, 2.74, 8.1, 7.2 and 24.6 s at j = 4, 5, 6, 13/2, 7, 15/2 and 8 (21,
-# 29, 48, 55, 107, 121 and 241 MB) and ran past 40 s at j = 10; minimal
-# took 0.86, 0.68, 0.81, 2.2, 5.1 and 9.2 s at j = 6, 13/2, 7, 8, 10 and
-# 12 (25 to 104 MB).  The hdiag family sets the budget.
-MAX_ANTIPODE_DIM = 27
+# per family: j = 10 for minimal, j = 13/2 for hdiag.  Fresh processes on
+# 2 cores, with the tables built from series in e^2: minimal took 0.49,
+# 0.91 and 2.43 s at j = 13/2, 8 and 10 (25, 36 and 60 MB); hdiag took
+# 2.42 and 14.7 s at j = 13/2 and 8 (54 and 239 MB) and ran past 60 s at
+# j = 10.  The hdiag time is the evaluation of its words, not its table.
+MAX_ANTIPODE_DIM = {"minimal": 41, "hdiag": 27}
 
 
 def antipode_check(j, family: str = "minimal") -> VerificationReport:
@@ -326,11 +326,11 @@ def antipode_check(j, family: str = "minimal") -> VerificationReport:
     the transformer carries the dressed antipode of each classical word
     to minus that word.  Everything is exact for the minimal family;
     for hdiag the comparisons hold through second order in h.  A spin
-    whose module dimension exceeds ``MAX_ANTIPODE_DIM`` raises
-    ``ValueError`` before any table is built.
+    whose module dimension exceeds the family's ``MAX_ANTIPODE_DIM``
+    raises ``ValueError`` before any table is built.
     """
     _require_family(family)
-    refuse_oversized((j,), MAX_ANTIPODE_DIM)
+    refuse_oversized((j,), MAX_ANTIPODE_DIM[family])
     j = HalfInt(j)
     rep = r1_generators(j, family)
     alg = r1_algebra()
@@ -351,10 +351,10 @@ def antipode_check(j, family: str = "minimal") -> VerificationReport:
 
 
 # The largest module dimension 4 j + 1 that ``disentangle_check``
-# accepts, that of j = 20.  Fresh CLI processes on 2 cores took 0.31,
-# 1.17, 3.33, 7.8 and 16.4 s at j = 10, 15, 20, 25 and 30, with peak RSS
-# growing only from 18 to 30 MB.
-MAX_DISENTANGLE_DIM = 81
+# accepts, that of j = 40.  With log core and its powers as series in b+,
+# fresh processes on 2 cores took 0.40, 1.40, 3.91, 8.87 and 16.2 s at
+# j = 20, 30, 40, 50 and 60, with peak RSS growing from 19 to 50 MB.
+MAX_DISENTANGLE_DIM = 161
 
 
 def disentangle_check(j) -> VerificationReport:
@@ -366,20 +366,19 @@ def disentangle_check(j) -> VerificationReport:
     j = HalfInt(j)
     cl = classical_rep(j)
     h, bp = cl.matrix("h"), cl.matrix("b+")
-    iden = GradedMatrix.identity(cl.parity)
-    core = iden - bp.scale(HPARAM + HPARAM)
-    logc = nil_log_unit(core)
-    lhs = GradedMatrix.identity(cl.parity)
-    hpow = iden
-    lpow = iden
+    # log core is a series in b+ with no constant term, so its k-th power
+    # starts at b+^k and vanishes from k = n on
+    n = shift_length(cl.dim, 2)
+    logc = ShiftSeries.poly(n, 1, -(HPARAM + HPARAM)).log()
+    lhs = hpow = GradedMatrix.identity(cl.parity)
+    lpow = ShiftSeries.poly(n, 1)
     weight = Fraction(1)
-    for k in range(1, cl.dim + 1):
+    for k in range(1, n):
         hpow = hpow @ h
-        lpow = lpow @ logc
-        if lpow.is_zero:
-            break
+        lpow = lpow * logc
         weight = weight / (2 * k)
-        lhs = lhs + (hpow @ lpow).scale(Scalar.from_fraction(weight))
+        term = hpow @ lpow.matrix(cl.parity, 2)
+        lhs = lhs + term.scale(Scalar.from_fraction(weight))
     rhs = nil_exp((h @ bp).scale(-HPARAM))
     failures = matrix_residuals("disentangle", lhs - rhs)
     return VerificationReport("disentangle", {"j": j}, failures)

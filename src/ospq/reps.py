@@ -6,6 +6,9 @@ r1 one in its two dressing families.  The spin-j module has dimension
 4j+1 with basis ordered by descending weight; basis index k carries
 parity k mod 2 and weight m = j - k/2.  Every table is a pure function of
 its spin (and family), cached so that one table is shared by all callers.
+In the Jordanian tables every letter that is a function of b+ = e^2,
+and every such factor of E, H, F and Y, is a series in the shift
+(:class:`~ospq.nilfun.ShiftSeries`) written out as its matrix once.
 
 Bracket utilities cover the four deformation brackets used throughout:
 
@@ -25,9 +28,9 @@ from functools import lru_cache
 from math import prod
 
 from .errors import BadBracketArg, Inconsistency, UnknownGenerator
-from .gmatrix import GradedMatrix, inverse
+from .gmatrix import GradedMatrix
 from .halfint import HalfInt, as_half, spin_cache
-from .nilfun import nil_log_unit, unit_power, unit_sqrt
+from .nilfun import ShiftSeries, check_power, shift_length
 from .scalar import H as HPARAM
 from .scalar import ONE, Scalar, p_power, rational
 
@@ -243,47 +246,61 @@ def q_rep(j) -> GeneratorTable:
 # -- the Jordanian tables ------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _tilde_t_series(n: int) -> tuple:
+    """T = h x + sqrt(1 + h^2 x^2), its inverse h x - sqrt(...) and its
+    square root, mod x^n."""
+    hx = ShiftSeries.poly(n, 0, HPARAM)
+    root = (ShiftSeries.poly(n, 1) + hx * hx).power(Fraction(1, 2))
+    big_t = hx + root
+    return big_t, root - hx, big_t.power(Fraction(1, 2))
+
+
 @spin_cache
 def tilde_t_powers(j) -> tuple:
     """The Jordanian group-like element T = h e^2 + sqrt(1 + h^2 e^4) on
     the spin-j module, with its inverse and its square root."""
-    cl = classical_rep(j)
-    e2 = cl.matrix("e") @ cl.matrix("e")
-    root = unit_sqrt(cl.identity() + (e2 @ e2).scale(HPARAM**2))
-    big_t = e2.scale(HPARAM) + root
-    return big_t, e2.scale(-HPARAM) + root, unit_power(big_t, Fraction(1, 2))
+    parity = rep_parity(j)
+    return tuple(
+        s.matrix(parity, 2) for s in _tilde_t_series(shift_length(len(parity), 2))
+    )
 
 
 @spin_cache
 def r2_generators(j) -> GeneratorTable:
-    """Jordanian generators on the spin-j module, via the classical ones."""
+    """Jordanian generators on the spin-j module, via the classical ones.
+
+    The letters that are functions of e^2 are series in it: with
+    log T = asinh(h e^2), X = log T / h, Tinvhalf = exp(-log T / 2) and
+    (T - 1)(T + 1)^-1 = tanh(asinh(h e^2) / 2)."""
     cl = classical_rep(j)
-    ident = cl.identity()
-    e, f, h = cl.matrix("e"), cl.matrix("f"), cl.matrix("h")
+    e, f, h, parity = cl.matrix("e"), cl.matrix("f"), cl.matrix("h"), cl.parity
     big_t, big_tinv, thalf = tilde_t_powers(j)
+    t, tinv, _ = _tilde_t_series(shift_length(cl.dim, 2))
+    one = ShiftSeries.poly(t.length, 1)
+    log_t = t.log()
+    tinvhalf = log_t.scale(rational(-1, 2)).exp()
+    check_power(tinvhalf, t, Fraction(-1, 2))
     # (T + Tinv) / 2 is the root sqrt(1 + h^2 e^4)
-    big_h = (big_t + big_tinv).scale(rational(1, 2)) @ h
-    gq = (big_t - ident) @ inverse(big_t + ident)
+    root = (t + tinv).scale(rational(1, 2)).matrix(parity, 2)
+    gq = ((t - one) * (t + one).inverse()).matrix(parity, 2)
     big_f = (
         f
         + (gq @ e).scale(HPARAM * rational(1, 4))
         - (gq @ e @ h).scale(HPARAM * rational(1, 2))
     )
-    tinvhalf = unit_power(big_t, Fraction(-1, 2))
-    x = nil_log_unit(big_t).scale(HPARAM.reciprocal())
-    y = -(big_f @ big_f)
     mats = {
-        "H": big_h,
+        "H": root @ h,
         "E": e,
         "F": big_f,
         "T": big_t,
         "Tinv": big_tinv,
         "Thalf": thalf,
-        "Tinvhalf": tinvhalf,
-        "X": x,
-        "Y": y,
+        "Tinvhalf": tinvhalf.matrix(parity, 2),
+        "X": log_t.scale(HPARAM.reciprocal()).matrix(parity, 2),
+        "Y": -(big_f @ big_f),
     }
-    return GeneratorTable("jordanian-r2", j, cl.parity, mats)
+    return GeneratorTable("jordanian-r2", j, parity, mats)
 
 
 FAMILIES = ("minimal", "hdiag")
@@ -314,61 +331,68 @@ def r1_generators(j, family: str = "minimal") -> GeneratorTable:
 def _r1_table(j: HalfInt, family: str) -> GeneratorTable:
     _require_family(family)
     cl = classical_rep(j)
-    e, f, h, bp = cl.matrix("e"), cl.matrix("f"), cl.matrix("h"), cl.matrix("b+")
-    iden = cl.identity()
+    e, f, h, parity = cl.matrix("e"), cl.matrix("f"), cl.matrix("h"), cl.parity
     half, quarter = rational(1, 2), rational(1, 4)
     h2 = HPARAM * HPARAM
+    n = shift_length(cl.dim, 2)
+    one = ShiftSeries.poly(n, 1)
 
+    # Every function of b+ = e^2 is a series in it: the group-like letters,
+    # X, and the dressings in E = e_dress e, H = h_dress h and
+    # F = f_dress f + fe_dress e + feh_dress e h.  Only the products with
+    # e, f, h and F are matrix products.
     if family == "minimal":
         # Unipotent core: every factor is a rational power of it.
-        core = iden - bp.scale(HPARAM + HPARAM)
-        t = unit_power(core, Fraction(-1, 2))
-        tinv = unit_power(core, Fraction(1, 2))
-        thalf = unit_power(core, Fraction(-1, 4))
-        tinvhalf = unit_power(core, Fraction(1, 4))
-        big_e = thalf @ e
-        big_h = tinv @ h
-        big_f = (
-            tinvhalf @ f
-            - (bp @ unit_power(core, Fraction(-3, 4)) @ e).scale(h2 * quarter)
-            + (tinvhalf @ e @ h).scale(HPARAM * half)
-        )
-        big_x = nil_log_unit(core).scale(-(HPARAM + HPARAM).reciprocal())
+        core = ShiftSeries.poly(n, 1, -(HPARAM + HPARAM))
+        t, tinv = core.power(Fraction(-1, 2)), core.power(Fraction(1, 2))
+        thalf, tinvhalf = core.power(Fraction(-1, 4)), core.power(Fraction(1, 4))
+        big_x = core.log().scale(-(HPARAM + HPARAM).reciprocal())
+        e_dress, h_dress, f_dress = thalf, tinv, tinvhalf
+        fe_dress = core.power(Fraction(-3, 4)).times_x().scale(-h2 * quarter)
+        feh_dress = tinvhalf.scale(HPARAM * half)
     else:
         # Cartan stays classical; the group-like is a unipotent ratio.
-        shear = bp.scale(HPARAM * half)
-        t = (iden + shear) @ inverse(iden - shear)
-        tinv = (iden - shear) @ inverse(iden + shear)
-        thalf = unit_power(t, Fraction(1, 2))
-        tinvhalf = unit_power(t, Fraction(-1, 2))
-        flat = iden - shear @ shear
-        big_e = unit_power(flat, Fraction(-1, 2)) @ e
-        big_h = h
-        big_f = (
-            unit_power(flat, Fraction(1, 2)) @ f
-            - (bp @ unit_power(flat, Fraction(-3, 2)) @ e).scale(h2 * quarter)
-            - (bp @ unit_power(flat, Fraction(-1, 2)) @ e @ h).scale(h2 * quarter)
-        )
-        big_x = nil_log_unit(t).scale(HPARAM.reciprocal())
+        shear = ShiftSeries.poly(n, 0, HPARAM * half)
+        t = (one + shear) * (one - shear).inverse()
+        tinv = (one - shear) * (one + shear).inverse()
+        thalf, tinvhalf = t.power(Fraction(1, 2)), t.power(Fraction(-1, 2))
+        big_x = t.log().scale(HPARAM.reciprocal())
+        flat = one - shear * shear
+        e_dress, h_dress = flat.power(Fraction(-1, 2)), one
+        f_dress = flat.power(Fraction(1, 2))
+        fe_dress = flat.power(Fraction(-3, 2)).times_x().scale(-h2 * quarter)
+        feh_dress = e_dress.times_x().scale(-h2 * quarter)
 
+    def on_module(series):
+        return series.matrix(parity, 2)
+
+    big_e = on_module(e_dress) @ e
+    big_h = on_module(h_dress) @ h
+    big_f = (
+        on_module(f_dress) @ f
+        + on_module(fe_dress) @ e
+        + on_module(feh_dress) @ e @ h
+    )
     tm = t - tinv
+    squares = t * t - tinv * tinv
+    cubic = tm.scale(HPARAM * quarter) + (tm * tm * tm).scale(HPARAM * rational(9, 128))
+    # tm H = (tm h_dress) h and tm E = (tm e_dress) e
     big_y = (
         -(big_f @ big_f)
-        + (tm @ big_h @ big_h).scale(HPARAM * rational(1, 8))
-        + (tm @ big_e @ big_f).scale(HPARAM * quarter)
-        + ((t @ t - tinv @ tinv) @ big_h).scale(HPARAM * rational(3, 16))
-        + tm.scale(HPARAM * quarter)
-        + (tm @ tm @ tm).scale(HPARAM * rational(9, 128))
+        + (on_module(tm * h_dress) @ h @ big_h).scale(HPARAM * rational(1, 8))
+        + (on_module(tm * e_dress) @ e @ big_f).scale(HPARAM * quarter)
+        + (on_module(squares * h_dress) @ h).scale(HPARAM * rational(3, 16))
+        + on_module(cubic)
     )
     matrices = {
         "H": big_h,
         "E": big_e,
         "F": big_f,
-        "T": t,
-        "Tinv": tinv,
-        "Thalf": thalf,
-        "Tinvhalf": tinvhalf,
-        "X": big_x,
+        "T": on_module(t),
+        "Tinv": on_module(tinv),
+        "Thalf": on_module(thalf),
+        "Tinvhalf": on_module(tinvhalf),
+        "X": on_module(big_x),
         "Y": big_y,
     }
-    return GeneratorTable(f"jordanian-r1-{family}", j, cl.parity, matrices)
+    return GeneratorTable(f"jordanian-r1-{family}", j, parity, matrices)

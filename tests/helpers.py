@@ -1,5 +1,7 @@
 """Helpers shared by the test modules."""
 
+import sys
+
 from ospq.errors import PoleAtUnity
 from ospq.gmatrix import GradedMatrix, block_matrix
 from ospq.halfint import as_half
@@ -54,3 +56,12 @@ def series_limit(x: Laurent) -> Scalar:
     if x.val < 0:
         raise PoleAtUnity(f"a pole of order {-x.val} at p = 1 survives")
     return Scalar.from_h_laurent({e: int(c * x.den) for e, c in const.items()}, x.den)
+
+
+def clear_package_caches():
+    """Empty every ``lru_cache`` in the package, so the next call is cold."""
+    for name, module in list(sys.modules.items()):
+        if name == "ospq" or name.startswith("ospq."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()

@@ -135,14 +135,14 @@ class TestExitCodes:
         assert "exceeds the cap of 27" in err
 
     def test_oversized_disentangle_exits_two(self, capsys, monkeypatch):
-        # Refused before any table is built: j = 41/2 has module dimension 83.
+        # Refused before any table is built: j = 81/2 has module dimension 163.
         monkeypatch.setattr(r1, "classical_rep", forbidden)
         code, out, err = run_cli(
-            capsys, "verify", "--suite", "disentangle", "--j", "41/2"
+            capsys, "verify", "--suite", "disentangle", "--j", "81/2"
         )
         assert code == 2
         assert out == ""
-        assert "exceeds the cap of 81" in err
+        assert "exceeds the cap of 161" in err
 
     def test_oversized_hopf_r2_exits_two(self, capsys, monkeypatch):
         # Refused before any table is built: j = 11/2 has module dimension 23.
@@ -175,14 +175,16 @@ class TestExitCodes:
         assert "exceeds the cap of 189" in err
 
     def test_oversized_frt_hopf_exits_two(self, capsys, monkeypatch):
-        # Refused before any table is built: j = 25/2 has module dimension 51.
+        # Refused before any table is built: j = 49/2 has module dimension
+        # 99, and (13, 12) the product dimension 53 * 49.
         monkeypatch.setattr(contraction, "r2_generators", forbidden)
-        code, out, err = run_cli(
-            capsys, "verify", "--suite", "frt-hopf", "--j", "1/2", "25/2"
-        )
-        assert code == 2
-        assert out == ""
-        assert "exceeds the cap of 49" in err
+        for spins, cap in ((("1/2", "49/2"), 97), (("13", "12"), 2401)):
+            code, out, err = run_cli(
+                capsys, "verify", "--suite", "frt-hopf", "--j", *spins
+            )
+            assert code == 2
+            assert out == ""
+            assert f"exceeds the cap of {cap}" in err
 
     def test_oversized_identities_exit_two(self, capsys, monkeypatch):
         # Refused before any work: j = 7/2 has dimension 15.
@@ -205,6 +207,47 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "exceeds the cap of 729" in err
+
+    def test_oversized_contracted_ybe_exits_two(self, capsys, monkeypatch):
+        # Refused before the first pair is contracted: (1/2, 5) fits the
+        # caps of contract, (5, 5) does not; (3, 3, 3) fits each pair but
+        # not the triple's cap.
+        for name in ("universal_Rq", "m_matrix"):
+            monkeypatch.setattr(contraction, name, forbidden)
+        for spins, cap in ((("1/2", "5", "5"), 169), (("3", "3", "3"), 1331)):
+            code, out, err = run_cli(
+                capsys, "verify", "--suite", "ybe", "--kind", "contracted",
+                "--j", *spins,
+            )
+            assert code == 2
+            assert out == ""
+            assert f"exceeds the cap of {cap}" in err
+
+    def test_oversized_r1_relations_exits_two(self, capsys, monkeypatch):
+        # Refused before any table is built: j = 33/2 has module dimension 67.
+        monkeypatch.setattr(hopf, "r1_generators", forbidden)
+        for family in ("minimal", "hdiag"):
+            code, out, err = run_cli(
+                capsys, "verify", "--suite", "r1-relations", "--j", "33/2",
+                "--family", family,
+            )
+            assert code == 2
+            assert out == ""
+            assert "exceeds the cap of 65" in err
+
+    def test_oversized_rep_exits_two(self, capsys, monkeypatch):
+        # One cap per variant, checked before the table is built.
+        for variant in cli.REP_BUILDERS:
+            monkeypatch.setitem(cli.REP_BUILDERS, variant, forbidden)
+        assert cli.MAX_REP_DIM == {
+            "classical": 321, "q": 321, "r2": 257, "r1-minimal": 129, "r1-hdiag": 193,
+        }
+        for variant, cap in cli.MAX_REP_DIM.items():
+            above = f"{(cap + 1) // 2}/2"  # module dimension cap + 2
+            code, out, err = run_cli(capsys, "rep", "--variant", variant, "--j", above)
+            assert code == 2
+            assert out == ""
+            assert f"exceeds the cap of {cap}" in err
 
 
 class TestMatrixEmission:

@@ -5,7 +5,6 @@ displays and frozen here as strings; the code under test must reproduce
 them entry for entry with h kept symbolic.
 """
 
-import sys
 from fractions import Fraction
 
 import pytest
@@ -14,6 +13,7 @@ import ospq.contraction
 from ospq.contraction import (
     MAX_CONTRACT_DIM,
     MAX_CONTRACT_SPIN_DIM,
+    MAX_FRT_HOPF_DIM,
     MAX_FRT_HOPF_SPIN_DIM,
     MAX_IDENTITY_DIM,
     MAX_RLL_DIM,
@@ -61,25 +61,25 @@ from ospq.reps import (
     rep_parity,
     tilde_t_powers,
 )
-from ospq.scalar import H, ONE, ZERO, Scalar, rational, scalar_from_string, scalar_to_string
+from ospq.scalar import (
+    H,
+    ONE,
+    P,
+    ZERO,
+    Scalar,
+    rational,
+    scalar_from_string,
+    scalar_to_string,
+)
 from ospq.texpr import TensorExpression as TE
 from ospq.texpr import tensor_product
 
-from helpers import from_rows, series_limit
+from helpers import clear_package_caches, from_rows, series_limit
 
 HALF = HalfInt.from_twice(1)
 ONEJ = HalfInt(1)
 THREEHALF = HalfInt.from_twice(3)
 TWOJ = HalfInt(2)
-
-
-def clear_package_caches():
-    """Empty every ``lru_cache`` in the package, so the next call is cold."""
-    for name, module in list(sys.modules.items()):
-        if name == "ospq" or name.startswith("ospq."):
-            for value in vars(module).values():
-                if callable(getattr(value, "cache_clear", None)):
-                    value.cache_clear()
 
 
 @pytest.fixture
@@ -151,6 +151,26 @@ class TestBridge:
             + (e2 @ e2).scale(eta() * eta() / two)
         )
         assert m == expected
+
+    def test_inverse_off_the_series_is_the_unipotent_inverse(
+        self, monkeypatch, cold_caches
+    ):
+        # one entry of M moved: M is no series in e^2, so M^-1 comes from
+        # sum_k (1 - M)^k, and script_t from the product with M^-1
+        built = m_matrix
+
+        def perturbed(j):
+            m = built(j)
+            return m + GradedMatrix(m.parity, {(0, 2): H})
+
+        monkeypatch.setattr(ospq.contraction, "m_matrix", perturbed)
+        m = ospq.contraction.m_matrix(ONEJ)
+        minv = m_inverse(ONEJ)
+        assert minv == inverse(m)
+        rep = q_rep(ONEJ)
+        e2 = rep.matrix("e") @ rep.matrix("e")
+        quotient = minv @ eq2_series(e2.scale(eta() * P**4))
+        assert script_t(ONEJ, 1) == quotient
 
     def test_eq2_series_rejects_non_nilpotent(self):
         rep = q_rep(HALF)
@@ -432,10 +452,15 @@ def test_oversized_frt_hopf_refused_before_any_table(monkeypatch):
         raise AssertionError("work started on an oversized spin")
 
     monkeypatch.setattr(ospq.contraction, "r2_generators", forbidden)
-    assert MAX_FRT_HOPF_SPIN_DIM == 49
-    refuse_oversized((HalfInt(12),), MAX_FRT_HOPF_SPIN_DIM)  # j = 12 is inside
-    for pair in ((HALF, HalfInt.from_twice(25)), (HalfInt(16), HALF)):
-        with pytest.raises(ValueError, match="exceeds the cap of 49"):
+    assert (MAX_FRT_HOPF_SPIN_DIM, MAX_FRT_HOPF_DIM) == (97, 49 * 49)
+    refuse_oversized((HalfInt(24),), MAX_FRT_HOPF_SPIN_DIM)  # j = 24 is inside
+    refuse_oversized((HalfInt(12), HalfInt(12)), MAX_FRT_HOPF_DIM)  # so is (12, 12)
+    for pair in ((HALF, HalfInt.from_twice(49)), (HalfInt(30), HALF)):
+        with pytest.raises(ValueError, match="exceeds the cap of 97"):
+            frt_hopf_check(*pair)
+    # 53 * 49 and 41 * 65: each spin is inside, the pair is not
+    for pair in ((HalfInt(13), HalfInt(12)), (HalfInt(10), HalfInt(16))):
+        with pytest.raises(ValueError, match="exceeds the cap of 2401"):
             frt_hopf_check(*pair)
 
 
@@ -584,6 +609,27 @@ def bridge_blocks_and_cartan_products(j) -> tuple:
     return bridge, products
 
 
+def conjugation_products(j) -> tuple:
+    """The conjugation failures of a cold ``_spin_identity_failures(j)``,
+    and how many products M^-1 q^{gamma h} it formed."""
+    c = ospq.contraction
+    operands = []
+    matmul = GradedMatrix.__matmul__
+
+    def recording(a, b):
+        operands.append((a, b))
+        return matmul(a, b)
+
+    GradedMatrix.__matmul__ = recording
+    try:
+        fails = _spin_identity_failures(j)
+    finally:
+        GradedMatrix.__matmul__ = matmul
+    minv, big_m = c.m_inverse(j), c.m_matrix(j)
+    products = sum(a == minv and b != big_m for a, b in operands)
+    return [f for f in fails if f[0].startswith("conjugation:")], products
+
+
 class TestIdentities:
     @pytest.mark.parametrize("twice_j", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -658,6 +704,83 @@ class TestIdentities:
         assert products == 16
         assert bridge_blocks_and_cartan_products(HALF) == ([], 0)
 
+    @pytest.mark.parametrize("j", (HALF, ONEJ, THREEHALF, TWOJ), ids=str)
+    def test_certified_conjugation_forms_no_bridge_product(self, j, cold_caches):
+        assert conjugation_products(j) == ([], 0)
+
+    def test_uncertified_conjugation_forms_each_bridge_product(
+        self, monkeypatch, cold_caches
+    ):
+        # M^-1 M = 1 fails, as in the test above, so the conjugation rule
+        # is evaluated at all nine gammas
+        built = m_inverse
+
+        def perturbed(j):
+            m = built(j)
+            corner = (0, m.dim - 1)
+            return m + GradedMatrix(m.parity, {corner: H})
+
+        monkeypatch.setattr(ospq.contraction, "m_inverse", perturbed)
+        assert conjugation_products(ONEJ) == ([], 9)
+
+    def test_inverse_off_by_a_corner_fails_the_rule_with_true_quotients(
+        self, monkeypatch, cold_caches
+    ):
+        # the quotients stay those of the true M^-1, so m_k q^{2 gamma k} =
+        # (m s)_k holds at every gamma; only M^-1 M = 1 tells that the
+        # corner of M^-1 leaves h q^{gamma h}[last] E[0, last] in every
+        # conjugation residual
+        quotients = {
+            gamma: script_t(ONEJ, gamma)
+            for gamma in map(HalfInt.from_twice, range(-4, 5))
+        }
+        built = m_inverse
+
+        def perturbed(j):
+            m = built(j)
+            return m + GradedMatrix(m.parity, {(0, m.dim - 1): H})
+
+        monkeypatch.setattr(ospq.contraction, "m_inverse", perturbed)
+        monkeypatch.setattr(ospq.contraction, "script_t", lambda j, a: quotients[a])
+        fails, products = conjugation_products(ONEJ)
+        alphas = {"1", "-1", "1/2", "-1/2"}
+        assert {label for label, _, _ in fails} == {f"conjugation:alpha={a}" for a in alphas}
+        assert products == 9
+
+    def test_quotient_off_the_series_is_evaluated(self, monkeypatch, cold_caches):
+        # one diagonal entry of S at gamma = 1 moved: S no longer reads
+        # back as a series, so the conjugation rule there is evaluated
+        # and fails, and no other gamma is touched
+        built = script_t
+
+        def perturbed(j, alpha):
+            m = built(j, alpha)
+            if alpha != 1:
+                return m
+            return m + GradedMatrix(m.parity, {(0, 0): H})
+
+        monkeypatch.setattr(ospq.contraction, "script_t", perturbed)
+        fails, products = conjugation_products(ONEJ)
+        assert {label for label, _, _ in fails} == {"conjugation:alpha=1"}
+        assert products == 1
+
+    def test_series_quotient_off_the_rule_is_evaluated(self, monkeypatch, cold_caches):
+        # S at gamma = 1 plus h times the identity still reads back as a
+        # series, but m_k q^{2k} = (m s)_k fails at k = 0, so the rule there
+        # is evaluated and fails
+        built = script_t
+
+        def perturbed(j, alpha):
+            m = built(j, alpha)
+            if alpha != 1:
+                return m
+            return m + GradedMatrix.identity(m.parity).scale(H)
+
+        monkeypatch.setattr(ospq.contraction, "script_t", perturbed)
+        fails, products = conjugation_products(ONEJ)
+        assert {label for label, _, _ in fails} == {"conjugation:alpha=1"}
+        assert products == 1
+
     def test_n_free_blocks_are_built_once_per_spin(self, cold_caches):
         for n in (1, 2, 3):
             assert identity_check(THREEHALF, n).ok
@@ -715,14 +838,10 @@ def test_several_spin_arguments_share_one_cache_entry(cold_caches):
         assert builder.cache_info().misses == 1
 
 
-def test_contract_inverts_each_bridge_once(monkeypatch, cold_caches):
-    calls = []
-    monkeypatch.setattr(
-        ospq.contraction, "inverse", lambda m: calls.append(m) or inverse(m)
-    )
+def test_contract_inverts_each_bridge_once(cold_caches):
     for pair in ((ONEJ, THREEHALF), (THREEHALF, ONEJ), (ONEJ, ONEJ)):
         contract(*pair)
-    assert len(calls) == 2
+    assert m_inverse.cache_info().misses == 2
 
 
 class TestLOperator:

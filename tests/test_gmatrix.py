@@ -22,10 +22,11 @@ from ospq.gmatrix import (
     swap_conjugate,
     tensor_parity,
 )
-from ospq.nilfun import nil_exp, nil_log_unit, unit_power, unit_sqrt
+from ospq.nilfun import nil_exp
 from ospq.scalar import ONE, Scalar
 
 from helpers import from_rows
+from references import nil_log_unit, unit_power, unit_sqrt
 
 
 def M(parity, rows):

@@ -8,7 +8,12 @@ import pytest
 import ospq.r1
 from ospq.gmatrix import GradedMatrix, inverse, swap_conjugate
 from ospq.halfint import HalfInt
-from ospq.hopf import r1_algebra, r1_hopf_check, r1_relations_check
+from ospq.hopf import (
+    MAX_R1_RELATIONS_DIM,
+    r1_algebra,
+    r1_hopf_check,
+    r1_relations_check,
+)
 from ospq.qrmatrix import ybe_check
 from ospq.r1 import (
     MAX_ANTIPODE_DIM,
@@ -358,19 +363,31 @@ def test_oversized_cocycle_refused_before_any_work(monkeypatch):
 def test_oversized_antipode_refused_before_any_table(monkeypatch):
     for name in ("r1_generators", "antipode_transformer"):
         monkeypatch.setattr(ospq.r1, name, forbidden)
-    assert MAX_ANTIPODE_DIM == 27
-    refuse_oversized((HalfInt.from_twice(13),), MAX_ANTIPODE_DIM)  # j = 13/2 is inside
+    assert MAX_ANTIPODE_DIM == {"minimal": 41, "hdiag": 27}
+    inside = {"minimal": HalfInt(10), "hdiag": HalfInt.from_twice(13)}
+    above = {"minimal": HalfInt.from_twice(21), "hdiag": HalfInt(7)}
     for family in FAMILIES:
-        with pytest.raises(ValueError, match="exceeds the cap of 27"):
-            antipode_check(HalfInt(7), family)
+        refuse_oversized((inside[family],), MAX_ANTIPODE_DIM[family])
+        cap = MAX_ANTIPODE_DIM[family]
+        with pytest.raises(ValueError, match=f"exceeds the cap of {cap}"):
+            antipode_check(above[family], family)
 
 
 def test_oversized_disentangle_refused_before_any_table(monkeypatch):
     monkeypatch.setattr(ospq.r1, "classical_rep", forbidden)
-    assert MAX_DISENTANGLE_DIM == 81
-    refuse_oversized((HalfInt(20),), MAX_DISENTANGLE_DIM)  # j = 20 is inside
-    with pytest.raises(ValueError, match="exceeds the cap of 81"):
-        disentangle_check(HalfInt.from_twice(41))
+    assert MAX_DISENTANGLE_DIM == 161
+    refuse_oversized((HalfInt(40),), MAX_DISENTANGLE_DIM)  # j = 40 is inside
+    with pytest.raises(ValueError, match="exceeds the cap of 161"):
+        disentangle_check(HalfInt.from_twice(81))
+
+
+def test_oversized_r1_relations_refused_before_any_table(monkeypatch):
+    monkeypatch.setattr(ospq.hopf, "r1_generators", forbidden)
+    assert MAX_R1_RELATIONS_DIM == 65
+    refuse_oversized((HalfInt(16),), MAX_R1_RELATIONS_DIM)  # j = 16 is inside
+    for family in FAMILIES:
+        with pytest.raises(ValueError, match="exceeds the cap of 65"):
+            r1_relations_check(HalfInt.from_twice(33), family)
 
 
 class TestAntipodeTransformer:
