@@ -69,14 +69,15 @@ REP_BUILDERS = {
 # dimension):
 #   classical: j = 40, 80, 120 took 0.15, 0.39, 0.76 s (28, 64, 123 MB);
 #   q: j = 40, 80, 120 took 0.29, 1.33, 4.16 s (37, 102, 214 MB);
-#   r2: j = 32, 48, 64 took 0.54, 1.45, 3.00 s (39, 69, 112 MB);
+#   r2: j = 32, 48, 64 took 0.90, 2.65, 5.91 s (40, 70, 115 MB), half of it
+#     the Gauss-Jordan inverse in (T - 1)(T + 1)^-1;
 #   r1-minimal: j = 24, 32, 40, 48 took 1.22, 2.60, 4.88, 10.0 s (34 to 91 MB);
 #   r1-hdiag: j = 32, 40, 48, 64 took 0.92, 1.66, 2.88, 6.87 s (39 to 110 MB).
 # The checks build these tables at smaller spins only.
 MAX_REP_DIM = {
     "classical": 321,
     "q": 321,
-    "r2": 257,
+    "r2": 193,
     "r1-minimal": 129,
     "r1-hdiag": 193,
 }

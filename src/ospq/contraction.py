@@ -39,11 +39,11 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from .errors import Inconsistency
-from .gmatrix import GradedMatrix, block_matrix
+from .gmatrix import GradedMatrix, block_matrix, inverse
 from .halfint import HalfInt, as_half, spin_cache
 from .hopf import GROUP_LIKE, SUITE_CACHE_SIZE, expression_residuals, r2_algebra
 from .laurent import Laurent, valuation
-from .nilfun import ShiftSeries, nil_series, shift_length
+from .nilfun import ShiftSeries, shift_length
 from .packed import SeriesPlan
 from .qrmatrix import universal_Rq, ybe_check
 from .report import VerificationReport, matrix_residuals
@@ -76,11 +76,6 @@ def q2_factorial(n: int) -> Scalar:
     return q2_factorial(n - 1) * bracket("q", n, base=2)
 
 
-def eq2_series(x: GradedMatrix) -> GradedMatrix:
-    """The base-q^2 exponential of a nilpotent matrix argument."""
-    return nil_series(x, lambda n: q2_factorial(n).reciprocal())
-
-
 def eq2_shift_series(c: Scalar, n: int) -> ShiftSeries:
     """E_{q^2}(c x) mod x^n: the k-th coefficient is c^k / [k]_{q^2}!."""
     return ShiftSeries.of(n, lambda k: c**k * q2_factorial(k).reciprocal())
@@ -97,12 +92,11 @@ def m_matrix(j) -> GradedMatrix:
 def m_inverse(j) -> GradedMatrix:
     """The inverse of the contraction bridge on the spin-j module: the
     inverse of the series that ``m_matrix(j)`` reads back as.  A bridge
-    that is not a series in e^2 is inverted as the unipotent matrix it
-    is, by sum_k (1 - M)^k."""
+    that is not a series in e^2 is inverted by Gauss-Jordan."""
     m = m_matrix(j)
     series = ShiftSeries.read(m, 2)
     if series is None:
-        return nil_series(GradedMatrix.identity(m.parity) - m, lambda k: ONE)
+        return inverse(m)
     return series.inverse().matrix(m.parity, 2)
 
 
@@ -129,15 +123,14 @@ def q_cartan_power(j, alpha) -> GradedMatrix:
 
 @spin_cache
 def script_t(j, alpha) -> GradedMatrix:
-    """The shifted-exponential quotient E(eta e^2)^-1 E(q^{2 alpha} eta e^2):
-    a product of series when ``m_inverse(j)`` reads back as one, else the
-    product of the two matrices."""
+    """The shifted-exponential quotient E(eta e^2)^-1 E(q^{2 alpha} eta e^2),
+    a product of series.  An ``m_inverse(j)`` that is not a series in e^2
+    raises ``Inconsistency``."""
     minv = m_inverse(j)
-    shift = eta() * p_power(alpha * 2)  # q^{2 alpha} eta
     inv = ShiftSeries.read(minv, 2)
     if inv is None:
-        e = q_rep(j).matrix("e")
-        return minv @ eq2_series((e @ e).scale(shift))
+        raise Inconsistency("the inverse bridge is not a series in e^2")
+    shift = eta() * p_power(alpha * 2)  # q^{2 alpha} eta
     return (inv * eq2_shift_series(shift, inv.length)).matrix(minv.parity, 2)
 
 

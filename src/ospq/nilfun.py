@@ -131,9 +131,6 @@ class ShiftSeries:
     def __add__(self, other: "ShiftSeries") -> "ShiftSeries":
         return ShiftSeries(a + b for a, b in zip(self.coeffs, other.coeffs))
 
-    def __neg__(self) -> "ShiftSeries":
-        return ShiftSeries(-c for c in self.coeffs)
-
     def __sub__(self, other: "ShiftSeries") -> "ShiftSeries":
         return ShiftSeries(a - b for a, b in zip(self.coeffs, other.coeffs))
 

@@ -53,7 +53,8 @@ def nil_log_unit(m: GradedMatrix) -> GradedMatrix:
     )
 
 
-def _eq2(x: GradedMatrix) -> GradedMatrix:
+def eq2_series(x: GradedMatrix) -> GradedMatrix:
+    """The base-q^2 exponential of a nilpotent matrix argument."""
     return nilfun.nil_series(x, lambda n: q2_factorial(n).reciprocal())
 
 
@@ -62,10 +63,10 @@ def bridge(j) -> tuple:
     halves, keyed by twice gamma."""
     e = q_rep(j).matrix("e")
     e2 = e @ e
-    m = _eq2(e2.scale(eta()))
+    m = eq2_series(e2.scale(eta()))
     minv = inverse(m)
     quotients = {
-        twice: minv @ _eq2(e2.scale(eta() * p_power(twice)))
+        twice: minv @ eq2_series(e2.scale(eta() * p_power(twice)))
         for twice in range(-4, 5)
     }
     return m, minv, quotients

@@ -240,7 +240,7 @@ class TestExitCodes:
         for variant in cli.REP_BUILDERS:
             monkeypatch.setitem(cli.REP_BUILDERS, variant, forbidden)
         assert cli.MAX_REP_DIM == {
-            "classical": 321, "q": 321, "r2": 257, "r1-minimal": 129, "r1-hdiag": 193,
+            "classical": 321, "q": 321, "r2": 193, "r1-minimal": 129, "r1-hdiag": 193,
         }
         for variant, cap in cli.MAX_REP_DIM.items():
             above = f"{(cap + 1) // 2}/2"  # module dimension cap + 2

@@ -54,7 +54,7 @@ class TestShiftSeries:
         assert (a * b).matrix(parity, step) == ma @ mb
         assert (a + b).matrix(parity, step) == ma + mb
         assert (a - b).matrix(parity, step) == ma - mb
-        assert (-a).matrix(parity, step) == -ma
+        assert a.scale(-ONE).matrix(parity, step) == -ma
         assert a.scale(H).matrix(parity, step) == ma.scale(H)
         shift = shift_matrix(dim, step)
         assert a.times_x().matrix(parity, step) == shift @ ma
