@@ -396,7 +396,7 @@ def frt_rules(alg) -> tuple:
 # The largest module dimension 4 j + 1 of either spin that
 # ``frt_hopf_check`` accepts, that of j = 24, and the largest product
 # (4 j1 + 1)(4 j2 + 1), that of (12, 12).  Fresh processes on 2 cores
-# took 0.17, 0.65, 1.98 and 10.0 s at (1/2, j) for j = 16, 24, 32 and 48
+# took 0.25, 0.77, 1.98 and 10.0 s at (1/2, j) for j = 16, 24, 32 and 48
 # (20 to 164 MB): one large spin is cheap, as its table is built from
 # series in e^2, and pairs of large spins set the budget: (10, 10),
 # (12, 12), (14, 14) and (16, 16) took 1.37, 3.94, 10.8 and 20.2 s (116,
