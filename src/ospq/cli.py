@@ -84,6 +84,21 @@ MAX_REP_DIM = {
 
 R_KINDS = ("q", "contracted", "r1")
 
+# The largest (4 j1 + 1)(4 j2 + 1) that ``rmatrix`` emits, per kind, and
+# for r1 the largest module dimension 4 j + 1 of either spin, checked
+# before any table is built; ``contracted`` has the caps of ``contract``.
+# Fresh ``ospq rmatrix`` processes on 2 cores (JSON to /dev/null; the
+# output grows as the square of the dimension):
+#   q: (5, 5), (6, 6), (8, 8) took 0.73, 1.42, 5.43 s (72, 150, 570 MB);
+#     the slowest pair inside, (5/2, 27/2) at 605, 2.9 s (153 MB); (3, 20),
+#     at 1053, 10.7 s (553 MB);
+#   r1: (4, 4), (5, 5), (6, 6) took 0.53, 1.01, 1.33 s (minimal) and 1.16,
+#     3.92, 14.0 s (hdiag).  One large spin costs alone: (1/2, 10), (1/2, 15),
+#     (1/2, 20), (1/2, 30) took 0.74, 2.88, 5.70, 25.2 s (minimal); inside
+#     both caps (2, 10) took 2.07 s (minimal) and (3/2, 10) 1.70 s (hdiag).
+MAX_RMATRIX_DIM = {"q": 625, "r1": 441}
+MAX_RMATRIX_SPIN_DIM = {"r1": 41}
+
 FIXTURE_FILES = {
     "contract-9x9": ("contract_half_half.json", "1/2", "1/2"),
     "contract-15x15": ("contract_half_one.json", "1/2", "1"),
@@ -389,6 +404,12 @@ def _cmd_rep(args) -> int:
 
 
 def _cmd_rmatrix(args) -> int:
+    spins = (args.j1, args.j2)
+    if args.kind in MAX_RMATRIX_DIM:
+        refuse_oversized(spins, MAX_RMATRIX_DIM[args.kind])
+    if args.kind in MAX_RMATRIX_SPIN_DIM:
+        for j in spins:
+            refuse_oversized((j,), MAX_RMATRIX_SPIN_DIM[args.kind])
     matrix = _substituted(
         _pair_r_matrix(args.kind, args.family, args.j1, args.j2), args.h
     )

@@ -25,9 +25,11 @@ R_q, M and M^-1 as truncated Laurent series in t = p - 1
 poles that cancel are never reduced away as fractions; a genuine pole
 raises instead of being approximated.  Each entry is expanded only as far
 as that coefficient needs, a bound read from the exact valuations at
-p = 1 of the entries it meets.  M and M^-1 are Kronecker products of one
-bridge per spin, so each bridge is expanded once.  The Kronecker
-products and the chain M^-1 (R_q M) are formed on packed t-digits at one
+p = 1 of the entries it meets; those of R_q are the exponents of
+Phi_1 = p - 1 in its factored entries
+(:func:`~ospq.qrmatrix.universal_Rq_factors`).  M and M^-1 are Kronecker
+products of one bridge per spin, so each bridge is expanded once.  The
+Kronecker products and the chain M^-1 (R_q M) are formed on packed t-digits at one
 proven width (:class:`~ospq.packed.SeriesPlan`), each entry cut to its
 own precision, and the pole orders of the cancellation log are read from
 the same packed valuations.
@@ -45,10 +47,12 @@ from .hopf import GROUP_LIKE, SUITE_CACHE_SIZE, expression_residuals, r2_algebra
 from .laurent import Laurent, valuation
 from .nilfun import ShiftSeries, shift_length
 from .packed import SeriesPlan
-from .qrmatrix import universal_Rq, ybe_check
+from .qnumber import QNumber
+from .qrmatrix import universal_Rq, universal_Rq_factors, ybe_check
 from .report import VerificationReport, matrix_residuals
 from .reps import (
     bracket,
+    factored_bracket,
     q_rep,
     r2_generators,
     refuse_oversized,
@@ -64,16 +68,21 @@ from .texpr import tensor_product
 
 @lru_cache(maxsize=None)
 def eta() -> Scalar:
-    """The bridge coupling h / (q^2 - 1)."""
-    return HPARAM / (P**4 - ONE)
+    """The bridge coupling h / (q^2 - 1), with q^2 - 1 factored."""
+    return HPARAM * QNumber.p_minus_one(4).reciprocal().to_scalar()
+
+
+def q2_factorial(n: int) -> Scalar:
+    """[1]_{q^2} [2]_{q^2} ... [n]_{q^2}, with the empty product 1, formed
+    as a factored q-number and built once per n."""
+    return _q2_factorial(n).to_scalar()
 
 
 @lru_cache(maxsize=None)
-def q2_factorial(n: int) -> Scalar:
-    """[1]_{q^2} [2]_{q^2} ... [n]_{q^2}, with the empty product 1."""
+def _q2_factorial(n: int) -> QNumber:
     if n < 1:
-        return ONE
-    return q2_factorial(n - 1) * bracket("q", n, base=2)
+        return QNumber(1)
+    return _q2_factorial(n - 1) * factored_bracket("q", n, base=2)
 
 
 def eq2_shift_series(c: Scalar, n: int) -> ShiftSeries:
@@ -192,7 +201,7 @@ def contract(j1, j2, source: str = "universal", log_cancellation: bool = False):
         raise ValueError(f"unknown contraction source {source!r}")
 
     rq = universal_Rq(j1, j2)
-    vr = {key: valuation(s) for key, s in rq.entries.items()}
+    vr = {key: q.valuation() for key, q in universal_Rq_factors(j1, j2).items()}
     (vm1, vi1), (vm2, vi2) = bridge_valuations(j1), bridge_valuations(j2)
     # Valuations add exactly.  With col_i[k] the lowest valuation in
     # column k of M^-1 and row_m[l] that in row l of M, the t^0

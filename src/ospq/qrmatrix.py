@@ -5,54 +5,78 @@ The universal R-matrix acts on a tensor product of two spin modules as
     R = q^{h (x) h} * sum_n  q^{n(n+1)/4} (1-q^-2)^n / [n]+!
                               * (q^{h/2} e)^n (x) (q^{-h/2} f)^n
 
-with the sum terminating once the nilpotent raising operator dies.
+with the sum terminating once the nilpotent raising operator dies.  The
+n-th term moves leg 1 up by n steps and leg 2 down by n, so the terms
+have disjoint supports and every entry of R is one product: the Cartan
+power, the coefficient, the entries of the two legs' n-th powers and the
+graded sign.  Each factor is a factored q-number
+(:class:`~ospq.qnumber.QNumber`), so an entry is formed without a
+polynomial GCD and written as a ``Scalar`` once.
 """
 
 from __future__ import annotations
 
-from .gmatrix import GradedMatrix, graded_kron, tensor_parity
-from .halfint import HalfInt, as_half, spin_cache
+from .errors import Inconsistency
+from .gmatrix import GradedMatrix, tensor_parity
+from .halfint import as_half, spin_cache
 from .packed import product_difference
-from .reps import plus_factorial, q_rep, refuse_oversized, rep_parity, weight_twice
-from .scalar import ONE, P, p_power, scalar_to_string
+from .qnumber import QNumber
+from .reps import (
+    factored_plus_factorial,
+    q_lowering,
+    refuse_oversized,
+    rep_dim,
+    rep_parity,
+    weight_twice,
+)
+from .scalar import scalar_to_string
+
+
+@spin_cache
+def universal_Rq_factors(j1, j2) -> dict:
+    """The entries of the universal R-matrix on the spin (j1, j2) product,
+    keyed by (row, col), as factored q-numbers."""
+    d1, d2 = rep_dim(j1), rep_dim(j2)
+    lower = q_lowering(j2)
+    omega = QNumber.p_power(-4) * QNumber.p_minus_one(4)  # 1 - q^{-2}
+    # leg 1: the p-exponent of (q^{h/2} e)^n at (k1 - n, k1), k1 >= n;
+    # leg 2: (q^{-h/2} f)^n at (k2 + n, k2), k2 < d2 - n
+    raise_exp = [0] * d1
+    lower_n = [QNumber(1)] * d2
+    entries = {}
+    for n in range(min(d1, d2)):
+        if n:
+            for k1 in range(n, d1):
+                raise_exp[k1] += weight_twice(j1, k1 - n)
+            lower_n = [
+                QNumber.p_power(-weight_twice(j2, k2 + n)) * lower[k2 + n - 1] * x
+                for k2, x in enumerate(lower_n[: d2 - n])
+            ]
+        coeff = (
+            QNumber.p_power(n * (n + 1) // 2)
+            * omega**n
+            * factored_plus_factorial(n).reciprocal()
+        )
+        scaled = [coeff * low for low in lower_n]
+        for k1 in range(n, d1):
+            t1 = weight_twice(j1, k1 - n)
+            sign = -1 if n % 2 and k1 % 2 else 1
+            for k2, c in enumerate(scaled):
+                t2 = weight_twice(j2, k2 + n)
+                key = ((k1 - n) * d2 + k2 + n, k1 * d2 + k2)
+                if key in entries:
+                    raise Inconsistency("two terms of R_q share an entry")
+                entries[key] = QNumber(sign, 2 * t1 * t2 + raise_exp[k1]) * c
+    return entries
 
 
 @spin_cache
 def universal_Rq(j1, j2) -> GradedMatrix:
     """Evaluate the universal R-matrix on the spin (j1, j2) tensor product."""
-    rep1, rep2 = q_rep(j1), q_rep(j2)
-    raise_half = rep1.matrix("K") @ rep1.matrix("e")
-    lower_half = rep2.matrix("Kinv") @ rep2.matrix("f")
-    nmax = min(2 * j1.twice, 2 * j2.twice)
-    omega = ONE - P**-4  # 1 - q^{-2}
-
-    an = GradedMatrix.identity(rep1.parity)
-    bn = GradedMatrix.identity(rep2.parity)
-    coeff = ONE
-    total = None
-    for n in range(nmax + 1):
-        if n:
-            an = an @ raise_half
-            bn = bn @ lower_half
-        coeff = (
-            p_power(HalfInt.from_twice(n * (n + 1) // 2))
-            * omega**n
-            / plus_factorial(n)
-        )
-        term = graded_kron(an, bn, b_op_parity=n % 2).scale(coeff)
-        total = term if total is None else total + term
-
-    parity = tensor_parity((rep1.parity, rep2.parity))
-    d2 = rep2.dim
-    cartan = {}
-    for k1 in range(rep1.dim):
-        t1 = weight_twice(j1, k1)
-        for k2 in range(rep2.dim):
-            t2 = weight_twice(j2, k2)
-            g = k1 * d2 + k2
-            cartan[(g, g)] = p_power(HalfInt(t1 * t2))
-    qhh = GradedMatrix(parity, cartan)
-    return qhh @ total
+    parity = tensor_parity((rep_parity(j1), rep_parity(j2)))
+    return GradedMatrix(parity, {
+        key: q.to_scalar() for key, q in universal_Rq_factors(j1, j2).items()
+    })
 
 
 def ybe_check(r12, r13, r23, parities):
@@ -73,10 +97,13 @@ def ybe_check(r12, r13, r23, parities):
 
 
 # The largest dimension (4 j1 + 1)(4 j2 + 1)(4 j3 + 1) that ``ybe_check_q``
-# accepts, that of (2, 2, 2), which takes 0.45 s on 2 cores.  The slowest
-# triple inside it, (1/2, 7/2, 7/2), takes 1.6 s; beyond it (5/2, 5/2, 5/2)
-# takes 3.1 s, and (1/2, 5, 5), at 1323, takes 13 s, most of it in R_q(5, 5).
-MAX_YBE_Q_DIM = 729
+# accepts, that of (5/2, 5/2, 5/2).  Fresh processes on 2 cores (wall time,
+# peak RSS): (2, 2, 2) 0.47 s (35 MB), (5/2, 5/2, 5/2) 1.9 s (92 MB) and
+# (1/2, 5, 5), at 1323, 1.9 s (167 MB); the slowest triples inside it,
+# (1, 1, 13) and (1/2, 3, 15/2), take 2.8 s (136 MB) and 2.6 s (188 MB).
+# Beyond it (1/2, 6, 6), at 1875, takes 5.1 s (416 MB) and (3, 3, 3), at
+# 2197, 7.6 s (284 MB): the packed product, not R_q, sets the cost.
+MAX_YBE_Q_DIM = 1331
 
 
 def ybe_check_q(j1, j2, j3):

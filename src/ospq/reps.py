@@ -19,7 +19,12 @@ Bracket utilities cover the four deformation brackets used throughout:
     curly   {x}   = (1 - q^x) / (1 - q)
 
 each taken at base q^a when ``base=a`` is passed.  Everything is exact in
-the fraction field over p = q^{1/2}.
+the fraction field over p = q^{1/2}.  Each bracket is one product of a
+power of p and the binomials p^m -+ 1, so it is kept as a factored
+q-number (:class:`~ospq.qnumber.QNumber`): ``factored_bracket``, the
+factorial [n]+! (``factored_plus_factorial``) and the entries of the
+q-deformed f (``q_lowering``) are products of their factors, with no
+polynomial GCD, and ``bracket`` and ``q_rep`` write them as ``Scalar``s.
 """
 
 from __future__ import annotations
@@ -28,17 +33,24 @@ from fractions import Fraction
 from functools import lru_cache
 from math import prod
 
-from .errors import BadBracketArg, Inconsistency, UnknownGenerator
+from .errors import BadBracketArg, UnknownGenerator
 from .gmatrix import GradedMatrix, inverse
 from .halfint import HalfInt, as_half, spin_cache
 from .nilfun import ShiftSeries, check_power, shift_length
+from .qnumber import QNumber
 from .scalar import H as HPARAM
 from .scalar import ONE, Scalar, p_power, rational
 
 HALF = HalfInt.from_twice(1)
 
+
 def bracket(kind: str, x, base: int = 1) -> Scalar:
-    """Evaluate one of the four deformation brackets at ``x``, base q^base.
+    """Evaluate one of the four deformation brackets at ``x``, base q^base."""
+    return factored_bracket(kind, x, base).to_scalar()
+
+
+def factored_bracket(kind: str, x, base: int = 1) -> QNumber:
+    """The bracket as a factored q-number.
 
     The arguments are checked here and the value is built once per
     (kind, x as a HalfInt, base)."""
@@ -58,40 +70,55 @@ def bracket(kind: str, x, base: int = 1) -> Scalar:
 
 
 @lru_cache(maxsize=None)
-def _bracket(kind: str, xx: HalfInt, a: int) -> Scalar:
+def _bracket(kind: str, xx: HalfInt, a: int) -> QNumber:
+    """The bracket as a factored q-number; q^{a x} = p^t with t = 2 a x."""
+    t = xx.twice * a
     if kind == "q":
-        num = p_power(xx * a) - p_power(xx * (-a))
-        den = p_power(HalfInt(a)) - p_power(HalfInt(-a))
-        return num / den
+        # (p^t - p^-t) / (p^2a - p^-2a) = p^(2a - t) (p^2t - 1) / (p^4a - 1)
+        return (
+            QNumber.p_power(2 * a - t)
+            * QNumber.p_minus_one(2 * t)
+            * QNumber.p_minus_one(4 * a).reciprocal()
+        )
     if kind == "double":
-        num = p_power(xx * a)
-        tail = p_power(xx * (-a))
-        num = num + tail if xx.twice % 2 else num - tail
-        den = p_power(HalfInt.from_twice(a)) + p_power(HalfInt.from_twice(-a))
-        return num / den
+        # (p^t -+ p^-t) / (p^a + p^-a) = p^(a - t) (p^2t -+ 1) / (p^2a + 1)
+        top = QNumber.p_plus_one(2 * t) if xx.twice % 2 else QNumber.p_minus_one(2 * t)
+        return QNumber.p_power(a - t) * top * QNumber.p_plus_one(2 * a).reciprocal()
     if kind == "plus":
         val = _bracket("double", HalfInt.from_twice(xx.twice // 2), 1)
         return val if xx.twice % 4 else -val
-    num = ONE - p_power(xx * a)
-    den = ONE - p_power(HalfInt(a))
-    return num / den
+    # (1 - p^t) / (1 - p^2a)
+    return QNumber.p_minus_one(t) * QNumber.p_minus_one(2 * a).reciprocal()
 
 
-def plus_factorial(n: int) -> Scalar:
-    """[n]+! = [1]+ [2]+ ... [n]+, with [0]+! = 1, built once per n."""
+def factored_plus_factorial(n: int) -> QNumber:
+    """[n]+! = [1]+ [2]+ ... [n]+, with [0]+! = 1, as a factored q-number
+    built once per n."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise BadBracketArg("factorial needs a nonnegative integer")
     return _plus_factorial(n)
 
 
 @lru_cache(maxsize=None)
-def _plus_factorial(n: int) -> Scalar:
+def _plus_factorial(n: int) -> QNumber:
     if not n:
-        return ONE
-    total = _plus_factorial(n - 1) * bracket("plus", n)
-    if total.is_zero:
-        raise Inconsistency("plus-bracket factorial vanished")
-    return total
+        return QNumber(1)
+    return _plus_factorial(n - 1) * _bracket("plus", HalfInt(n), 1)
+
+
+@spin_cache
+def q_lowering(j) -> tuple:
+    """The entries f[k + 1, k] of the q-deformed lowering operator on the
+    spin-j module, as factored q-numbers."""
+    out = []
+    for k in range(rep_dim(j) - 1):
+        m = HalfInt.from_twice(weight_twice(j, k))
+        up, down = j + m, j - m + HALF
+        if k % 2 == 0:
+            out.append(-(_bracket("q", up, 1) * _bracket("double", down, 1)))
+        else:
+            out.append(_bracket("double", up, 1) * _bracket("q", down, 1))
+    return tuple(out)
 
 
 class GeneratorTable:
@@ -209,16 +236,7 @@ def q_rep(j) -> GeneratorTable:
     dim = rep_dim(j)
     parity = rep_parity(j)
     e = GradedMatrix(parity, {(k - 1, k): ONE for k in range(1, dim)})
-    f_entries = {}
-    for k in range(dim - 1):
-        m = HalfInt.from_twice(weight_twice(j, k))
-        up = j + m
-        down = j - m + HALF
-        if k % 2 == 0:
-            c = -(bracket("q", up) * bracket("double", down))
-        else:
-            c = bracket("double", up) * bracket("q", down)
-        f_entries[(k + 1, k)] = c
+    f_entries = {(k + 1, k): c.to_scalar() for k, c in enumerate(q_lowering(j))}
     f = GradedMatrix(parity, f_entries)
     h_entries = {}
     k_entries = {}

@@ -204,9 +204,13 @@ class _LinearSystem:
         return solution, len(pivots)
 
     def residual(self, vector) -> bool:
-        """True when the vector satisfies every stored equation."""
+        """True when the vector satisfies every stored equation.  Only the
+        vector's nonzero entries are summed: the others add nothing."""
+        support = [(col, x) for col, x in enumerate(vector) if x]
         for coeffs, rhs in self.rows:
-            total = sum((vector[col] * v for col, v in coeffs.items()), Fraction(0))
+            total = sum(
+                (x * coeffs[col] for col, x in support if col in coeffs), Fraction(0)
+            )
             if total != rhs:
                 return False
         return True

@@ -1,6 +1,13 @@
-"""The matrix-calculus routes to the functions of e^2, kept as references.
+"""Routes the package used before, kept as independent references.
 
-The package builds the bridge M = E_{q^2}(eta e^2), its inverse, its
+The q-numbers.  The package builds the brackets, the q-deformed f and
+every entry of R_q as products of factored q-numbers
+(``qnumber.QNumber``).  Before, each bracket was a quotient of ``Scalar``
+sums reduced by polynomial GCDs, and R_q a sum over n of graded
+Kronecker products of matrix powers; those routes share no arithmetic
+with the factored one.
+
+The functions of e^2.  The package builds the bridge M = E_{q^2}(eta e^2), its inverse, its
 quotients and the Jordanian letters as series in the shift
 (``nilfun.ShiftSeries``).  These are the routes it used before, by dense
 matrix work: ``nil_series`` over matrix powers, Gauss-Jordan
@@ -15,9 +22,78 @@ from fractions import Fraction
 import ospq.nilfun as nilfun
 from ospq.contraction import eta, q2_factorial
 from ospq.errors import CancellationFailure
-from ospq.gmatrix import GradedMatrix, inverse
-from ospq.reps import GeneratorTable, classical_rep, q_rep
-from ospq.scalar import H, p_power, rational
+from ospq.gmatrix import GradedMatrix, graded_kron, inverse, tensor_parity
+from ospq.halfint import HalfInt, as_half
+from ospq.reps import GeneratorTable, classical_rep, q_rep, weight_twice
+from ospq.scalar import ONE, H, P, p_power, rational
+
+
+def bracket_by_scalars(kind: str, xx: HalfInt, a: int):
+    """A bracket as the quotient of two ``Scalar`` sums of powers of q."""
+    if kind == "q":
+        num = p_power(xx * a) - p_power(xx * (-a))
+        den = p_power(HalfInt(a)) - p_power(HalfInt(-a))
+        return num / den
+    if kind == "double":
+        num = p_power(xx * a)
+        tail = p_power(xx * (-a))
+        num = num + tail if xx.twice % 2 else num - tail
+        den = p_power(HalfInt.from_twice(a)) + p_power(HalfInt.from_twice(-a))
+        return num / den
+    if kind == "plus":
+        val = bracket_by_scalars("double", HalfInt.from_twice(xx.twice // 2), 1)
+        return val if xx.twice % 4 else -val
+    num = ONE - p_power(xx * a)
+    den = ONE - p_power(HalfInt(a))
+    return num / den
+
+
+def q_lowering_by_scalars(j) -> GradedMatrix:
+    """The q-deformed f on the spin-j module, from ``bracket_by_scalars``."""
+    j = as_half(j)
+    parity = q_rep(j).parity
+    half = HalfInt.from_twice(1)
+    entries = {}
+    for k in range(len(parity) - 1):
+        m = HalfInt.from_twice(weight_twice(j, k))
+        up, down = j + m, j - m + half
+        if k % 2 == 0:
+            c = -(bracket_by_scalars("q", up, 1) * bracket_by_scalars("double", down, 1))
+        else:
+            c = bracket_by_scalars("double", up, 1) * bracket_by_scalars("q", down, 1)
+        entries[(k + 1, k)] = c
+    return GradedMatrix(parity, entries)
+
+
+def universal_Rq_by_matrices(j1, j2) -> GradedMatrix:
+    """R_q as q^{h (x) h} times the sum over n of the coefficient times the
+    graded Kronecker product of (q^{h/2} e)^n and (q^{-h/2} f)^n, every
+    coefficient a ``Scalar`` product and every term a matrix."""
+    j1, j2 = as_half(j1), as_half(j2)
+    rep1, rep2 = q_rep(j1), q_rep(j2)
+    raise_half = rep1.matrix("K") @ rep1.matrix("e")
+    lower_half = rep2.matrix("Kinv") @ q_lowering_by_scalars(j2)
+    omega = ONE - P**-4  # 1 - q^{-2}
+    an = GradedMatrix.identity(rep1.parity)
+    bn = GradedMatrix.identity(rep2.parity)
+    factorial = ONE
+    total = None
+    for n in range(min(rep1.dim, rep2.dim)):
+        if n:
+            an = an @ raise_half
+            bn = bn @ lower_half
+            factorial = factorial * bracket_by_scalars("plus", HalfInt(n), 1)
+        coeff = p_power(HalfInt.from_twice(n * (n + 1) // 2)) * omega**n / factorial
+        term = graded_kron(an, bn, b_op_parity=n % 2).scale(coeff)
+        total = term if total is None else total + term
+    d2 = rep2.dim
+    cartan = {}
+    for k1 in range(rep1.dim):
+        for k2 in range(d2):
+            g = k1 * d2 + k2
+            cartan[(g, g)] = p_power(HalfInt(weight_twice(j1, k1) * weight_twice(j2, k2)))
+    parity = tensor_parity((rep1.parity, rep2.parity))
+    return GradedMatrix(parity, cartan) @ total
 
 
 def unit_power(m: GradedMatrix, r) -> GradedMatrix:

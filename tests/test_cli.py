@@ -198,15 +198,15 @@ class TestExitCodes:
         assert "exceeds the cap of 13" in err
 
     def test_oversized_ybe_q_exits_two(self, capsys, monkeypatch):
-        # Refused before any work: (5/2, 5/2, 5/2) has dimension 1331.
+        # Refused before any work: (5/2, 5/2, 3) has dimension 1573.
         monkeypatch.setattr(qrmatrix, "universal_Rq", forbidden)
         code, out, err = run_cli(
             capsys, "verify", "--suite", "ybe", "--kind", "q",
-            "--j", "5/2", "5/2", "5/2",
+            "--j", "5/2", "5/2", "3",
         )
         assert code == 2
         assert out == ""
-        assert "exceeds the cap of 729" in err
+        assert "exceeds the cap of 1331" in err
 
     def test_oversized_contracted_ybe_exits_two(self, capsys, monkeypatch):
         # Refused before the first pair is contracted: (1/2, 5) fits the
@@ -245,6 +245,29 @@ class TestExitCodes:
         for variant, cap in cli.MAX_REP_DIM.items():
             above = f"{(cap + 1) // 2}/2"  # module dimension cap + 2
             code, out, err = run_cli(capsys, "rep", "--variant", variant, "--j", above)
+            assert code == 2
+            assert out == ""
+            assert f"exceeds the cap of {cap}" in err
+
+    def test_oversized_rmatrix_exits_two(self, capsys, monkeypatch):
+        # One cap per kind, and one per spin for r1, checked before R is
+        # built; contracted pairs meet the caps of contract.
+        for name in ("universal_Rq", "universal_Rh_r1"):
+            monkeypatch.setattr(cli, name, forbidden)
+        for name in ("universal_Rq", "m_matrix"):
+            monkeypatch.setattr(contraction, name, forbidden)
+        assert cli.MAX_RMATRIX_DIM == {"q": 625, "r1": 441}
+        assert cli.MAX_RMATRIX_SPIN_DIM == {"r1": 41}
+        for kind, j1, j2, cap in (
+            ("q", "6", "13/2", 625),  # 25 * 27
+            ("q", "1/2", "52", 625),  # 3 * 209
+            ("r1", "5", "11/2", 441),  # 21 * 23
+            ("r1", "1/2", "21/2", 41),  # one module of dimension 43
+            ("contracted", "3", "7/2", 169),  # 13 * 15
+        ):
+            code, out, err = run_cli(
+                capsys, "rmatrix", "--kind", kind, "--j1", j1, "--j2", j2
+            )
             assert code == 2
             assert out == ""
             assert f"exceeds the cap of {cap}" in err

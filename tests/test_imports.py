@@ -110,12 +110,18 @@ UNREFERENCED_KEPT = {
 }
 
 
-def package_names() -> set:
+def package_trees() -> dict:
+    return {
+        path.stem: ast.parse(path.read_text(), filename=str(path)) for path in PACKAGE
+    }
+
+
+def package_names(trees: dict) -> set:
     """Every name the package reads: a bare name, an attribute, or an
     ``__all__`` entry."""
     names = set()
-    for path in PACKAGE:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for tree in trees.values():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -124,29 +130,84 @@ def package_names() -> set:
     return names
 
 
-def package_functions() -> dict:
+def module_function_uses(trees: dict) -> set:
+    """The (module, name) pairs a module-level function counts as used by:
+    its own module reads the name or lists it in ``__all__``, or another
+    module imports it from there or reads it as an attribute of that
+    module imported whole."""
+    used = set()
+    for stem, tree in trees.items():
+        whole = {}  # local name -> module, for ``from . import module``
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module:
+                    used.update((node.module, alias.name) for alias in node.names)
+                else:
+                    whole.update((a.asname or a.name, a.name) for a in node.names)
+            elif isinstance(node, ast.Name):
+                used.add((stem, node.id))
+            used.update((stem, name) for name in all_entries(node))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in whole
+            ):
+                used.add((whole[node.value.id], node.attr))
+    return used
+
+
+def package_functions(trees: dict) -> dict:
     """The module-level functions and class methods of the package, by
-    qualified name; dunder methods are left out, as Python calls them."""
+    qualified name, each with its module and its class (None for a
+    module-level function); dunder methods are left out, as Python calls
+    them."""
     found = {}
-    for path in PACKAGE:
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for stem, tree in trees.items():
         for node in tree.body:
             if isinstance(node, ast.ClassDef):
-                prefix, defs = f"{path.stem}.{node.name}.", node.body
+                owner, defs = node.name, node.body
             else:
-                prefix, defs = f"{path.stem}.", [node]
+                owner, defs = None, [node]
             for fn in defs:
                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
                     fn.name.startswith("__") and fn.name.endswith("__")
                 ):
-                    found[prefix + fn.name] = fn.name
+                    qual = ".".join(part for part in (stem, owner, fn.name) if part)
+                    found[qual] = (stem, owner, fn.name)
     return found
 
 
+def unreferenced_functions(trees: dict) -> set:
+    """Module-level functions that no module uses by the module rule, and
+    methods whose name nothing in the package reads."""
+    names = package_names(trees)
+    uses = module_function_uses(trees)
+    return {
+        qual
+        for qual, (stem, owner, name) in package_functions(trees).items()
+        if (name not in names if owner else (stem, name) not in uses)
+    }
+
+
 def test_every_package_function_is_named_in_the_package():
-    names = package_names()
-    functions = package_functions()
-    unreferenced = {qual for qual, name in functions.items() if name not in names}
+    unreferenced = unreferenced_functions(package_trees())
     assert sorted(unreferenced - set(UNREFERENCED_KEPT)) == []
     # An exception the package has come to name, or has deleted, is stale.
     assert sorted(set(UNREFERENCED_KEPT) - unreferenced) == []
+
+
+def test_a_function_is_used_only_through_its_own_module():
+    trees = {
+        stem: ast.parse(text)
+        for stem, text in {
+            "a": "def shared(): pass\ndef imported(): pass\ndef whole(): pass\n"
+            "def local(): pass\nlocal()\n",
+            "b": "from .a import imported\nfrom . import a as mod\n"
+            "def shared(): pass\nshared()\nimported()\nmod.whole()\n"
+            "class C:\n    def method(self): pass\n",
+            "c": "x.method()\n",
+        }.items()
+    }
+    # a.shared shares its name with b.shared, which b calls: a's is unused
+    assert unreferenced_functions(trees) == {"a.shared"}

@@ -79,9 +79,14 @@ class TestYangBaxter:
             raise AssertionError("work started on an oversized triple")
 
         monkeypatch.setattr(ospq.qrmatrix, "universal_Rq", forbidden)
-        assert MAX_YBE_Q_DIM == 9 * 9 * 9
-        for triple in ((2, 2, HalfInt.from_twice(5)), (HALF, 5, 5), (10, 10, 10)):
-            with pytest.raises(ValueError, match="exceeds the cap of 729"):
+        assert MAX_YBE_Q_DIM == 11 * 11 * 11
+        five_halves, eleven_halves = HalfInt.from_twice(5), HalfInt.from_twice(11)
+        for triple in (
+            (five_halves, five_halves, 3),  # 1573
+            (HALF, eleven_halves, eleven_halves),  # 1587
+            (10, 10, 10),
+        ):
+            with pytest.raises(ValueError, match="exceeds the cap of 1331"):
                 ybe_check_q(*triple)
 
     def test_each_pair_matrix_is_built_once(self):

@@ -11,13 +11,19 @@ from ospq.halfint import HalfInt
 from ospq.reps import (
     bracket,
     classical_rep,
-    plus_factorial,
+    factored_plus_factorial,
     q_rep,
     r1_generators,
     rep_dim,
     rep_parity,
 )
 from ospq.scalar import ONE, P, Scalar, p_power
+
+
+def plus_factorial(n):
+    """[n]+! as a Scalar, through its factored form."""
+    return factored_plus_factorial(n).to_scalar()
+
 
 SPINS = [HalfInt.parse("1/2"), HalfInt(1), HalfInt.parse("3/2"), HalfInt(2)]
 

@@ -6,6 +6,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ospq.gmatrix import graded_kron
 from ospq.halfint import HalfInt
@@ -18,6 +20,7 @@ from ospq.texpr import TensorExpression as TE
 from ospq.twist import (
     MAX_SERIES_ORDER,
     SERIES_DEPTH,
+    _LinearSystem,
     _ansatz_pairs,
     _ansatz_rows,
     _word_classes,
@@ -258,3 +261,29 @@ class TestRowAssemblyOracle:
                         for j in range(dim)
                     ]
                 assert [row.get(col, Fraction(0)) for row in rows] == expected
+
+
+NCOLS = 12
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+sparse_rows = st.lists(st.dictionaries(st.integers(0, NCOLS - 1), small, max_size=5),
+                       max_size=8)
+sparse_vectors = st.lists(st.one_of(st.just(Fraction(0)), small), min_size=NCOLS,
+                          max_size=NCOLS)
+
+
+class TestResidual:
+    """``residual`` sums over the vector's support; the dense sum over every
+    stored coefficient is the reference."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(sparse_rows, sparse_vectors, st.data())
+    def test_matches_the_dense_sum(self, rows, vector, data):
+        system = _LinearSystem(NCOLS)
+        for coeffs in rows:
+            exact = sum((vector[c] * v for c, v in coeffs.items()), Fraction(0))
+            system.add_row(coeffs, exact + data.draw(st.sampled_from([0, 0, 1])))
+        dense = all(
+            sum((vector[c] * v for c, v in coeffs.items()), Fraction(0)) == rhs
+            for coeffs, rhs in system.rows
+        )
+        assert system.residual(vector) == dense
