@@ -38,6 +38,7 @@ from .r1 import (
     antipode_check,
     cocycle_check,
     disentangle_check,
+    refuse_oversized_r1_triple,
     triangularity_check,
     twist_property_check,
     universal_Rh_r1,
@@ -235,6 +236,8 @@ def _run_ybe(spins, args):
     else:
         if args.kind == "contracted":
             refuse_oversized_contracted_triple(spins)
+        else:
+            refuse_oversized_r1_triple(spins, args.family)
         parities = (rep_parity(j1), rep_parity(j2), rep_parity(j3))
         residuals = ybe_check(
             _pair_r_matrix(args.kind, args.family, j1, j2),

@@ -189,9 +189,26 @@ def contract(j1, j2, source: str = "universal", log_cancellation: bool = False):
     whose product dimension exceeds ``MAX_CONTRACT_DIM``, or with a spin
     whose module dimension exceeds ``MAX_CONTRACT_SPIN_DIM``, raise
     ``ValueError`` at once.
+
+    Without ``log_cancellation`` the result is a pure function of the
+    spins and the source, so it is built once per (j1, j2, source), the
+    spins keyed as HalfInts after the size check, and shared by every
+    caller: never mutate it or its matrix.  The cancellation log is built
+    afresh on every call.
     """
     j1, j2 = as_half(j1), as_half(j2)
     _refuse_oversized_pair(j1, j2)
+    if log_cancellation:
+        return _contract(j1, j2, source, True)
+    return _shared_contraction(j1, j2, source)
+
+
+@lru_cache(maxsize=None)
+def _shared_contraction(j1: HalfInt, j2: HalfInt, source: str):
+    return _contract(j1, j2, source, False)
+
+
+def _contract(j1: HalfInt, j2: HalfInt, source: str, log_cancellation: bool):
     if source == "half-j-formula":
         if j1 != HalfInt.from_twice(1):
             raise ValueError("the closed block form needs j1 = 1/2")

@@ -17,11 +17,17 @@ in :func:`expression_residuals`, which the FRT rules of
 :mod:`ospq.contraction` share, through :func:`ospq.packed.evaluate_all`:
 on integers at h = 2^B with a proven width when the tables and
 coefficients have no p (the Jordanian algebras), on ``Scalar``s
-otherwise.  Both routes give the same residuals.  Coassociativity is
-first offered a certificate: when every coassociator has no terms once
-each run of group-like letters is merged into a power of Thalf, and the
-closure relations of that family hold on all three tables, its residuals
-are empty without any evaluation.
+otherwise.  Both routes give the same residuals.
+
+Two suites lean on the closure relations of the group-like family (T
+Tinv = 1, Thalf^2 = T, Thalf Tinvhalf = 1): on a table where they hold,
+every word has the matrix of its group-like normal form
+(:func:`normal_word`).  Coassociativity is first offered a certificate:
+when every coassociator has no terms in that normal form and the closure
+relations hold on all three tables, its residuals are empty without any
+evaluation.  The coproduct homomorphism is evaluated in that normal form,
+which has fewer words, when the closure relations hold on both tables,
+and as written otherwise.
 """
 
 from __future__ import annotations
@@ -114,13 +120,31 @@ def merged_word(word) -> tuple:
     return tuple(x for x in out if x != 0)
 
 
-def _merged(expr: TE) -> TE:
-    """The expression with every word replaced by its merged form, equal
-    terms summed."""
+def normal_word(word) -> tuple:
+    """The word in group-like normal form: each run of adjacent
+    group-like letters, of total power n of Thalf (:func:`merged_word`),
+    written back as T^k for n = 2k and T^k Thalf for n = 2k + 1, as
+    Tinv^k and Tinv^k Tinvhalf for n = -2k and -(2k + 1), and dropped
+    for n = 0.  On a table where the closure relations hold, a word and
+    its normal form have the same matrix."""
+    out = []
+    for item in merged_word(word):
+        if isinstance(item, int):
+            whole, half = ("T", "Thalf") if item > 0 else ("Tinv", "Tinvhalf")
+            k, odd = divmod(abs(item), 2)
+            out += [whole] * k + [half] * odd
+        else:
+            out.append(item)
+    return tuple(out)
+
+
+def _normal_form(expr: TE) -> TE:
+    """The expression with every word in group-like normal form
+    (:func:`normal_word`), equal terms summed."""
     acc = {}
     for key, coeff in expr.terms.items():
-        merged = tuple(merged_word(word) for word in key)
-        acc[merged] = acc[merged] + coeff if merged in acc else coeff
+        normal = tuple(normal_word(word) for word in key)
+        acc[normal] = acc[normal] + coeff if normal in acc else coeff
     return TE(expr.nlegs, acc)
 
 
@@ -389,9 +413,33 @@ def relations_residuals(algebra: HopfAlgebra, rep) -> list:
     return expression_residuals(algebra.relations, [rep])
 
 
+def _normal_coproduct_relations(algebra: HopfAlgebra):
+    for label, expr in _expressions(algebra, _coproduct_relations):
+        yield label, _normal_form(expr)
+
+
+@lru_cache(maxsize=SUITE_CACHE_SIZE)
+def _closure_labels(algebra: HopfAlgebra) -> tuple:
+    """The labels of the closure relations (:func:`_closure`) when the
+    algebra has all three of them, else ()."""
+    closure = _closure()
+    if all(relation in algebra.relations for relation in closure):
+        return tuple(label for label, _ in closure)
+    return ()
+
+
 @_suite_cache
 def delta_homomorphy_residuals(algebra: HopfAlgebra, rep1, rep2) -> list:
-    return expression_residuals(_expressions(algebra, _coproduct_relations), [rep1, rep2])
+    """The residuals of Delta(rel) = 0 for each relation.  When the
+    algebra has the closure relations and both tables pass them, each
+    Delta(rel) is evaluated in group-like normal form
+    (:func:`_normal_form`), which has the same matrix there and fewer
+    words; otherwise as written."""
+    closure = _closure_labels(algebra)
+    build = _coproduct_relations
+    if closure and all(_relations_hold(algebra, rep, closure) for rep in (rep1, rep2)):
+        build = _normal_coproduct_relations
+    return expression_residuals(_expressions(algebra, build), [rep1, rep2])
 
 
 @lru_cache(maxsize=SUITE_CACHE_SIZE)
@@ -400,18 +448,16 @@ def _coassociativity_certificate(algebra: HopfAlgebra):
     coassociator of the algebra vanish, or None when there is no such
     certificate.  No relation is needed when every coassociator has no
     terms.  The closure relations are needed when the algebra has them
-    and every coassociator has no terms once merged (:func:`_merged`): on
-    tables where they hold, each word has the matrix of its merged form,
-    so each coassociator has the zero matrix of its merged form (the
-    simplest case of Bergman's diamond lemma)."""
+    and every coassociator has no terms in group-like normal form
+    (:func:`_normal_form`): on tables where they hold, each word has the
+    matrix of its normal form, so each coassociator has the zero matrix
+    of its normal form (the simplest case of Bergman's diamond lemma)."""
     coassociators = [expr for _, expr in _expressions(algebra, _coassociators)]
     if all(expr.is_zero for expr in coassociators):
         return ()
-    closure = _closure()
-    if all(relation in algebra.relations for relation in closure) and all(
-        _merged(expr).is_zero for expr in coassociators
-    ):
-        return tuple(label for label, _ in closure)
+    closure = _closure_labels(algebra)
+    if closure and all(_normal_form(expr).is_zero for expr in coassociators):
+        return closure
     return None
 
 
@@ -490,7 +536,9 @@ def hopf_suite_failures(algebra: HopfAlgebra, reps) -> list:
 # without a matrix on the built tables, so the coproduct homomorphism on
 # the first two legs sets the cost.  One fresh CLI process per (j, j, j),
 # on 2 cores: j = 3 0.41 s (19 MB peak RSS), 4 1.27 s (23 MB), 5 2.95 s
-# (33 MB), 6 8.76 s (54 MB), 7 21.9 s (91 MB).
+# (33 MB), 6 8.76 s (54 MB), 7 21.9 s (91 MB).  With the homomorphism in
+# group-like normal form, j = 4 and 5 took 0.57 and 1.9 s (median of five)
+# and j = 6 4.4 s (51 MB, the cap lifted in a script).
 MAX_HOPF_R2_SPIN_DIM = 21
 
 
@@ -511,7 +559,9 @@ def r2_hopf_check(j1, j2, j3) -> VerificationReport:
 # ``r1_hopf_check`` accepts, that of j = 5, set as for r2 from the
 # minimal family (one fresh CLI process per (j, j, j), 2 cores): j = 3
 # 0.43 s (20 MB peak RSS), 4 1.40 s (27 MB), 5 5.53 s (41 MB), 6 19.2 s
-# (69 MB), 7 45.1 s (119 MB).
+# (69 MB), 7 45.1 s (119 MB).  With the homomorphism in group-like normal
+# form, j = 4 and 5 took 1.1 and 3.8 s (median of five; hdiag 1.1 and
+# 3.7 s) and j = 6 9.4 s (61 MB, the cap lifted in a script).
 MAX_R1_HOPF_SPIN_DIM = 21
 
 

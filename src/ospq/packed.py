@@ -107,7 +107,21 @@ coefficients are the contraction.  Such entries always pack.
   raises PrecisionShortfall, and one with a nonzero digit at a negative
   power of t raises PoleAtUnity.
 
-Nothing here is cached.
+**What is kept.** The tensor-expression route keeps the parts of its
+set-up that do not depend on the legs together, each on the object it
+belongs to and for exactly as long as that object lives:
+
+* on an expression, in its ``packing`` slot, once the first plan asks:
+  its coefficients scaled to integer h-polynomials, the letters and the
+  longest word on each leg, and its terms grouped by the lengths of their
+  words with each group's l1 sum; or False when a coefficient does not
+  pack;
+* on a table, in its ``packing`` dict, once per set of letters: those
+  letters scaled, with their l1 norm; or None when they do not pack.
+
+Each call still takes each group's factor to the common scale, the
+bounds and the width, and builds its int tables with their word
+matrices.  The product identities and the series chains keep nothing.
 """
 
 from __future__ import annotations
@@ -248,6 +262,17 @@ class _ScaledTable:
             self.polys[name][ij] = poly
         self.norm = max(map(_l1, polys.values()), default=0)
 
+    @classmethod
+    def of(cls, rep, letters: frozenset):
+        """The table's ``letters`` scaled, or None when they do not pack;
+        kept in the table's own ``packing`` memo, once per letter set."""
+        if letters not in rep.packing:
+            try:
+                rep.packing[letters] = cls(rep, letters)
+            except _Unpackable:
+                rep.packing[letters] = None
+        return rep.packing[letters]
+
     def word_bound(self, length: int) -> int:
         """A bound on the l1 norm of any entry of a scaled word matrix."""
         if not length:
@@ -277,30 +302,73 @@ class _IntTable(GeneratorTable):
         return GradedMatrix(self.parity, {(i, i): 1 for i in range(self.dim)})
 
 
-class _PackedExpression:
-    """One expression's terms as integer polynomials at the common scale
-    G, which is den * h^hpow, with the bound on G times its value."""
+class _ScaledExpression:
+    """The part of one expression's packing that no table enters: its
+    coefficients scaled by K h^F to integer h-polynomials, the letters
+    and the longest word on each leg, and its terms grouped by the
+    lengths of their words, each group with the sum of its terms' l1
+    norms.  Every term of a group is brought to the common scale by the
+    same factor, and has the same bound."""
 
-    __slots__ = ("nlegs", "terms", "den", "hpow", "bound")
+    __slots__ = ("den", "hpow", "letters", "lmax", "groups")
 
-    def __init__(self, expr, legs):
-        self.nlegs = expr.nlegs
-        polys, big_k, big_f = _h_scaled(expr.terms)
-        lmax = [max((len(key[l]) for key in polys), default=0) for l in range(self.nlegs)]
-        self.den = big_k * prod(leg.den**n for leg, n in zip(legs, lmax))
-        self.hpow = big_f + sum(leg.hpow * n for leg, n in zip(legs, lmax))
-        self.terms = {}
-        self.bound = 0
+    def __init__(self, expr):
+        polys, self.den, self.hpow = _h_scaled(expr.terms)
+        legs = range(expr.nlegs)
+        self.letters = [frozenset(name for key in polys for name in key[l]) for l in legs]
+        self.lmax = [max((len(key[l]) for key in polys), default=0) for l in legs]
+        groups = {}
         for key, poly in polys.items():
+            groups.setdefault(tuple(map(len, key)), []).append((key, poly))
+        self.groups = [
+            (lengths, terms, sum(_l1(poly) for _, poly in terms))
+            for lengths, terms in groups.items()
+        ]
+
+    @classmethod
+    def of(cls, expr):
+        """The expression's scaled form, or None when a coefficient does
+        not pack; kept on the expression (its ``packing``) once built."""
+        if expr.packing is None:
+            try:
+                expr.packing = cls(expr)
+            except _Unpackable:
+                expr.packing = False
+        return expr.packing or None
+
+
+class _PackedExpression:
+    """One expression on its legs: the common scale G, which is
+    den * h^hpow, the bound on G times its value, and for each group of
+    terms the factor mult * h^shift that brings it to G."""
+
+    __slots__ = ("nlegs", "groups", "den", "hpow", "bound")
+
+    def __init__(self, scaled, legs):
+        self.nlegs = len(legs)
+        lmax = scaled.lmax
+        self.den = scaled.den * prod(leg.den**n for leg, n in zip(legs, lmax))
+        self.hpow = scaled.hpow + sum(leg.hpow * n for leg, n in zip(legs, lmax))
+        self.groups = []
+        self.bound = 0
+        for lengths, terms, norm in scaled.groups:
             mult, shift, bound = 1, 0, 1
-            for leg, n, word in zip(legs, lmax, key):
-                gap = n - len(word)
+            for leg, n, length in zip(legs, lmax, lengths):
+                gap = n - length
                 if gap:
                     mult *= leg.den**gap
                     shift += leg.hpow * gap
-                bound *= leg.word_bound(len(word))
-            self.terms[key] = {eh + shift: c * mult for eh, c in poly.items()}
-            self.bound += mult * _l1(poly) * bound
+                bound *= leg.word_bound(length)
+            self.groups.append((mult, shift, terms))
+            self.bound += mult * norm * bound
+
+    def packed(self, width: int) -> TensorExpression:
+        """The terms at the common scale, as ints at h = 2^width."""
+        return TensorExpression(self.nlegs, {
+            key: pack(poly, width) * mult << (width * shift)
+            for mult, shift, terms in self.groups
+            for key, poly in terms
+        })
 
     def unpack(self, value: int, width: int) -> Scalar:
         coeffs = {e - self.hpow: c for e, c in unpack(value, width).items()}
@@ -325,20 +393,21 @@ class PackedPlan:
     def of(cls, exprs, reps):
         """The plan for ``exprs`` on ``reps``, or None when a table entry or
         a coefficient cannot be packed."""
+        if any(expr.nlegs != len(reps) for expr in exprs):
+            raise ValueError("need one representation per leg")
+        shapes = [_ScaledExpression.of(expr) for expr in exprs]
+        if None in shapes:
+            return None
         distinct, slots = _slots(reps)
         letters = [set() for _ in distinct]
-        for expr in exprs:
-            if expr.nlegs != len(reps):
-                raise ValueError("need one representation per leg")
-            for key in expr.terms:
-                for slot, word in zip(slots, key):
-                    letters[slot].update(word)
-        try:
-            scaled = [_ScaledTable(rep, names) for rep, names in zip(distinct, letters)]
-            legs = [scaled[slot] for slot in slots]
-            return cls(scaled, slots, [_PackedExpression(expr, legs) for expr in exprs])
-        except _Unpackable:
+        for shape in shapes:
+            for slot, names in zip(slots, shape.letters):
+                letters[slot] |= names
+        scaled = [_ScaledTable.of(rep, frozenset(names)) for rep, names in zip(distinct, letters)]
+        if None in scaled:
             return None
+        legs = [scaled[slot] for slot in slots]
+        return cls(scaled, slots, [_PackedExpression(shape, legs) for shape in shapes])
 
     def run(self) -> list:
         """Each expression's matrix, evaluated at h = 2^width and unpacked;
@@ -346,12 +415,10 @@ class PackedPlan:
         width = self.width
         tables = [table.at(width) for table in self.scaled]
         reps = [tables[slot] for slot in self.slots]
-        out = []
-        for expr in self.exprs:
-            terms = {key: pack(poly, width) for key, poly in expr.terms.items()}
-            values = TensorExpression(expr.nlegs, terms).evaluate(reps)
-            out.append(values.map_entries(lambda v: expr.unpack(v, width)))
-        return out
+        return [
+            expr.packed(width).evaluate(reps).map_entries(lambda v: expr.unpack(v, width))
+            for expr in self.exprs
+        ]
 
 
 class ProductPlan:

@@ -121,6 +121,29 @@ def universal_Rh_r1(j1, j2, family: str = "minimal") -> GradedMatrix:
     return _exp_kron(rep1.matrix("X"), _th(rep2), -HPARAM) @ twist_matrix(rep1, rep2)
 
 
+# The largest (4 j1 + 1)(4 j2 + 1)(4 j3 + 1) of a Yang-Baxter check on r1
+# R-matrices, that of (3, 3, 3), and the largest module dimension of any
+# one spin there, per family: j = 5 for minimal and j = 4 for hdiag.  A
+# large pair costs more than its share of the triple, so both caps hold.
+# Fresh ``verify --suite ybe --kind r1`` processes on 2 cores:
+#   minimal: (5/2)^3, (3, 3, 3), (4, 4, 4) took 0.86, 1.8 to 2.0, 12.7 s
+#     (41, 82, 338 MB), and (1/2, 5, 5) 2.1 s (65 MB); past the spin cap
+#     (1/2, 6, 6) and (1/2, 5, 8) took 4.6 and 5.9 s (115 and 143 MB);
+#   hdiag: (5/2)^3, (3, 3, 3), (4, 4, 4) took 1.57, 3.1, 26.6 s (52, 102,
+#     432 MB), and (1, 4, 4), (3/2, 4, 4) 3.05, 3.6 s (65, 100 MB); past
+#     the spin cap (1/2, 5, 5) and (1/2, 6, 6) took 6.8 and 18 s.
+MAX_YBE_R1_DIM = 2197
+MAX_YBE_R1_SPIN_DIM = {"minimal": 21, "hdiag": 17}
+
+
+def refuse_oversized_r1_triple(spins, family: str) -> None:
+    """Raise ``ValueError`` when a triple of spins is outside the caps of a
+    Yang-Baxter check on the family's R-matrices, before any is built."""
+    refuse_oversized(spins, MAX_YBE_R1_DIM)
+    for j in spins:
+        refuse_oversized((j,), MAX_YBE_R1_SPIN_DIM[family])
+
+
 # The largest (4 j1 + 1)(4 j2 + 1) that ``triangularity_check`` accepts,
 # that of the pair (5/2, 5/2), which takes about 1.1 s on 2 cores; (2, 2)
 # and (3, 3) take 0.55 and 2.6 s.  An unbalanced pair costs more: the
@@ -205,14 +228,38 @@ def inverse_map_words(family: str = "minimal", nilpotency: int | None = None) ->
     }
 
 
+# The largest module dimension 4 j + 1 of either spin that the twist suite
+# accepts, per family: j = 6 for minimal (``twist_property_check``) and
+# j = 7/2 for hdiag (``twist.hdiag_twist_check``).  The cost grows with
+# each spin alone, most steeply with the larger, so a product cap would
+# not track it.  Fresh ``verify --suite twist`` processes on 2 cores:
+#   minimal: (4, 4), (6, 6), (13/2, 13/2), (7, 7), (8, 8) took 0.44, 1.95,
+#     4.1, 5.2, 6.5 s (24 to 108 MB); one large spin, (1/2, 8), (1/2, 12),
+#     (1/2, 16), (1/2, 24), took 0.70, 3.3, 6.1, 34 s, and (5/2, 12) 11 s;
+#   hdiag: (2, 2), (3, 3), (7/2, 7/2), (4, 4), (9/2, 9/2) took 0.45, 1.68,
+#     2.49, 3.7 to 6.6, 8.2 s (19 to 62 MB); (1/2, 5), (1/2, 6), (1/2, 8)
+#     took 1.21, 3.73, 16.8 s, and (6, 6) ran past 60 s.
+MAX_TWIST_SPIN_DIM = {"minimal": 25, "hdiag": 15}
+
+
+def refuse_oversized_twist(spins, family: str) -> None:
+    """Raise ``ValueError`` when a spin of the twist suite is outside the
+    family's ``MAX_TWIST_SPIN_DIM``, before any table is built."""
+    for j in spins:
+        refuse_oversized((j,), MAX_TWIST_SPIN_DIM[family])
+
+
 def twist_property_check(j1, j2) -> VerificationReport:
     """The minimal-family words undress the coproduct through the twist.
 
     Three things are verified on the pair of modules: the words evaluate
     to the classical generator matrices, those matrices satisfy the
     classical relations, and conjugating the dressed coproduct of each
-    word by the twist yields the primitive classical coproduct.
+    word by the twist yields the primitive classical coproduct.  A spin
+    whose module dimension exceeds ``MAX_TWIST_SPIN_DIM["minimal"]``
+    raises ``ValueError`` before any table is built.
     """
+    refuse_oversized_twist((j1, j2), "minimal")
     j1, j2 = HalfInt(j1), HalfInt(j2)
     rep1 = r1_generators(j1, "minimal")
     rep2 = r1_generators(j2, "minimal")

@@ -44,8 +44,14 @@ class VerificationReport:
         return out
 
     def summary(self) -> str:
+        """One line: the suite, the verdict and the parameters, in the order
+        the check gave them, so that the lines of several reports of one
+        suite tell their checks apart."""
         word = "pass" if self.ok else f"FAIL ({len(self.failures)} residuals)"
-        return f"{self.suite}: {word}"
+        line = f"{self.suite}: {word}"
+        if self.parameters:
+            line += " for " + ", ".join(f"{k}={v}" for k, v in self.parameters.items())
+        return line
 
 
 def matrix_residuals(label: str, diff) -> list:

@@ -126,11 +126,12 @@ class GeneratorTable:
 
     The builders cache their tables, so one table is shared by every
     caller: neither it nor its letter matrices are written once built.
-    The one thing that grows is ``words``, the memo of word products that
-    :meth:`word_matrix` fills, so each word's matrix is built once per
-    table."""
+    Two memos grow, and live exactly as long as the table: ``words``, the
+    word products that :meth:`word_matrix` fills, so each word's matrix is
+    built once per table, and ``packing``, the letters scaled to integer
+    polynomials that :mod:`ospq.packed` fills once per letter set."""
 
-    __slots__ = ("variant", "j", "parity", "matrices", "words")
+    __slots__ = ("variant", "j", "parity", "matrices", "words", "packing")
 
     def __init__(self, variant: str, j: HalfInt, parity, matrices):
         self.variant = variant
@@ -138,6 +139,7 @@ class GeneratorTable:
         self.parity = tuple(parity)
         self.matrices = dict(matrices)
         self.words = {}
+        self.packing = {}
 
     @property
     def dim(self) -> int:

@@ -49,14 +49,20 @@ def word_parity(word) -> int:
 
 
 class TensorExpression:
-    """Sum of scalar-weighted pure tensors of generator words."""
+    """Sum of scalar-weighted pure tensors of generator words.
 
-    __slots__ = ("nlegs", "terms")
+    Every operation builds a new expression, and none writes the terms of
+    an existing one.  ``packing`` is :mod:`ospq.packed`'s memo of the
+    terms scaled to integer polynomials, built on the first packed
+    evaluation and kept as long as the expression lives."""
+
+    __slots__ = ("nlegs", "terms", "packing")
 
     def __init__(self, nlegs, terms=None):
         # Cancelled terms are dropped here and nowhere else: the operations
         # sum into a plain dict and build their result through this.
         self.nlegs = nlegs
+        self.packing = None
         self.terms = {}
         if terms:
             for key, coeff in terms.items():
@@ -139,7 +145,7 @@ class TensorExpression:
         return self.nlegs == other.nlegs and self.terms == other.terms
 
     def __hash__(self):
-        raise TypeError("tensor expressions are mutable accumulators; do not hash")
+        raise TypeError("tensor expressions compare by their terms; do not hash")
 
     def __repr__(self):
         if not self.terms:

@@ -33,7 +33,12 @@ from .errors import Inconsistency
 from .gmatrix import GradedMatrix, graded_kron, graded_primitive
 from .halfint import HalfInt
 from .hopf import r1_algebra
-from .r1 import SERIES_DEPTH, hdiag_twist_expression, inverse_map_words
+from .r1 import (
+    SERIES_DEPTH,
+    hdiag_twist_expression,
+    inverse_map_words,
+    refuse_oversized_twist,
+)
 from .report import VerificationReport, series_residuals
 from .reps import classical_rep, r1_generators, x_nilpotency
 from .scalar import H as HPARAM
@@ -354,8 +359,11 @@ def hdiag_twist_check(j1, j2, order: int = SERIES_DEPTH) -> VerificationReport:
 
     Runs the undressing residuals on (j1, j2) and solves the series from
     scratch on (1/2, 1/2) up to the requested order.  Orders with
-    printed coefficients must match the solved system.
+    printed coefficients must match the solved system.  A spin whose
+    module dimension exceeds ``MAX_TWIST_SPIN_DIM["hdiag"]``, or an order
+    above ``MAX_SERIES_ORDER``, raises ``ValueError`` before any work.
     """
+    refuse_oversized_twist((j1, j2), "hdiag")
     j1, j2 = HalfInt(j1), HalfInt(j2)
     # Solving first rejects an oversized order before any other work.
     series = series_twist(order)

@@ -34,6 +34,19 @@ class TestExitCodes:
         assert code == 0
         assert "disentangle: pass" in out
 
+    def test_pretty_lines_name_their_parameters(self, capsys):
+        # one line per report, told apart by its spin and order
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "identities", "--j", "1/2", "1", "--order", "2"
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "identities: pass for j=1/2, n=1",
+            "identities: pass for j=1/2, n=2",
+            "identities: pass for j=1, n=1",
+            "identities: pass for j=1, n=2",
+        ]
+
     def test_malformed_spin_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "rep", "--variant", "q", "--j", "5/4")
         assert code == 2
@@ -69,7 +82,7 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "load_fixture", poisoned)
         code, out, _ = run_cli(capsys, "fixtures")
         assert code == 1
-        assert "FAIL" in out
+        assert out.splitlines()[0] == "fixtures: FAIL (2 residuals) for count=2"
         assert "(0,1)" in out
 
     def test_negative_order_exits_two(self, capsys):
@@ -234,6 +247,61 @@ class TestExitCodes:
             assert code == 2
             assert out == ""
             assert "exceeds the cap of 65" in err
+
+    def test_oversized_twist_exits_two(self, capsys, monkeypatch):
+        # A spin cap per family, checked before any table is built or any
+        # series is solved.
+        for module in (r1, twist):
+            monkeypatch.setattr(module, "r1_generators", forbidden)
+            monkeypatch.setattr(module, "classical_rep", forbidden)
+        monkeypatch.setattr(twist, "series_twist", forbidden)
+        assert r1.MAX_TWIST_SPIN_DIM == {"minimal": 25, "hdiag": 15}
+        for family, spins, cap in (
+            ("minimal", ("1/2", "13/2"), 25),  # module dimension 27
+            ("minimal", ("13/2", "1/2"), 25),
+            ("hdiag", ("4", "1/2"), 15),  # 17
+            ("hdiag", ("1/2", "4"), 15),
+        ):
+            code, out, err = run_cli(
+                capsys, "verify", "--suite", "twist", "--family", family, "--j", *spins
+            )
+            assert code == 2
+            assert out == ""
+            assert f"exceeds the cap of {cap}" in err
+
+    def test_oversized_r1_ybe_exits_two(self, capsys, monkeypatch):
+        # A cap on the triple and a spin cap per family, checked before any
+        # R-matrix is built.
+        monkeypatch.setattr(cli, "universal_Rh_r1", forbidden)
+        monkeypatch.setattr(r1, "r1_generators", forbidden)
+        assert r1.MAX_YBE_R1_DIM == 2197
+        assert r1.MAX_YBE_R1_SPIN_DIM == {"minimal": 21, "hdiag": 17}
+        for family, spins, cap in (
+            ("minimal", ("3", "3", "7/2"), 2197),  # 13 * 13 * 15
+            ("hdiag", ("7/2", "3", "3"), 2197),
+            ("minimal", ("1/2", "1/2", "11/2"), 21),  # module dimension 23
+            ("hdiag", ("9/2", "1/2", "1/2"), 17),  # 19
+        ):
+            code, out, err = run_cli(
+                capsys, "verify", "--suite", "ybe", "--kind", "r1", "--family", family,
+                "--j", *spins,
+            )
+            assert code == 2
+            assert out == ""
+            assert f"exceeds the cap of {cap}" in err
+
+    def test_oversized_ode_order_exits_two(self, capsys, monkeypatch):
+        # Refused before any series is expanded.
+        for name in ("direct_residuals", "inverse_residuals"):
+            monkeypatch.setattr(ode, name, forbidden)
+        assert ode.MAX_ODE_ORDER == 150
+        for family in ("minimal", "hdiag"):
+            code, out, err = run_cli(
+                capsys, "verify", "--suite", "ode", "--family", family, "--order", "151"
+            )
+            assert code == 2
+            assert out == ""
+            assert "exceeds the cap of 150" in err
 
     def test_oversized_rep_exits_two(self, capsys, monkeypatch):
         # One cap per variant, checked before the table is built.

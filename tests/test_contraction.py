@@ -840,6 +840,25 @@ def test_contract_inverts_each_bridge_once(cold_caches):
     assert m_inverse.cache_info().misses == 2
 
 
+def test_contract_is_built_once_per_spins_and_source(cold_caches):
+    shared = ospq.contraction._shared_contraction
+    first = contract(HALF, 1)
+    assert contract(HalfInt.from_twice(1), ONEJ) is first
+    assert contract(Fraction(1, 2), HalfInt(1), source="universal") is first
+    formula = contract(HALF, ONEJ, source="half-j-formula")
+    assert formula is not first and formula.matrix == first.matrix
+    # the cancellation log is built afresh on every call
+    logged = contract(HALF, ONEJ, log_cancellation=True)
+    assert logged is not first and logged.log and not first.log
+    assert logged.matrix == first.matrix
+    assert contract(HALF, ONEJ, log_cancellation=True) is not logged
+    assert shared.cache_info().misses == 2
+    # oversized pairs are refused before the cache
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        contract(HalfInt(5), HalfInt(5))
+    assert shared.cache_info().misses == 2
+
+
 class TestLOperator:
     def test_half_case_is_the_golden_matrix(self):
         parity = (0, 1, 0, 1, 0, 1, 0, 1, 0)

@@ -289,13 +289,13 @@ def test_json_round_trip():
 # -- matrices and generator tables are immutable once built ------------------
 
 _MUTATORS = {"pop", "update", "setdefault", "clear", "popitem"}
-_SHARED = {"entries", "matrices", "words"}
+_SHARED = {"entries", "matrices", "words", "packing"}
 
 
 def _shared_writes(source: str):
     """Qualified names of the functions that store into, delete from or
-    call a mutating method on some ``.entries``, ``.matrices`` or
-    ``.words`` attribute, once per site."""
+    call a mutating method on some ``.entries``, ``.matrices``, ``.words``
+    or ``.packing`` attribute, once per site."""
     hits = []
 
     def is_shared(node):
@@ -327,7 +327,9 @@ def _shared_writes(source: str):
 class TestImmutableByContract:
     """Outside ``gmatrix.py`` a built matrix is never written, and no
     generator table is written after its constructor, save its word memo
-    by ``word_matrix``, so caches may hand out shared matrices and tables."""
+    by ``word_matrix`` and its packing memo by ``ospq.packed``, so caches
+    may hand out shared matrices and tables.  A tensor expression's
+    packing memo is likewise written only by ``ospq.packed``."""
 
     def test_detector_sees_every_kind_of_write(self):
         source = (
@@ -362,9 +364,13 @@ class TestImmutableByContract:
                     hits.setdefault(f"{path.stem}:{site}", 0)
                     hits[f"{path.stem}:{site}"] += 1
         # besides evaluate, a table writes only its own dicts: the
-        # constructor sets them, and word_matrix fills the word memo
+        # constructor sets them, and word_matrix fills the word memo; the
+        # packed route fills the packing memos of tables and expressions
         assert hits == {
             "texpr:TensorExpression.evaluate": 1,
-            "reps:GeneratorTable.__init__": 2,
+            "texpr:TensorExpression.__init__": 1,
+            "reps:GeneratorTable.__init__": 3,
             "reps:GeneratorTable.word_matrix": 3,
+            "packed:_ScaledTable.of": 2,
+            "packed:_ScaledExpression.of": 2,
         }

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ospq import hopf
-from ospq.contraction import L_operator, contract, rll_check
+from ospq.contraction import L_operator, contract, frt_rules, rll_check
 from ospq.errors import PoleAtUnity, PrecisionShortfall
 from ospq.gmatrix import GradedMatrix, embed_pair, graded_kron, tensor_parity
 from ospq.halfint import HalfInt
@@ -145,6 +145,90 @@ class TestDifferential:
             for label, expr in algebra.relations:
                 want += matrix_residuals(label, expr.evaluate([bad]))
             assert want and relations_residuals(algebra, bad) == want, case
+
+
+def fresh_copy(rep) -> GeneratorTable:
+    """The table with empty word and packing memos."""
+    return GeneratorTable(rep.variant, rep.j, rep.parity, rep.matrices)
+
+
+def unmemoized(expr) -> TE:
+    """The expression with an empty packing memo."""
+    return TE(expr.nlegs, expr.terms)
+
+
+class TestSetUpOnce:
+    """The scaled form of each expression and each table is built once and
+    kept on it; a plan from those memos is the plan built cold."""
+
+    @pytest.mark.parametrize("case", list(JORDANIAN))
+    def test_every_suite_and_the_frt_rules_match_scalars(self, case):
+        algebra_of, rep_of = JORDANIAN[case]
+        algebra = algebra_of()
+        half, one = rep_of(HALF), rep_of(ONEJ)
+        # an H moved by h^-1/3 gives its table a scale with a power of h,
+        # so the terms of a group are shifted by it
+        over_h = perturbed(one, "H", rational(1, 3) / H)
+        normal = hopf._expressions(algebra, hopf._normal_coproduct_relations)
+        suites = [
+            (suite_expressions(algebra, 1), [[half], [one], [y_flipped(one)], [over_h]]),
+            (suite_expressions(algebra, 2), [[half, one], [one, half], [half, perturbed(one)]]),
+            (list(normal), [[half, one], [y_flipped(half), one], [half, over_h]]),
+            (suite_expressions(algebra, 3), [[half, one, half], [perturbed(half, "Thalf"), one, one]]),
+        ]
+        if case == "r2":
+            coproduct, counit, antipode = frt_rules(algebra)
+            suites += [(coproduct, [[half, one], [one, y_flipped(one)]]), (antipode, [[one]])]
+            suites += [(counit, [[]])]
+        nonzero = 0
+        for labelled, placements in suites:
+            exprs = [expr for _, expr in labelled]
+            for reps in placements:
+                for _ in range(2):  # cold memos, then warm ones
+                    nonzero += assert_packed_matches_scalar(exprs, reps)
+        assert nonzero > 50
+
+    def test_memos_live_on_the_expression_and_the_table(self):
+        rep = fresh_copy(r1_generators(ONEJ, "hdiag"))
+        labelled = suite_expressions(r1_algebra(), 2)
+        exprs = [unmemoized(expr) for _, expr in labelled]
+        plan = PackedPlan.of(exprs, [rep, rep])
+        assert all(expr.packing is not None for expr in exprs)
+        letters = frozenset().union(*(leg for e in exprs for leg in e.packing.letters))
+        assert list(rep.packing) == [letters]
+        assert plan.scaled == [rep.packing[letters]]
+        # a second plan reads both memos and proves the same width
+        again = PackedPlan.of(exprs, [rep, rep])
+        assert again.scaled[0] is plan.scaled[0]
+        assert again.width == plan.width
+        assert again.run() == plan.run()
+        # an expression with fewer letters gets its own scaled table
+        PackedPlan.of([TE.word(["H", "E"])], [rep])
+        assert list(rep.packing)[1] == frozenset({"H", "E"})
+
+    @pytest.mark.parametrize("case", list(JORDANIAN))
+    def test_memoized_plan_is_the_cold_plan(self, case):
+        algebra_of, rep_of = JORDANIAN[case]
+        for nlegs, spins in ((1, [ONEJ]), (2, [HALF, ONEJ]), (3, [ONEJ, HALF, ONEJ])):
+            exprs = [expr for _, expr in suite_expressions(algebra_of(), nlegs)]
+            reps = [rep_of(j) for j in spins]
+            warm = PackedPlan.of(exprs, reps)
+            warm = PackedPlan.of(exprs, reps)
+            cold = PackedPlan.of([unmemoized(e) for e in exprs], [fresh_copy(r) for r in reps])
+            assert warm.width == cold.width
+            assert [e.bound for e in warm.exprs] == [e.bound for e in cold.exprs]
+            assert [(e.den, e.hpow) for e in warm.exprs] == [(e.den, e.hpow) for e in cold.exprs]
+
+    def test_refusals_are_kept_too(self):
+        table = fresh_copy(q_rep(ONEJ))
+        exprs = [unmemoized(expr) for _, expr in suite_expressions(q_algebra(), 2)]
+        assert PackedPlan.of(exprs, [table, table]) is None
+        # each expression's verdict is kept: q's coefficients hold p
+        assert all(expr.packing is not None for expr in exprs)
+        assert any(expr.packing is False for expr in exprs)
+        # a p-free expression on the q table: the table refuses, once
+        assert PackedPlan.of([TE.word(["e", "K"])], [table]) is None
+        assert table.packing == {frozenset({"e", "K"}): None}
 
 
 class TestWidth:
