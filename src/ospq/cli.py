@@ -34,11 +34,12 @@ from .hopf import r1_hopf_check, r1_relations_check, r2_hopf_check
 from .ode import map_ode_check
 from .qrmatrix import universal_Rq, ybe_check, ybe_check_q
 from .r1 import (
+    MAX_YBE_R1_DIM,
+    MAX_YBE_R1_SPIN_DIM,
     SERIES_DEPTH,
     antipode_check,
     cocycle_check,
     disentangle_check,
-    refuse_oversized_r1_triple,
     triangularity_check,
     twist_property_check,
     universal_Rh_r1,
@@ -90,13 +91,13 @@ R_KINDS = ("q", "contracted", "r1")
 # before any table is built; ``contracted`` has the caps of ``contract``.
 # Fresh ``ospq rmatrix`` processes on 2 cores (JSON to /dev/null; the
 # output grows as the square of the dimension):
-#   q: (5, 5), (6, 6), (8, 8) took 0.73, 1.42, 5.43 s (72, 150, 570 MB);
-#     the slowest pair inside, (5/2, 27/2) at 605, 2.9 s (153 MB); (3, 20),
-#     at 1053, 10.7 s (553 MB);
-#   r1: (4, 4), (5, 5), (6, 6) took 0.53, 1.01, 1.33 s (minimal) and 1.16,
-#     3.92, 14.0 s (hdiag).  One large spin costs alone: (1/2, 10), (1/2, 15),
-#     (1/2, 20), (1/2, 30) took 0.74, 2.88, 5.70, 25.2 s (minimal); inside
-#     both caps (2, 10) took 2.07 s (minimal) and (3/2, 10) 1.70 s (hdiag).
+#   q: (5, 5), (6, 6), (8, 8) took 0.95, 1.51, 5.43 s (72, 150, 570 MB;
+#     (8, 8) not re-run); the slowest pair inside, (5/2, 27/2) at 605, 3.3 s
+#     (153 MB); (3, 20), at 1053, 10.7 s (553 MB, not re-run);
+#   r1: (4, 4), (5, 5), (6, 6) took 0.22, 0.39, 0.88 s (minimal) and 0.50,
+#     1.35, 3.77 s (hdiag).  One large spin costs alone: (1/2, 10), (1/2, 15),
+#     (1/2, 20) took 0.28, 1.10, 2.56 s (minimal); inside both caps (2, 10)
+#     took 0.58 s (minimal) and 1.00 s (hdiag).
 MAX_RMATRIX_DIM = {"q": 625, "r1": 441}
 MAX_RMATRIX_SPIN_DIM = {"r1": 41}
 
@@ -237,7 +238,7 @@ def _run_ybe(spins, args):
         if args.kind == "contracted":
             refuse_oversized_contracted_triple(spins)
         else:
-            refuse_oversized_r1_triple(spins, args.family)
+            refuse_oversized(spins, MAX_YBE_R1_DIM, MAX_YBE_R1_SPIN_DIM[args.family])
         parities = (rep_parity(j1), rep_parity(j2), rep_parity(j3))
         residuals = ybe_check(
             _pair_r_matrix(args.kind, args.family, j1, j2),
@@ -408,11 +409,9 @@ def _cmd_rep(args) -> int:
 
 def _cmd_rmatrix(args) -> int:
     spins = (args.j1, args.j2)
-    if args.kind in MAX_RMATRIX_DIM:
-        refuse_oversized(spins, MAX_RMATRIX_DIM[args.kind])
-    if args.kind in MAX_RMATRIX_SPIN_DIM:
-        for j in spins:
-            refuse_oversized((j,), MAX_RMATRIX_SPIN_DIM[args.kind])
+    refuse_oversized(
+        spins, MAX_RMATRIX_DIM.get(args.kind), MAX_RMATRIX_SPIN_DIM.get(args.kind)
+    )
     matrix = _substituted(
         _pair_r_matrix(args.kind, args.family, args.j1, args.j2), args.h
     )

@@ -197,7 +197,7 @@ def contract(j1, j2, source: str = "universal", log_cancellation: bool = False):
     afresh on every call.
     """
     j1, j2 = as_half(j1), as_half(j2)
-    _refuse_oversized_pair(j1, j2)
+    refuse_oversized((j1, j2), MAX_CONTRACT_DIM, MAX_CONTRACT_SPIN_DIM)
     if log_cancellation:
         return _contract(j1, j2, source, True)
     return _shared_contraction(j1, j2, source)
@@ -250,12 +250,6 @@ def _contract(j1: HalfInt, j2: HalfInt, source: str, log_cancellation: bool):
     return ContractionResult(j1, j2, "universal", chain.limit(), log)
 
 
-def _refuse_oversized_pair(j1, j2) -> None:
-    refuse_oversized((j1, j2), MAX_CONTRACT_DIM)
-    for j in (j1, j2):
-        refuse_oversized((j,), MAX_CONTRACT_SPIN_DIM)
-
-
 # The largest (4 j1 + 1)(4 j2 + 1)(4 j3 + 1) of a Yang-Baxter check on
 # contracted R-matrices, that of (5/2, 5/2, 5/2).  Fresh ``verify --suite
 # ybe --kind contracted`` processes on 2 cores: (2, 2, 2) took 1.01 s
@@ -269,8 +263,8 @@ def refuse_oversized_contracted_triple(spins) -> None:
     and each of its three pairs fits the caps of :func:`contract`, before
     the first pair is contracted."""
     refuse_oversized(spins, MAX_CONTRACTED_YBE_DIM)
-    for a, b in combinations(spins, 2):
-        _refuse_oversized_pair(as_half(a), as_half(b))
+    for pair in combinations(spins, 2):
+        refuse_oversized(pair, MAX_CONTRACT_DIM, MAX_CONTRACT_SPIN_DIM)
 
 
 def _lowest(vals: dict, axis: int) -> dict:
@@ -439,8 +433,7 @@ def frt_hopf_check(j1, j2) -> VerificationReport:
     A spin whose module dimension exceeds ``MAX_FRT_HOPF_SPIN_DIM``, or a
     pair whose product dimension exceeds ``MAX_FRT_HOPF_DIM``, raises
     ``ValueError`` before any table is built."""
-    for j in (j1, j2):
-        refuse_oversized((j,), MAX_FRT_HOPF_SPIN_DIM)
+    refuse_oversized((j1, j2), spin_cap=MAX_FRT_HOPF_SPIN_DIM)
     refuse_oversized((j1, j2), MAX_FRT_HOPF_DIM)
     j1, j2 = as_half(j1), as_half(j2)
     coproduct, counit, antipode = frt_rules(r2_algebra())

@@ -546,8 +546,7 @@ def r2_hopf_check(j1, j2, j3) -> VerificationReport:
     """All five suites of the r2 algebra on a triple of spins.  A spin
     whose module dimension exceeds ``MAX_HOPF_R2_SPIN_DIM`` raises
     ``ValueError`` before any table is built."""
-    for j in (j1, j2, j3):
-        refuse_oversized((j,), MAX_HOPF_R2_SPIN_DIM)
+    refuse_oversized((j1, j2, j3), spin_cap=MAX_HOPF_R2_SPIN_DIM)
     reps = [r2_generators(j) for j in (j1, j2, j3)]
     fails = hopf_suite_failures(r2_algebra(), reps)
     return VerificationReport(
@@ -570,8 +569,7 @@ def r1_hopf_check(j1, j2, j3, family: str = "minimal") -> VerificationReport:
     dressing family.  A spin whose module dimension exceeds
     ``MAX_R1_HOPF_SPIN_DIM`` raises ``ValueError`` before any table is
     built."""
-    for j in (j1, j2, j3):
-        refuse_oversized((j,), MAX_R1_HOPF_SPIN_DIM)
+    refuse_oversized((j1, j2, j3), spin_cap=MAX_R1_HOPF_SPIN_DIM)
     reps = [r1_generators(j, family) for j in (j1, j2, j3)]
     fails = hopf_suite_failures(r1_algebra(), reps)
     return VerificationReport(

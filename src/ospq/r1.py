@@ -17,7 +17,9 @@ families are implemented; their tables are built by
   nilpotent logarithm, which again terminate on finite modules.
 
 The quantization is triangular.  Its R-matrix is a coboundary of a
-single exponential twist, and this module verifies the whole package:
+single exponential twist, ``twist_expression``, from which G, its
+inverse and the R-matrix are all evaluated; this module verifies the
+whole package:
 the R-matrix identities, the twist's primitivity and cocycle
 properties, the antipode transformer in closed form, and the
 disentanglement identity behind that closed form.  Both families'
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import NotNilpotent
 from .gmatrix import GradedMatrix, graded_kron, graded_primitive, swap_conjugate
 from .halfint import HalfInt
 from .hopf import r1_algebra
@@ -49,6 +52,19 @@ from .scalar import ONE, Scalar, rational
 from .texpr import TensorExpression as TE
 from .texpr import tensor_product
 
+# ``graded_kron`` is not used here but stays bound: the benchmark's
+# tracer rebinds it in every module that imported it by name, and its
+# test pins this module among them.
+__all__ = [
+    "MAX_ANTIPODE_DIM", "MAX_COCYCLE_SPIN_DIM", "MAX_DISENTANGLE_DIM",
+    "MAX_TRIANGULARITY_DIM", "MAX_TWIST_SPIN_DIM", "MAX_YBE_R1_DIM",
+    "MAX_YBE_R1_SPIN_DIM", "SERIES_DEPTH", "antipode_check",
+    "antipode_transformer", "cocycle_check", "disentangle_check",
+    "graded_kron", "hdiag_twist_expression", "inverse_map_words",
+    "triangularity_check", "twist_expression", "twist_matrix",
+    "twist_property_check", "universal_Rh_r1",
+]
+
 # The h-order through which the hdiag checks hold: its twist is known
 # only as a series, displayed through second order.
 SERIES_DEPTH = 2
@@ -59,17 +75,17 @@ SERIES_DEPTH = 2
 # ---------------------------------------------------------------------------
 
 
-def twist_expression(nmax: int) -> TE:
-    """exp(h TH (x) X) as a two-leg expression, truncated after nmax terms.
+def twist_expression(nmax: int, step: Scalar = HPARAM) -> TE:
+    """exp(step TH (x) X) as a two-leg expression, truncated after nmax terms.
 
     On modules the series terminates on its own because X is nilpotent;
-    nmax only has to reach the nilpotency bound of whatever the second
-    leg will be evaluated on.
+    nmax only has to reach the highest power of X that is not zero on the
+    second leg's module.  At step -h it is the inverse twist.
     """
     out = TE.unit(2)
     coeff = ONE
     for n in range(1, nmax + 1):
-        coeff = coeff * HPARAM / Scalar.from_int(n)
+        coeff = coeff * step / Scalar.from_int(n)
         out = out + TE.pure((("T", "H") * n, ("X",) * n), coeff)
     return out
 
@@ -98,27 +114,28 @@ def _residuals_maybe_orders(label: str, diff: GradedMatrix, exact: bool):
     return series_residuals(label, diff, SERIES_DEPTH)
 
 
-def _th(rep: GeneratorTable) -> GradedMatrix:
-    return rep.matrix("T") @ rep.matrix("H")
+def twist_matrix(
+    rep1: GeneratorTable, rep2: GeneratorTable, step: Scalar = HPARAM
+) -> GradedMatrix:
+    """exp(step TH (x) X) on a pair of modules: the twist at step h, its
+    inverse at -h.
 
-
-def _exp_kron(a: GradedMatrix, b: GradedMatrix, step: Scalar) -> GradedMatrix:
-    """exp(step a (x) b) for even a and b, one of them nilpotent.  Its
-    inverse is the same exponential at -step."""
-    return nil_exp(graded_kron(a, b, b_op_parity=0).scale(step))
-
-
-def twist_matrix(rep1: GeneratorTable, rep2: GeneratorTable) -> GradedMatrix:
-    """The twist evaluated on a pair of modules: exp(h TH (x) X)."""
-    return _exp_kron(_th(rep1), rep2.matrix("X"), HPARAM)
+    The expression keeps the powers of X below the nilpotency bound n of
+    the second module, so ``NotNilpotent`` is raised unless X^n is zero
+    there."""
+    n = x_nilpotency(rep2.j)
+    if not rep2.word_matrix(("X",) * n).is_zero:
+        raise NotNilpotent(f"X^{n} is not zero on the spin-{rep2.j} module")
+    return twist_expression(n - 1, step).evaluate([rep1, rep2])
 
 
 def universal_Rh_r1(j1, j2, family: str = "minimal") -> GradedMatrix:
-    """R-matrix of the quantization on the pair (j1, j2): G21^{-1} G,
-    with G21^{-1} = exp(-h X (x) TH)."""
+    """R-matrix of the quantization on the pair (j1, j2): G21^{-1} G, with
+    G21^{-1} the inverse twist on (j2, j1) conjugated by the swap."""
     rep1 = r1_generators(j1, family)
     rep2 = r1_generators(j2, family)
-    return _exp_kron(rep1.matrix("X"), _th(rep2), -HPARAM) @ twist_matrix(rep1, rep2)
+    g21inv = swap_conjugate(twist_matrix(rep2, rep1, -HPARAM), rep1.parity, rep2.parity)
+    return g21inv @ twist_matrix(rep1, rep2)
 
 
 # The largest (4 j1 + 1)(4 j2 + 1)(4 j3 + 1) of a Yang-Baxter check on r1
@@ -126,28 +143,21 @@ def universal_Rh_r1(j1, j2, family: str = "minimal") -> GradedMatrix:
 # one spin there, per family: j = 5 for minimal and j = 4 for hdiag.  A
 # large pair costs more than its share of the triple, so both caps hold.
 # Fresh ``verify --suite ybe --kind r1`` processes on 2 cores:
-#   minimal: (5/2)^3, (3, 3, 3), (4, 4, 4) took 0.86, 1.8 to 2.0, 12.7 s
-#     (41, 82, 338 MB), and (1/2, 5, 5) 2.1 s (65 MB); past the spin cap
-#     (1/2, 6, 6) and (1/2, 5, 8) took 4.6 and 5.9 s (115 and 143 MB);
-#   hdiag: (5/2)^3, (3, 3, 3), (4, 4, 4) took 1.57, 3.1, 26.6 s (52, 102,
-#     432 MB), and (1, 4, 4), (3/2, 4, 4) 3.05, 3.6 s (65, 100 MB); past
-#     the spin cap (1/2, 5, 5) and (1/2, 6, 6) took 6.8 and 18 s.
+#   minimal: (5/2)^3, (3, 3, 3), (4, 4, 4) took 0.63, 1.76, 11.3 s (41, 82,
+#     338 MB), and (1/2, 5, 5) 1.20 s (65 MB); past the spin cap
+#     (1/2, 6, 6) took 3.1 s (116 MB);
+#   hdiag: (5/2)^3, (3, 3, 3), (4, 4, 4) took 0.94, 2.33, 19.4 s (51, 101,
+#     433 MB), and (1, 4, 4), (3/2, 4, 4) 1.41, 3.04 s (64, 99 MB); past
+#     the spin cap (1/2, 5, 5) and (1/2, 6, 6) took 2.6 and 7.2 s.
 MAX_YBE_R1_DIM = 2197
 MAX_YBE_R1_SPIN_DIM = {"minimal": 21, "hdiag": 17}
 
 
-def refuse_oversized_r1_triple(spins, family: str) -> None:
-    """Raise ``ValueError`` when a triple of spins is outside the caps of a
-    Yang-Baxter check on the family's R-matrices, before any is built."""
-    refuse_oversized(spins, MAX_YBE_R1_DIM)
-    for j in spins:
-        refuse_oversized((j,), MAX_YBE_R1_SPIN_DIM[family])
-
-
 # The largest (4 j1 + 1)(4 j2 + 1) that ``triangularity_check`` accepts,
-# that of the pair (5/2, 5/2), which takes about 1.1 s on 2 cores; (2, 2)
-# and (3, 3) take 0.55 and 2.6 s.  An unbalanced pair costs more: the
-# slowest inside, (1/2, 19/2), takes 2.6 s, and (1/2, 27/2), at 165, 9 s.
+# that of (5/2, 5/2).  Fresh processes on 2 cores, minimal (hdiag):
+# (2, 2), (5/2, 5/2), (3, 3) took 0.39 (0.51), 1.06 (1.39), 2.72 (3.14) s;
+# the slowest pair inside, (1/2, 19/2), 2.0 (1.8) s, and (1/2, 27/2), at
+# 165, 6.1 (4.3) s.  The check's 19 products, not R, set the cost.
 MAX_TRIANGULARITY_DIM = 121
 
 
@@ -233,20 +243,12 @@ def inverse_map_words(family: str = "minimal", nilpotency: int | None = None) ->
 # j = 7/2 for hdiag (``twist.hdiag_twist_check``).  The cost grows with
 # each spin alone, most steeply with the larger, so a product cap would
 # not track it.  Fresh ``verify --suite twist`` processes on 2 cores:
-#   minimal: (4, 4), (6, 6), (13/2, 13/2), (7, 7), (8, 8) took 0.44, 1.95,
-#     4.1, 5.2, 6.5 s (24 to 108 MB); one large spin, (1/2, 8), (1/2, 12),
-#     (1/2, 16), (1/2, 24), took 0.70, 3.3, 6.1, 34 s, and (5/2, 12) 11 s;
-#   hdiag: (2, 2), (3, 3), (7/2, 7/2), (4, 4), (9/2, 9/2) took 0.45, 1.68,
-#     2.49, 3.7 to 6.6, 8.2 s (19 to 62 MB); (1/2, 5), (1/2, 6), (1/2, 8)
-#     took 1.21, 3.73, 16.8 s, and (6, 6) ran past 60 s.
+#   minimal: (4, 4), (6, 6), (13/2, 13/2), (7, 7), (8, 8) took 0.39, 1.45,
+#     1.97, 2.66, 4.45 s (24 to 113 MB); one large spin, (1/2, 8), (1/2, 12),
+#     (1/2, 16), took 0.52, 1.45, 3.65 s, and (5/2, 12) 4.1 s;
+#   hdiag: (2, 2), (3, 3), (7/2, 7/2), (4, 4) took 0.21, 1.06, 1.60, 4.19 s
+#     (18 to 47 MB); (1/2, 5), (1/2, 6) took 0.63, 2.12 s.
 MAX_TWIST_SPIN_DIM = {"minimal": 25, "hdiag": 15}
-
-
-def refuse_oversized_twist(spins, family: str) -> None:
-    """Raise ``ValueError`` when a spin of the twist suite is outside the
-    family's ``MAX_TWIST_SPIN_DIM``, before any table is built."""
-    for j in spins:
-        refuse_oversized((j,), MAX_TWIST_SPIN_DIM[family])
 
 
 def twist_property_check(j1, j2) -> VerificationReport:
@@ -259,7 +261,7 @@ def twist_property_check(j1, j2) -> VerificationReport:
     whose module dimension exceeds ``MAX_TWIST_SPIN_DIM["minimal"]``
     raises ``ValueError`` before any table is built.
     """
-    refuse_oversized_twist((j1, j2), "minimal")
+    refuse_oversized((j1, j2), spin_cap=MAX_TWIST_SPIN_DIM["minimal"])
     j1, j2 = HalfInt(j1), HalfInt(j2)
     rep1 = r1_generators(j1, "minimal")
     rep2 = r1_generators(j2, "minimal")
@@ -281,7 +283,7 @@ def twist_property_check(j1, j2) -> VerificationReport:
         failures += matrix_residuals(f"[h,f]=-f:{tag}", hh @ ff - ff @ hh + ff)
         failures += matrix_residuals(f"{{e,f}}=-h:{tag}", ee @ ff + ff @ ee + hh)
     gmat = twist_matrix(rep1, rep2)
-    ginv = _exp_kron(_th(rep1), rep2.matrix("X"), -HPARAM)
+    ginv = twist_matrix(rep1, rep2, -HPARAM)
     for name, word in words.items():
         dressed = word.coproduct(0, alg.delta).evaluate([rep1, rep2])
         primitive = graded_primitive(word.evaluate([rep1]), word.evaluate([rep2]))
@@ -317,8 +319,7 @@ def cocycle_check(j1, j2, j3, twist: str = "minimal") -> VerificationReport:
     """
     _require_family(twist)
     j1, j2, j3 = HalfInt(j1), HalfInt(j2), HalfInt(j3)
-    for j in (j1, j2, j3):
-        refuse_oversized((j,), MAX_COCYCLE_SPIN_DIM)
+    refuse_oversized((j1, j2, j3), spin_cap=MAX_COCYCLE_SPIN_DIM)
     reps = [r1_generators(jj, twist) for jj in (j1, j2, j3)]
     alg = r1_algebra()
     g = _family_twist(twist, x_nilpotency(j2) + x_nilpotency(j3))
@@ -350,7 +351,7 @@ def _transformer_display(rep: GeneratorTable, family: str) -> GradedMatrix:
     iden = rep.identity()
     if family == "minimal":
         drop = iden - rep.matrix("Tinv") @ rep.matrix("Tinv")
-        return nil_exp((_th(rep) @ drop).scale(rational(-1, 2)))
+        return nil_exp((rep.word_matrix(("T", "H")) @ drop).scale(rational(-1, 2)))
     x = rep.matrix("X")
     return iden - x.scale(HPARAM) + (x @ x).scale(HPARAM * HPARAM * rational(1, 2))
 

@@ -188,16 +188,18 @@ def rep_dim(j) -> int:
     return 2 * as_half(j).twice + 1
 
 
-def refuse_oversized(spins, cap: int) -> None:
+def refuse_oversized(spins, cap: int | None = None, spin_cap: int | None = None) -> None:
     """Raise ``ValueError`` when the tensor product of the spin modules has
-    a dimension above ``cap``: a check's size budget, applied before any
-    work."""
-    dim = prod(rep_dim(j) for j in spins)
-    if dim > cap:
-        names = ", ".join(str(as_half(j)) for j in spins)
-        raise ValueError(
-            f"spins ({names}) give dimension {dim}, which exceeds the cap of {cap}"
-        )
+    a dimension above ``cap``, and then when one spin's module has a
+    dimension above ``spin_cap``: a check's size budget, applied before
+    any work.  A cap of None is not checked."""
+    for group, limit in [(spins, cap), *(((j,), spin_cap) for j in spins)]:
+        dim = prod(rep_dim(j) for j in group)
+        if limit is not None and dim > limit:
+            names = ", ".join(str(as_half(j)) for j in group)
+            raise ValueError(
+                f"spins ({names}) give dimension {dim}, which exceeds the cap of {limit}"
+            )
 
 
 def rep_parity(j):

@@ -574,23 +574,24 @@ class Scalar:
             return other
         if other.is_zero:
             return self
-        if self.den == other.den:
-            if len(self.den) == 1:
-                return Scalar._over_monomial(_padd(self.num, other.num), self.den)
-            return Scalar._make(_padd(self.num, other.num), self.den)
         if len(self.den) == 1 == len(other.den):
-            # two monomial denominators: sum over their lcm, each numerator
-            # shifted and scaled up to it, with no polynomial GCD
+            # two monomial denominators, equal ones included: sum over their
+            # lcm, each numerator not already over it shifted and scaled up
+            # to it, with no polynomial GCD
             ((p1, h1), k1), = self.den.items()
             ((p2, h2), k2), = other.den.items()
             g = gcd(k1, k2)
             lp, lh = max(p1, p2), max(h1, h2)
             c1, c2 = k2 // g, k1 // g
-            num = _padd(
-                {(ep + lp - p1, eh + lh - h1): v * c1 for (ep, eh), v in self.num.items()},
-                {(ep + lp - p2, eh + lh - h2): v * c2 for (ep, eh), v in other.num.items()},
-            )
+            num1, num2 = self.num, other.num
+            if (lp, lh, c1) != (p1, h1, 1):
+                num1 = {(ep + lp - p1, eh + lh - h1): v * c1 for (ep, eh), v in num1.items()}
+            if (lp, lh, c2) != (p2, h2, 1):
+                num2 = {(ep + lp - p2, eh + lh - h2): v * c2 for (ep, eh), v in num2.items()}
+            num = _padd(num1, num2)
             return Scalar._over_monomial(num, {(lp, lh): c2 * k2})
+        if self.den == other.den:
+            return Scalar._make(_padd(self.num, other.num), self.den)
         # Henrici's sum: with g = gcd(b, d), only g can share a factor with
         # t = a (d/g) + c (b/g), so t is reduced against g alone
         b, d = self.den, other.den

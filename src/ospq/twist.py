@@ -34,13 +34,13 @@ from .gmatrix import GradedMatrix, graded_kron, graded_primitive
 from .halfint import HalfInt
 from .hopf import r1_algebra
 from .r1 import (
+    MAX_TWIST_SPIN_DIM,
     SERIES_DEPTH,
     hdiag_twist_expression,
     inverse_map_words,
-    refuse_oversized_twist,
 )
 from .report import VerificationReport, series_residuals
-from .reps import classical_rep, r1_generators, x_nilpotency
+from .reps import classical_rep, r1_generators, refuse_oversized, x_nilpotency
 from .scalar import H as HPARAM
 from .scalar import ONE, Scalar
 from .texpr import TensorExpression as TE
@@ -363,7 +363,7 @@ def hdiag_twist_check(j1, j2, order: int = SERIES_DEPTH) -> VerificationReport:
     module dimension exceeds ``MAX_TWIST_SPIN_DIM["hdiag"]``, or an order
     above ``MAX_SERIES_ORDER``, raises ``ValueError`` before any work.
     """
-    refuse_oversized_twist((j1, j2), "hdiag")
+    refuse_oversized((j1, j2), spin_cap=MAX_TWIST_SPIN_DIM["hdiag"])
     j1, j2 = HalfInt(j1), HalfInt(j2)
     # Solving first rejects an oversized order before any other work.
     series = series_twist(order)

@@ -15,6 +15,11 @@ matrix work: ``nil_series`` over matrix powers, Gauss-Jordan
 ``nil_log_unit``.  They share no code with the series, so each is an
 independent oracle.  The disentanglement check reads log core from a
 series too; ``nil_log_unit`` is its old route.
+
+The r1 twist.  The package evaluates G = exp(h TH (x) X), its inverse at
+-h and the R-matrix G21^-1 G from one two-leg expression, word by word.
+Before, each factor was ``nil_exp`` of the dense graded Kronecker product,
+and G21^-1 the exponential of -h X (x) TH with no swap.
 """
 
 from fractions import Fraction
@@ -26,6 +31,21 @@ from ospq.gmatrix import GradedMatrix, graded_kron, inverse, tensor_parity
 from ospq.halfint import HalfInt, as_half
 from ospq.reps import GeneratorTable, classical_rep, q_rep, weight_twice
 from ospq.scalar import ONE, H, P, p_power, rational
+
+
+def twist_by_kron(rep1: GeneratorTable, rep2: GeneratorTable, step=H) -> GradedMatrix:
+    """exp(step TH (x) X) on a pair of modules, as ``nil_exp`` of the
+    dense graded Kronecker product."""
+    th = rep1.matrix("T") @ rep1.matrix("H")
+    return nilfun.nil_exp(graded_kron(th, rep2.matrix("X"), b_op_parity=0).scale(step))
+
+
+def universal_Rh_r1_by_kron(rep1: GeneratorTable, rep2: GeneratorTable) -> GradedMatrix:
+    """G21^-1 G on a pair of modules, G21^-1 = exp(-h X (x) TH) formed on
+    the pair as it stands."""
+    th = rep2.matrix("T") @ rep2.matrix("H")
+    g21inv = nilfun.nil_exp(graded_kron(rep1.matrix("X"), th, b_op_parity=0).scale(-H))
+    return g21inv @ twist_by_kron(rep1, rep2)
 
 
 def bracket_by_scalars(kind: str, xx: HalfInt, a: int):

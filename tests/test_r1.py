@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 import ospq.r1
-from ospq.gmatrix import GradedMatrix, inverse, swap_conjugate
+from ospq.errors import NotNilpotent
+from ospq.gmatrix import GradedMatrix, graded_primitive, inverse, swap_conjugate
 from ospq.halfint import HalfInt
 from ospq.hopf import (
     MAX_R1_RELATIONS_DIM,
@@ -20,8 +21,6 @@ from ospq.r1 import (
     MAX_COCYCLE_SPIN_DIM,
     MAX_DISENTANGLE_DIM,
     MAX_TRIANGULARITY_DIM,
-    _exp_kron,
-    _th,
     antipode_check,
     antipode_transformer,
     cocycle_check,
@@ -42,7 +41,8 @@ from ospq.texpr import TensorExpression as TE
 from ospq.texpr import tensor_product
 
 from helpers import from_rows
-from test_packed import perturbed
+from references import twist_by_kron, universal_Rh_r1_by_kron
+from test_packed import perturbed, with_matrix
 
 HALF = HalfInt.from_twice(1)
 ONEJ = HalfInt(1)
@@ -215,11 +215,80 @@ class TestNegatedExponentInverse:
     def test_inverses_match_gauss_jordan(self, family, pair):
         rep1, rep2 = (r1_generators(j, family) for j in pair)
         gmat = twist_matrix(rep1, rep2)
-        ginv = _exp_kron(_th(rep1), rep2.matrix("X"), -H)
+        ginv = twist_matrix(rep1, rep2, -H)
         assert ginv @ gmat == GradedMatrix.identity(gmat.parity)
         assert ginv == inverse(gmat)
         g21 = swap_conjugate(twist_matrix(rep2, rep1), rep1.parity, rep2.parity)
         assert universal_Rh_r1(*pair, family) == inverse(g21) @ gmat
+
+
+class TestTwistAgainstKronecker:
+    """G, G^-1 and R, evaluated word by word, against the exponentials of
+    dense Kronecker products in ``tests/references.py``."""
+
+    PAIRS = [(a, b) for a in SPINS for b in SPINS]
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize(
+        "pair", PAIRS, ids=lambda p: "-".join(str(x) for x in p)
+    )
+    def test_factors_and_r_matrix(self, family, pair):
+        rep1, rep2 = (r1_generators(j, family) for j in pair)
+        assert twist_matrix(rep1, rep2) == twist_by_kron(rep1, rep2)
+        assert twist_matrix(rep1, rep2, -H) == twist_by_kron(rep1, rep2, -H)
+        assert universal_Rh_r1(*pair, family) == universal_Rh_r1_by_kron(rep1, rep2)
+
+
+def patch_tables(monkeypatch, pair, leg, change):
+    """Make ``ospq.r1`` build the minimal tables of a pair of distinct
+    spins, the one on ``leg`` passed through ``change``; returns them."""
+    tables = [r1_generators(j, "minimal") for j in pair]
+    tables[leg] = change(tables[leg])
+    by_spin = dict(zip(pair, tables))
+    monkeypatch.setattr(ospq.r1, "r1_generators", lambda j, family: by_spin[j])
+    return tables
+
+
+def non_nilpotent_x(rep) -> GeneratorTable:
+    x = rep.matrix("X")
+    return with_matrix(rep, "X", x + GradedMatrix(x.parity, {(0, 0): H}))
+
+
+class TestTwistNegativeControls:
+    PAIR = (HALF, ONEJ)
+
+    # F moved on the right leg keeps the words primitive, so it is no
+    # negative control.
+    @pytest.mark.parametrize("letter, leg", [("H", 0), ("H", 1), ("F", 0)])
+    def test_perturbed_letter_gives_the_reference_residuals(self, monkeypatch, letter, leg):
+        tables = patch_tables(monkeypatch, self.PAIR, leg, lambda t: perturbed(t, letter))
+        failures = twist_property_check(*self.PAIR).failures
+        got = [f for f in failures if f[0].startswith("primitive:")]
+        rep1, rep2 = tables
+        gmat, ginv = twist_by_kron(rep1, rep2), twist_by_kron(rep1, rep2, -H)
+        alg = r1_algebra()
+        want = []
+        for name, word in inverse_map_words("minimal").items():
+            dressed = word.coproduct(0, alg.delta).evaluate(tables)
+            primitive = graded_primitive(word.evaluate([rep1]), word.evaluate([rep2]))
+            want += matrix_residuals(f"primitive:{name}", gmat @ dressed @ ginv - primitive)
+        assert want
+        assert got == sorted(want)
+
+    def test_non_nilpotent_x_is_refused_by_the_twist_property(self, monkeypatch):
+        tables = patch_tables(monkeypatch, self.PAIR, 1, non_nilpotent_x)
+        with pytest.raises(NotNilpotent):
+            twist_by_kron(*tables)
+        with pytest.raises(NotNilpotent):
+            twist_property_check(*self.PAIR)
+
+    @pytest.mark.parametrize("leg", [0, 1])
+    def test_non_nilpotent_x_is_refused_by_the_r_matrix(self, monkeypatch, leg):
+        tables = patch_tables(monkeypatch, self.PAIR, leg, non_nilpotent_x)
+        with pytest.raises(NotNilpotent):
+            universal_Rh_r1_by_kron(*tables)
+        with pytest.raises(NotNilpotent):
+            universal_Rh_r1(*self.PAIR)
 
 
 class TestTwistProperty:
@@ -283,7 +352,7 @@ class TestTwistProperty:
         rep1 = r1_generators(HALF, "minimal")
         rep2 = r1_generators(ONEJ, "minimal")
         expr = twist_expression(x_nilpotency(ONEJ))
-        assert expr.evaluate([rep1, rep2]) == twist_matrix(rep1, rep2)
+        assert expr.evaluate([rep1, rep2]) == twist_by_kron(rep1, rep2)
 
 
 class TestCocycle:

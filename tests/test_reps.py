@@ -14,6 +14,7 @@ from ospq.reps import (
     factored_plus_factorial,
     q_rep,
     r1_generators,
+    refuse_oversized,
     rep_dim,
     rep_parity,
 )
@@ -243,3 +244,16 @@ def test_every_r1_call_form_returns_one_table():
     assert r1_generators(Fraction(1), "minimal") is table
     assert r1_generators(HalfInt(1), family="minimal") is table
     assert r1_generators(1, family="hdiag") is r1_generators(HalfInt(1), "hdiag")
+
+
+def test_refuse_oversized_checks_the_product_then_each_spin():
+    pair = (HalfInt.parse("1/2"), HalfInt(5))  # dimensions 3 and 21
+    refuse_oversized(pair, 63, 21)  # both caps met exactly
+    refuse_oversized(pair)  # no cap, nothing to check
+    product = r"^spins \(1/2, 5\) give dimension 63, which exceeds the cap of 62$"
+    with pytest.raises(ValueError, match=product):
+        refuse_oversized(pair, 62, 20)
+    spin = r"^spins \(5\) give dimension 21, which exceeds the cap of 20$"
+    for cap in (63, None):
+        with pytest.raises(ValueError, match=spin):
+            refuse_oversized(pair, cap, 20)
