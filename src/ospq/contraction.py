@@ -25,14 +25,18 @@ R_q, M and M^-1 as truncated Laurent series in t = p - 1
 poles that cancel are never reduced away as fractions; a genuine pole
 raises instead of being approximated.  Each entry is expanded only as far
 as that coefficient needs, a bound read from the exact valuations at
-p = 1 of the entries it meets; those of R_q are the exponents of
-Phi_1 = p - 1 in its factored entries
-(:func:`~ospq.qrmatrix.universal_Rq_factors`).  M and M^-1 are Kronecker
-products of one bridge per spin, so each bridge is expanded once.  The
-Kronecker products and the chain M^-1 (R_q M) are formed on packed t-digits at one
-proven width (:class:`~ospq.packed.SeriesPlan`), each entry cut to its
-own precision, and the pole orders of the cancellation log are read from
-the same packed valuations.
+p = 1 of the entries it meets.  R_q is read from its factored entries
+(:func:`~ospq.qrmatrix.universal_Rq_factors`) alone: each valuation is
+the exponent of Phi_1 = p - 1, and each entry is expanded straight from
+its factors (:meth:`~ospq.laurent.Laurent.from_qnumber`), never written
+as a ``Scalar``.  M and M^-1 are Kronecker products of one bridge per
+spin, so each bridge is expanded once, and every entry on one shift
+diagonal of a bridge is the same coefficient, expanded once.  The
+Kronecker products and the chain M^-1 (R_q M) are formed on packed
+t-digits at one width proven by matrix-vector bounds
+(:class:`~ospq.packed.SeriesPlan`), each entry cut to its own precision,
+and the pole orders of the cancellation log are read from the same
+packed valuations.
 """
 
 from __future__ import annotations
@@ -41,14 +45,14 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from .errors import Inconsistency
-from .gmatrix import GradedMatrix, block_matrix, inverse
+from .gmatrix import GradedMatrix, block_matrix, inverse, tensor_parity
 from .halfint import HalfInt, as_half, spin_cache
 from .hopf import GROUP_LIKE, SUITE_CACHE_SIZE, expression_residuals, r2_algebra
 from .laurent import Laurent, valuation
 from .nilfun import ShiftSeries, shift_length
 from .packed import SeriesPlan
 from .qnumber import QNumber
-from .qrmatrix import universal_Rq, universal_Rq_factors, ybe_check
+from .qrmatrix import universal_Rq_factors, ybe_check
 from .report import VerificationReport, matrix_residuals
 from .reps import (
     bracket,
@@ -111,11 +115,16 @@ def m_inverse(j) -> GradedMatrix:
 
 @spin_cache
 def bridge_valuations(j) -> tuple:
-    """The exact valuations at p = 1 of the entries of M and of M^-1."""
-    return tuple(
-        {key: valuation(s) for key, s in m.entries.items()}
-        for m in (m_matrix(j), m_inverse(j))
-    )
+    """The exact valuations at p = 1 of the entries of M and of M^-1,
+    each distinct coefficient read once."""
+    out = []
+    for m in (m_matrix(j), m_inverse(j)):
+        seen = {}
+        for s in m.entries.values():
+            if id(s) not in seen:
+                seen[id(s)] = valuation(s)
+        out.append({key: seen[id(s)] for key, s in m.entries.items()})
+    return tuple(out)
 
 
 def q_cartan_power(j, alpha) -> GradedMatrix:
@@ -165,16 +174,16 @@ class ContractionResult:
 
 # The largest (4 j1 + 1)(4 j2 + 1) that ``contract`` accepts, that of the
 # pair (3, 3).  A fresh ``ospq contract --format json`` process on 2 cores
-# takes about 1.9 s there (36 MB peak RSS), 0.7 s at (5/2, 5/2), dimension
-# 121 (25 MB), and 0.27 s at (2, 2) (20 MB), so the cost grows about 2.7
+# takes about 0.8 s there (34 MB peak RSS), 0.4 s at (5/2, 5/2), dimension
+# 121 (23 MB), and 0.18 s at (2, 2) (18 MB), so the cost grows about two
 # times per half-spin step.
 MAX_CONTRACT_DIM = 169
 
 # The largest module dimension 4 j + 1 of either spin, that of j = 5.
-# The bridge and its inverse are series in e^2, so what grows steeply
-# with one spin alone is R_q and its packed chain: fresh processes
-# on 2 cores took 0.40, 1.09 and 10.2 s at (1/2, 5), (1/2, 6) and (1/2, 8)
-# (19 to 28 MB).
+# The bridge and its inverse are series in e^2, and R_q is expanded from
+# its factors, so what grows steeply with one spin alone is the packed
+# chain: fresh processes on 2 cores took 0.42, 1.5 and 12.2 s at (1/2, 5),
+# (1/2, 6) and (1/2, 8) (18 to 28 MB).
 MAX_CONTRACT_SPIN_DIM = 21
 
 
@@ -217,8 +226,8 @@ def _contract(j1: HalfInt, j2: HalfInt, source: str, log_cancellation: bool):
     if source != "universal":
         raise ValueError(f"unknown contraction source {source!r}")
 
-    rq = universal_Rq(j1, j2)
-    vr = {key: q.valuation() for key, q in universal_Rq_factors(j1, j2).items()}
+    rq = universal_Rq_factors(j1, j2)
+    vr = {key: q.valuation() for key, q in rq.items()}
     (vm1, vi1), (vm2, vi2) = bridge_valuations(j1), bridge_valuations(j2)
     # Valuations add exactly.  With col_i[k] the lowest valuation in
     # column k of M^-1 and row_m[l] that in row l of M, the t^0
@@ -235,9 +244,9 @@ def _contract(j1: HalfInt, j2: HalfInt, source: str, log_cancellation: bool):
         need_m[l] = max(need_m.get(l, n), n)
         low_r[k] = min(low_r.get(k, w), w)
     need_i = {k: 1 - w for k, w in low_r.items()}
-    series = GradedMatrix(rq.parity, {
-        (k, l): Laurent.from_scalar(s, 1 - col_i[k] - row_m[l])
-        for (k, l), s in rq.entries.items()
+    series = GradedMatrix(tensor_parity((rep_parity(j1), rep_parity(j2))), {
+        (k, l): Laurent.from_qnumber(q, 1 - col_i[k] - row_m[l])
+        for (k, l), q in rq.items()
     })
     chain = SeriesPlan(
         series,
@@ -252,9 +261,10 @@ def _contract(j1: HalfInt, j2: HalfInt, source: str, log_cancellation: bool):
 
 # The largest (4 j1 + 1)(4 j2 + 1)(4 j3 + 1) of a Yang-Baxter check on
 # contracted R-matrices, that of (5/2, 5/2, 5/2).  Fresh ``verify --suite
-# ybe --kind contracted`` processes on 2 cores: (2, 2, 2) took 1.01 s
-# (47 MB), (5/2)^3 3.76 s (113 MB) and (3, 3, 3) 12.1 s (299 MB); the
-# product of the three R-matrices, not the contractions, sets the cost.
+# ybe --kind contracted`` processes on 2 cores: (2, 2, 2) took 0.5 s
+# (46 MB), (5/2)^3 3.0 s (112 MB) and (3, 3, 3), with the caps lifted,
+# 7.3 s (299 MB); the product of the three R-matrices, not the
+# contractions, sets the cost.
 MAX_CONTRACTED_YBE_DIM = 1331
 
 
@@ -286,7 +296,12 @@ def _kron_lowest(low1: dict, low2: dict) -> dict:
 def _bridge_series(legs, vals, need: dict, axis: int) -> tuple:
     """The two even legs of a Kronecker product on series, each entry
     expanded as far as its most demanding partner needs for the product
-    to be known below t^need[n], n its row (axis 0) or column (axis 1)."""
+    to be known below t^need[n], n its row (axis 0) or column (axis 1).
+
+    Every entry on one shift diagonal of a bridge is the same ``Scalar``,
+    so each distinct coefficient is expanded once, as far as the most
+    demanding of its entries needs, and the entries share that series;
+    the packed Kronecker product cuts each of its entries to its need."""
     d2 = legs[1].dim
     precs = ({}, {})
     for k1, x in vals[0].items():
@@ -294,12 +309,17 @@ def _bridge_series(legs, vals, need: dict, axis: int) -> tuple:
             n = need[k1[axis] * d2 + k2[axis]]
             precs[0][k1] = max(precs[0].get(k1, n - y), n - y)
             precs[1][k2] = max(precs[1].get(k2, n - x), n - x)
-    return tuple(
-        GradedMatrix(m.parity, {
-            key: Laurent.from_scalar(s, prec[key]) for key, s in m.entries.items()
-        })
-        for m, prec in zip(legs, precs)
-    )
+    out = []
+    for m, prec in zip(legs, precs):
+        top, coeffs = {}, {}
+        for key, s in m.entries.items():
+            coeffs[id(s)] = s
+            top[id(s)] = max(top.get(id(s), prec[key]), prec[key])
+        series = {i: Laurent.from_scalar(s, top[i]) for i, s in coeffs.items()}
+        out.append(
+            GradedMatrix(m.parity, {key: series[id(s)] for key, s in m.entries.items()})
+        )
+    return tuple(out)
 
 
 # -- classical-side closed forms ---------------------------------------------
@@ -374,8 +394,8 @@ def L_operator(j) -> GradedMatrix:
 
 # The largest dimension 9 (4 j + 1) of the (1/2, 1/2, j) product that
 # ``rll_check`` accepts, that of j = 5, the largest spin ``contract``
-# takes.  Fresh processes on 2 cores took 0.17, 0.38, 0.65 and 1.15 s at
-# j = 4, 5, 11/2 and 6 (18 to 21 MB).
+# takes.  Fresh processes on 2 cores took 0.16, 0.6, 0.65 and 1.1 s at
+# j = 4, 5, 11/2 and 6, the last two with the caps lifted (17 to 21 MB).
 MAX_RLL_DIM = 189
 
 

@@ -13,13 +13,28 @@ u(0) != 0,
     num(1 + t, h) * u(t)^-1 * t^-v * h^-b,
 
 where u(t)^-1 is a power series over Q.  A handful of cyclotomic
-denominators cover every entry of the bridge and of R_q, so each one is
-split once (:func:`_split_at_one`) and its unit inverted once per
-precision asked of it (:func:`_unit_inverse`).  The contraction asks each
-entry for its own precision, and one pass of the spin_ladder benchmark
-workload makes 81 such inversions, against 99 when every operand was
-expanded to one precision.  :func:`valuation` reads the exact order at
-p = 1 through the same split, applied to each h-slice of the numerator.
+denominators cover every entry of the bridge, so each one is split once
+(:func:`_split_at_one`) and its unit inverted once per precision asked
+of it (:func:`_unit_inverse`).  The contraction expands each distinct
+bridge coefficient once, and one pass of the spin_ladder benchmark
+workload makes 18 such inversions.  :func:`valuation` reads the exact
+order at p = 1 through the same split, applied to each h-slice of the
+numerator.
+
+The entries of R_q are never written as a ``Scalar`` here: each is
+expanded from its cyclotomic factors (:meth:`Laurent.from_qnumber`).
+With p = 1 + t, r p^a prod_d Phi_d(p)^(e_d) is
+
+    r t^(e_1) (1 + t)^a prod_{d >= 2} Phi_d(1 + t)^(e_d),
+
+since Phi_1 = p - 1 = t and Phi_d(1) != 0 for d >= 2.  The binomial
+series of (1 + t)^a has integer coefficients for either sign of a, and
+the product of the Phi_d(1 + t)^(e_d) has integer coefficients over a
+power of the product of Phi_d(1) over the d with e_d < 0; Phi_d(1) is
+the prime q for d a power of q, and 1 for every other d >= 2.  Both are
+built once per exponent or factor multiset and length
+(:func:`_binomial_series`, :func:`_cyclotomic_unit`); one pass of the
+spin_ladder workload expands 408 entries of R_q from 55 unit series.
 
 A :class:`Laurent` knows its coefficients below an absolute precision
 ``prec`` and nothing above it.  Every operation sets the precision it can
@@ -42,6 +57,7 @@ from functools import lru_cache
 from math import comb, gcd, lcm
 
 from .errors import BadSeriesHead, DivisionByZero, PrecisionShortfall
+from .qnumber import QNumber, cyclotomic
 from .scalar import Scalar
 
 
@@ -86,6 +102,29 @@ class Laurent:
                 else:
                     terms.pop(key, None)
         return cls(terms, den, prec)
+
+    @classmethod
+    def from_qnumber(cls, q: QNumber, prec: int) -> "Laurent":
+        """The expansion of the factored q-number ``q`` about p = 1, exact
+        below t^prec.
+
+        With p = 1 + t, r p^a prod_d Phi_d(p)^(e_d) is
+        r t^(e_1) (1 + t)^a prod_{d >= 2} Phi_d(1 + t)^(e_d): its valuation
+        is e_1, and its unit part is cut to prec - e_1 terms.
+        """
+        v = q.phi.get(1, 0) if q.rational else prec
+        n = prec - v
+        if n <= 0:
+            return cls({}, 1, prec)
+        binom = _binomial_series(q.p_exp, n)
+        unit, den = _cyclotomic_unit(
+            tuple(sorted((d, e) for d, e in q.phi.items() if d != 1)), n
+        )
+        num, den = q.rational.numerator, den * q.rational.denominator
+        coeffs = [num * c for c in _product_below(binom, unit, n)]
+        g = gcd(den, *coeffs)
+        terms = {(k + v, 0): c // g for k, c in enumerate(coeffs) if c}
+        return cls(terms, den // g, prec)
 
     @classmethod
     def variable(cls, prec: int) -> "Laurent":
@@ -300,6 +339,55 @@ def _unit_inverse(d: tuple, n: int):
     u = _split_at_one(d)[1]
     inv = Laurent({(k, 0): c for k, c in enumerate(u[:n]) if c}, 1, n).reciprocal()
     return tuple(inv.terms.get((k, 0), 0) for k in range(n)), inv.den
+
+
+@lru_cache(maxsize=None)
+def _binomial_series(a: int, n: int) -> tuple:
+    """The first n coefficients of (1 + t)^a, integers for either sign of a:
+    C(a, k) = (-1)^k C(k - a - 1, k) for a < 0."""
+    if a >= 0:
+        return tuple(comb(a, k) for k in range(n))
+    return tuple((-1) ** k * comb(k - a - 1, k) for k in range(n))
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_unit(factors: tuple, n: int):
+    """The first n coefficients of prod Phi_d(1 + t)^e over the sorted
+    (d, e) pairs, d >= 2 and e of either sign, as integer numerators over
+    one denominator.
+
+    The factors of positive exponent multiply as integer polynomials.
+    Those of negative exponent multiply to N(t) with N(0) = c, the
+    product of their values Phi_d(1) (a prime for d a prime power, else
+    1), and c^n / N(t) has integer coefficients below t^n.
+    """
+    up = down = (1,)
+    for d, e in factors:
+        shifted = _split_at_one(tuple(enumerate(cyclotomic(d))))[1]
+        for _ in range(abs(e)):
+            if e > 0:
+                up = _product_below(up, shifted, n)
+            else:
+                down = _product_below(down, shifted, n)
+    down += (0,) * (n - len(down))
+    c = down[0]
+    # y_k = c^n [t^k] N(t)^-1: y_0 = c^(n-1), and c y_k = -sum_i N_i y_(k-i)
+    inv = [c ** (n - 1)]
+    for k in range(1, n):
+        inv.append(-sum(down[i] * inv[k - i] for i in range(1, k + 1)) // c)
+    coeffs = _product_below(up, inv, n)
+    coeffs += (0,) * (n - len(coeffs))
+    g = gcd(c**n, *coeffs)
+    return tuple(x // g for x in coeffs), c**n // g
+
+
+def _product_below(a, b, n: int) -> tuple:
+    """The product of two dense integer polynomials, cut below t^n."""
+    out = [0] * min(n, len(a) + len(b) - 1)
+    for i, x in enumerate(a[: len(out)]):
+        for k, y in enumerate(b[: len(out) - i]):
+            out[i + k] += x * y
+    return tuple(out)
 
 
 def _constant(c, prec: int) -> Laurent:

@@ -47,10 +47,17 @@ that use every factor once.
 
 * Both products carry the same scale, the product of the factors'
   scales, so the scaled products are equal exactly when the products are.
-* The entrywise l1 norms of the scaled factors, embedded and multiplied
-  in each order as matrices of non-negative ints, bound the l1 norm, and
-  so every coefficient, of each entry of the scaled products; their
-  p-degree is at most d, the sum of the factors' largest p-degrees.
+  A matrix that sits in several factors (L in the RLL relation) is
+  scaled once, and each factor is embedded once; its norms and its
+  packed values are both read through that one embedding.
+* The width is bounded by matrix-vector products, with no product of
+  norm matrices formed: |(A B)_ij| <= sum_k |A|_ik max_j |B|_kj for the
+  entrywise l1 norms.  For each order, u starts as the row maxima of the
+  last factor's norms, and u <- |F| u is applied for each factor F
+  further left; every entry of the final u bounds the l1 norm, and so
+  every coefficient, of each entry of its row of the scaled product.
+  The p-degree of those entries is at most d, the sum of the factors'
+  largest p-degrees.
 * Each monomial p^a*h^b becomes X^(a + span*b) with span = d + 1, and
   with B = bound.bit_length() + 1 for the larger bound of the two sides
   every entry is evaluated at X = 2^B: distinct monomials of p-degree
@@ -77,15 +84,24 @@ coefficients are the contraction.  Such entries always pack.
 * Each matrix is scaled to the lcm of its entries' denominators, and
   each h-slice of an entry is an integer polynomial in t, its digits
   counted from t^v, packed at t = 2^W.
-* The width.  The entrywise l1 norms of the scaled operands, taken as
-  int matrices, give |M| = |M1| (x) |M2|, |M^-1| likewise, |R_q| |M|
-  and |M^-1| |R_q| |M|.  A product's l1 norm is at most the product of
-  its factors' and a sum's at most the sum of its summands', and a cut
-  only drops digits, so each of these bounds every coefficient of every
-  h-slice of that stage's entries before they are cut.  W is
-  bound.bit_length() + 1 for the largest entry of the four, fixed
-  before any product is packed, so every such coefficient lies strictly
-  between -2^(W-1) and 2^(W-1).
+* The width.  A product's l1 norm is at most the product of its
+  factors' and a sum's at most the sum of its summands', and a cut only
+  drops digits.  So |(A B)_ij| <= sum_k |A|_ik max_j |B|_kj for the
+  entrywise l1 norms, and four bounds follow from the norms of the
+  scaled operands with no N x N norm matrix formed:
+
+  - the largest entry of |M| = |M1| (x) |M2|, the product of its legs'
+    largest entries, and that of |M^-1| likewise;
+  - r = |R_q| u, with u the row maxima of |M|, which are the Kronecker
+    product of the legs' row maxima: r_k bounds every entry in row k
+    of R_q M;
+  - |M^-1| r, applied one leg at a time, which bounds every entry in
+    its row of M^-1 (R_q M).
+
+  Each bounds every coefficient of every h-slice of that stage's
+  entries before they are cut.  W is bound.bit_length() + 1 for the
+  largest of them, fixed before any product is packed, so every such
+  coefficient lies strictly between -2^(W-1) and 2^(W-1).
 * The products.  The Kronecker products, R_q M and M^-1 (R_q M) are
   formed on ints, one big-int product per pair of h-slices.  Every
   accumulated entry gets the precision the Laurent rules give it:
@@ -131,7 +147,7 @@ from math import lcm, prod
 from operator import matmul
 
 from .errors import PoleAtUnity, PrecisionShortfall
-from .gmatrix import GradedMatrix, embed_pair, graded_kron, tensor_parity
+from .gmatrix import GradedMatrix, embed_pair, tensor_parity
 from .reps import GeneratorTable
 from .scalar import Scalar
 from .texpr import TensorExpression
@@ -423,27 +439,40 @@ class PackedPlan:
 
 class ProductPlan:
     """Pair matrices scaled to integer polynomials in p and h, with the
-    width that proves packing injective on every product in ``orders``."""
+    width that proves packing injective on every product in ``orders``.
 
-    __slots__ = ("factors", "parities", "orders", "span", "width")
+    A matrix that several factors share is scaled once, and each factor
+    is embedded once: the embedding maps each entry of the product space
+    to the signed position of an entry of its pair matrix, through which
+    both the norms and the packed values are read."""
 
-    def __init__(self, factors, parities, orders):
-        # factors: (pair parity, scaled entries, leg pair) per factor; once
-        # span is known each monomial p^a h^b becomes X^(a + span*b)
-        self.parities = parities
+    __slots__ = ("parity", "polys", "embedded", "orders", "span", "width")
+
+    def __init__(self, polys, slots, embedded, parity, orders):
+        # polys: the scaled entries of each distinct matrix, in a fixed
+        # order; slots[f] the distinct matrix of factor f, and embedded[f]
+        # maps each entry of the product space to +-(n + 1) for entry n
+        # of that matrix, negative where the embedding flips its sign
+        self.parity = parity
         self.orders = orders
-        self.span = span = 1 + sum(
-            max((ep for poly in polys.values() for ep, _ in poly), default=0)
-            for _, polys, _ in factors
-        )
-        for _, polys, _ in factors:
-            for ij, poly in polys.items():
-                polys[ij] = {a + span * b: c for (a, b), c in poly.items()}
-        self.factors = factors
-        norms = [m.map_entries(abs) for m in self._embedded(_l1)]
-        bound = max(
-            max(_chain(norms, order).entries.values(), default=0) for order in orders
-        )
+        degree = [max((ep for poly in m for ep, _ in poly), default=0) for m in polys]
+        self.span = span = 1 + sum(degree[slot] for slot in slots)
+        # once span is known each monomial p^a h^b becomes X^(a + span*b)
+        self.polys = [
+            [{a + span * b: c for (a, b), c in poly.items()} for poly in m] for m in polys
+        ]
+        self.embedded = list(zip(slots, embedded))
+        norms = [[_l1(poly) for poly in m] for m in polys]
+        images = [
+            {pos: norms[slot][abs(n) - 1] for pos, n in cells.items()}
+            for slot, cells in self.embedded
+        ]
+        bound = 0
+        for *rest, last in orders:
+            u = _row_maxima(images[last], len(parity))
+            for k in reversed(rest):
+                u = _apply(images[k], u)
+            bound = max(bound, *u)
         self.width = bound.bit_length() + 1
 
     @classmethod
@@ -453,28 +482,35 @@ class ProductPlan:
         use every factor once, so that both products carry one scale."""
         if any(sorted(order) != list(range(len(factors))) for order in orders):
             raise ValueError("each order must use every factor once")
+        distinct, slots = _slots([m for m, _ in factors])
         try:
-            scaled = [(m.parity, _scaled(m.entries)[0], legs) for m, legs in factors]
+            scaled = [_scaled(m.entries)[0] for m in distinct]
         except _Unpackable:
             return None
-        return cls(scaled, tuple(parities), tuple(orders))
-
-    def _embedded(self, value) -> list:
-        """Each factor with ``value(poly)`` in place of each entry, embedded."""
-        return [
+        parities = tuple(parities)
+        embedded = [
             embed_pair(
-                GradedMatrix(parity, {ij: value(poly) for ij, poly in polys.items()}),
-                self.parities,
+                GradedMatrix(m.parity, {ij: n for n, ij in enumerate(scaled[slot], 1)}),
+                parities,
                 legs,
-            )
-            for parity, polys, legs in self.factors
+            ).entries
+            for (m, legs), slot in zip(factors, slots)
         ]
+        polys = [list(m.values()) for m in scaled]
+        return cls(polys, slots, embedded, tensor_parity(parities), tuple(orders))
 
     def products(self) -> list:
         """The scaled product of each order at p = 2^width and
         h = 2^(width*span), as a matrix of ints; injective on the products
         at the proven width."""
-        mats = self._embedded(lambda poly: pack(poly, self.width))
+        packed = [[pack(poly, self.width) for poly in m] for m in self.polys]
+        mats = [
+            GradedMatrix(self.parity, {
+                pos: packed[slot][n - 1] if n > 0 else -packed[slot][-n - 1]
+                for pos, n in cells.items()
+            })
+            for slot, cells in self.embedded
+        ]
         return [_chain(mats, order) for order in self.orders]
 
     def agree(self) -> bool:
@@ -482,6 +518,27 @@ class ProductPlan:
         proven width."""
         first, *rest = self.products()
         return all(first == other for other in rest)
+
+
+def _row_maxima(norms: dict, dim: int) -> list:
+    """The largest entry in each row of a matrix of non-negative ints."""
+    out = [0] * dim
+    for (i, _), c in norms.items():
+        if c > out[i]:
+            out[i] = c
+    return out
+
+
+def _apply(norms: dict, u: list) -> list:
+    """The matrix of non-negative ints ``norms`` times the vector u.
+
+    When every entry of u bounds the l1 norms of its row of a matrix B,
+    each entry of the result bounds those of its row of A B, for A with
+    entry norms ``norms``: |(A B)_ij| <= sum_k |A|_ik max_j |B|_kj."""
+    out = [0] * len(u)
+    for (i, k), c in norms.items():
+        out[i] += c * u[k]
+    return out
 
 
 def _chain(mats, order) -> GradedMatrix:
@@ -523,12 +580,12 @@ class _Series:
             cells[key] = (x.prec, x.val, slices)
         return cls(matrix.parity, den, cells)
 
-    def norms(self) -> GradedMatrix:
-        """The l1 norm of each entry's digits, as a matrix of ints."""
-        return GradedMatrix(self.parity, {
+    def norms(self) -> dict:
+        """The l1 norm of each entry's digits, keyed by (row, col)."""
+        return {
             key: sum(map(_l1, slices.values()))
             for key, (_, _, slices) in self.cells.items()
-        })
+        }
 
     def at(self, width: int) -> "_Series":
         return _Series(self.parity, self.den, {
@@ -551,13 +608,19 @@ class SeriesPlan:
         self.i_legs = [_Series.of(leg) for leg in i_legs]
         self.need_m = need_m
         self.need_i = need_i
-        big_m, big_i = (
-            graded_kron(*(leg.norms() for leg in legs), b_op_parity=0)
-            for legs in (self.m_legs, self.i_legs)
+        (m1, m2), (i1, i2) = (
+            [leg.norms() for leg in legs] for legs in (self.m_legs, self.i_legs)
         )
-        right = self.rq.norms() @ big_m
+        d1, d2 = (len(leg.parity) for leg in self.m_legs)
+        # the row maxima of |M1| (x) |M2| are the products of the legs' own
+        rows = [x * y for x in _row_maxima(m1, d1) for y in _row_maxima(m2, d2)]
+        right = _apply(self.rq.norms(), rows)
+        final = _apply_kron(i1, i2, right, d2)
         bound = max(
-            max(m.entries.values(), default=0) for m in (big_m, big_i, right, big_i @ right)
+            max(m1.values(), default=0) * max(m2.values(), default=0),
+            max(i1.values(), default=0) * max(i2.values(), default=0),
+            *right,
+            *final,
         )
         self.width = bound.bit_length() + 1
 
@@ -624,6 +687,20 @@ class SeriesChain:
                 if order > worst.get((i, j), 0):
                     worst[(i, j)] = order
         return [(i, j, order) for (i, j), order in sorted(worst.items())]
+
+
+def _apply_kron(a: dict, b: dict, u: list, db: int) -> list:
+    """(A (x) B) u for matrices of non-negative ints given by their
+    entries, B of dimension ``db``, one leg at a time."""
+    half = [0] * len(u)
+    for (i, k), c in b.items():
+        for n in range(0, len(u), db):
+            half[n + i] += c * u[n + k]
+    out = [0] * len(u)
+    for (i, k), c in a.items():
+        for n in range(db):
+            out[i * db + n] += c * half[k * db + n]
+    return out
 
 
 def _kron(a: _Series, b: _Series, need: dict, axis: int, width: int) -> _Series:

@@ -98,11 +98,11 @@ def ybe_check(r12, r13, r23, parities):
 
 # The largest dimension (4 j1 + 1)(4 j2 + 1)(4 j3 + 1) that ``ybe_check_q``
 # accepts, that of (5/2, 5/2, 5/2).  Fresh processes on 2 cores (wall time,
-# peak RSS): (2, 2, 2) 0.47 s (35 MB), (5/2, 5/2, 5/2) 1.9 s (92 MB) and
-# (1/2, 5, 5), at 1323, 1.9 s (167 MB); the slowest triples inside it,
-# (1, 1, 13) and (1/2, 3, 15/2), take 2.8 s (136 MB) and 2.6 s (188 MB).
-# Beyond it (1/2, 6, 6), at 1875, takes 5.1 s (416 MB) and (3, 3, 3), at
-# 2197, 7.6 s (284 MB): the packed product, not R_q, sets the cost.
+# peak RSS): (2, 2, 2) 0.34 s (36 MB), (5/2, 5/2, 5/2) 1.8 s (98 MB) and
+# (1/2, 5, 5), at 1323, 2.1 s (178 MB); the slowest triples inside it,
+# (1, 1, 13) and (1/2, 3, 15/2), take 2.0 s (136 MB) and 3.0 s (196 MB).
+# Beyond it (1/2, 6, 6), at 1875, takes 6.3 s (443 MB) and (3, 3, 3), at
+# 2197, 8.9 s (299 MB): the packed product, not R_q, sets the cost.
 MAX_YBE_Q_DIM = 1331
 
 

@@ -23,12 +23,15 @@ and G21^-1 the exponential of -h X (x) TH with no swap.
 """
 
 from fractions import Fraction
+from functools import reduce
+from operator import matmul
 
 import ospq.nilfun as nilfun
 from ospq.contraction import eta, q2_factorial
 from ospq.errors import CancellationFailure
-from ospq.gmatrix import GradedMatrix, graded_kron, inverse, tensor_parity
+from ospq.gmatrix import GradedMatrix, embed_pair, graded_kron, inverse, tensor_parity
 from ospq.halfint import HalfInt, as_half
+from ospq.packed import _scaled
 from ospq.reps import GeneratorTable, classical_rep, q_rep, weight_twice
 from ospq.scalar import ONE, H, P, p_power, rational
 
@@ -258,3 +261,43 @@ def r1_generators(j, family: str) -> GeneratorTable:
         "Y": big_y,
     }
     return GeneratorTable(f"jordanian-r1-{family}", j, cl.parity, matrices)
+
+
+def series_width_by_norm_matrices(plan) -> int:
+    """The width of a ``packed.SeriesPlan`` from N x N norm matrices, as
+    the plan proved it before its bounds were matrix-vector products: the
+    largest entry of |M| = |M1| (x) |M2|, |M^-1| likewise, |R_q| |M| and
+    |M^-1| |R_q| |M|, each formed as a matrix of ints."""
+
+    def norms(series):
+        return GradedMatrix(series.parity, series.norms())
+
+    big_m, big_i = (
+        graded_kron(*map(norms, legs), b_op_parity=0) for legs in (plan.m_legs, plan.i_legs)
+    )
+    right = norms(plan.rq) @ big_m
+    bound = max(
+        max(m.entries.values(), default=0) for m in (big_m, big_i, right, big_i @ right)
+    )
+    return bound.bit_length() + 1
+
+
+def product_width_by_norm_matrices(factors, parities, orders) -> int:
+    """The width of a ``packed.ProductPlan`` from norm matrix products, as
+    the plan proved it before: each factor's entrywise l1 norms, scaled,
+    embedded and multiplied in each order as matrices of ints."""
+    norms = [
+        embed_pair(
+            GradedMatrix(m.parity, {
+                ij: sum(map(abs, poly.values())) for ij, poly in _scaled(m.entries)[0].items()
+            }),
+            parities,
+            legs,
+        ).map_entries(abs)
+        for m, legs in factors
+    ]
+    bound = max(
+        max(reduce(matmul, (norms[k] for k in order)).entries.values(), default=0)
+        for order in orders
+    )
+    return bound.bit_length() + 1

@@ -180,7 +180,7 @@ class TestExitCodes:
 
     def test_oversized_rll_exits_two(self, capsys, monkeypatch):
         # Refused before any work: (1/2, 1/2, 11/2) has dimension 207.
-        for name in ("universal_Rq", "m_matrix", "r2_generators"):
+        for name in ("universal_Rq_factors", "m_matrix", "r2_generators"):
             monkeypatch.setattr(contraction, name, forbidden)
         code, out, err = run_cli(capsys, "verify", "--suite", "rll", "--j", "11/2")
         assert code == 2
@@ -225,7 +225,7 @@ class TestExitCodes:
         # Refused before the first pair is contracted: (1/2, 5) fits the
         # caps of contract, (5, 5) does not; (3, 3, 3) fits each pair but
         # not the triple's cap.
-        for name in ("universal_Rq", "m_matrix"):
+        for name in ("universal_Rq_factors", "m_matrix"):
             monkeypatch.setattr(contraction, name, forbidden)
         for spins, cap in ((("1/2", "5", "5"), 169), (("3", "3", "3"), 1331)):
             code, out, err = run_cli(
@@ -322,7 +322,7 @@ class TestExitCodes:
         # built; contracted pairs meet the caps of contract.
         for name in ("universal_Rq", "universal_Rh_r1"):
             monkeypatch.setattr(cli, name, forbidden)
-        for name in ("universal_Rq", "m_matrix"):
+        for name in ("universal_Rq_factors", "m_matrix"):
             monkeypatch.setattr(contraction, name, forbidden)
         assert cli.MAX_RMATRIX_DIM == {"q": 625, "r1": 441}
         assert cli.MAX_RMATRIX_SPIN_DIM == {"r1": 41}

@@ -350,6 +350,15 @@ def global_floor_route(j1, j2):
 LADDER = (HALF, ONEJ, THREEHALF, TWOJ)
 
 
+def shorten(monkeypatch, route: str) -> None:
+    """Make the ``Laurent`` constructor ``route`` expand one order less
+    than it is asked."""
+    expand = getattr(Laurent, route).__func__
+    monkeypatch.setattr(
+        Laurent, route, classmethod(lambda cls, x, prec: expand(cls, x, prec - 1))
+    )
+
+
 class TestEntrywisePrecision:
     @pytest.mark.parametrize(
         "pair",
@@ -363,22 +372,28 @@ class TestEntrywisePrecision:
         assert res.log == log
 
     @pytest.mark.parametrize("pair", [(HALF, HALF), (THREEHALF, THREEHALF)])
-    def test_one_order_less_falls_short(self, pair, monkeypatch):
-        # every entry of R_q, M and M^-1 known one order less than the
-        # rule asks: some t^0 coefficient of the product is then unknown.
-        # The series are cut on packed ints, never by Laurent.truncate.
-        expand = Laurent.from_scalar.__func__
-        monkeypatch.setattr(
-            Laurent,
-            "from_scalar",
-            classmethod(lambda cls, s, prec: expand(cls, s, prec - 1)),
-        )
+    def test_one_order_less_falls_short(self, pair, monkeypatch, cold_caches):
+        # every entry of R_q (expanded from its factors), M and M^-1
+        # (expanded from Scalars) known one order less than the rule asks:
+        # some t^0 coefficient of the product is then unknown.  The series
+        # are cut on packed ints, never by Laurent.truncate.
+        for route in ("from_scalar", "from_qnumber"):
+            shorten(monkeypatch, route)
         monkeypatch.setattr(Laurent, "truncate", None)
         with pytest.raises(PrecisionShortfall):
             contract(*pair)
 
+    @pytest.mark.parametrize("pair", [(HALF, HALF), (HALF, ONEJ), (THREEHALF, THREEHALF)])
+    def test_r_matrix_alone_one_order_short(self, pair, monkeypatch, cold_caches):
+        # only R_q's entries one order short, the bridge legs as the rule
+        # asks: the chain still refuses to read a t^0 coefficient
+        shorten(monkeypatch, "from_qnumber")
+        monkeypatch.setattr(Laurent, "truncate", None)
+        with pytest.raises(PrecisionShortfall, match="coefficient of t\\^0"):
+            contract(*pair)
+
     @pytest.mark.parametrize("pair", [(HALF, HALF), (THREEHALF, THREEHALF)])
-    def test_inverse_legs_one_order_short(self, pair, monkeypatch):
+    def test_inverse_legs_one_order_short(self, pair, monkeypatch, cold_caches):
         # the legs of M^-1 expanded for need_i lowered by one, while the
         # packed Kronecker product still cuts to need_i: its own check
         # must refuse before any product of the chain is read
@@ -434,7 +449,7 @@ def test_oversized_rll_refused_before_any_work(monkeypatch):
     def forbidden(*args):
         raise AssertionError("work started on an oversized spin")
 
-    for name in ("universal_Rq", "m_matrix", "r2_generators"):
+    for name in ("universal_Rq_factors", "m_matrix", "r2_generators"):
         monkeypatch.setattr(ospq.contraction, name, forbidden)
     assert MAX_RLL_DIM == 9 * 21
     refuse_oversized((HALF, HALF, HalfInt(5)), MAX_RLL_DIM)  # j = 5 is inside

@@ -10,6 +10,7 @@ reads it, by a 1 x 1 packed chain of :mod:`ospq.packed`.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -21,8 +22,11 @@ from ospq.gmatrix import GradedMatrix
 from ospq.halfint import HalfInt
 from ospq.laurent import Laurent, valuation, valuation_floor
 from ospq.packed import SeriesPlan
-from ospq.qrmatrix import universal_Rq
+from ospq.qnumber import QNumber
+from ospq.qrmatrix import universal_Rq, universal_Rq_factors
 from ospq.scalar import H, ONE, P, ZERO, Scalar, scalar_from_string
+
+from helpers import clear_package_caches
 
 T = P - ONE
 
@@ -333,3 +337,70 @@ def test_first_nonzero():
     assert (x * 0).first_nonzero() is None
     assert Laurent.variable(2).first_nonzero() == (1, ONE)
     assert Laurent.variable(1).first_nonzero() is None
+
+
+# -- R_q's expansion from its cyclotomic factors ---------------------------------
+
+
+def identical(a: Laurent, b: Laurent) -> bool:
+    """The same precision, valuation and coefficients, whatever the
+    denominators the two series keep."""
+    return (a.prec, a.val) == (b.prec, b.val) and {
+        k: Fraction(c, a.den) for k, c in a.terms.items()
+    } == {k: Fraction(c, b.den) for k, c in b.terms.items()}
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty caches, so that each unit series is first built at the
+    shortest length the test asks of it."""
+    clear_package_caches()
+    yield
+    clear_package_caches()
+
+
+LADDER = [HalfInt.from_twice(t) for t in (1, 2, 3, 4)]
+
+# Phi_d(1) is the prime q for d a power of q, and 1 for the other d > 1.
+_PHI_ORDERS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 16, 25, 27]
+
+
+@st.composite
+def qnumbers(draw):
+    rational = Fraction(
+        draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 9))
+    )
+    phi = draw(st.dictionaries(st.sampled_from(_PHI_ORDERS), st.integers(-3, 3), max_size=4))
+    return QNumber(rational, draw(st.integers(-6, 6)), phi)
+
+
+class TestFromQNumber:
+    def test_every_r_matrix_entry_matches_the_scalar_expansion(self, cold_caches):
+        # each precision in turn, from the shortest: a unit series cached
+        # at one length must not stand in for a longer one
+        for pair in product(LADDER, repeat=2):
+            entries = universal_Rq_factors(*pair).values()
+            for prec in range(1, 5):
+                for q in entries:
+                    want = Laurent.from_scalar(q.to_scalar(), prec)
+                    assert identical(Laurent.from_qnumber(q, prec), want), (pair, prec)
+
+    @settings(max_examples=200, deadline=None)
+    @given(qnumbers(), st.lists(st.integers(-3, 6), min_size=1, max_size=3))
+    def test_drawn_qnumbers_match_the_scalar_expansion(self, q, precs):
+        # negative powers of p, negative cyclotomic exponents and prime
+        # power orders d, whose Phi_d(1) puts a prime in the denominator
+        for prec in precs:
+            want = Laurent.from_scalar(q.to_scalar(), prec)
+            assert identical(Laurent.from_qnumber(q, prec), want)
+
+    def test_zero_and_one(self):
+        assert identical(Laurent.from_qnumber(QNumber(0), 3), Laurent({}, 1, 3))
+        assert identical(Laurent.from_qnumber(QNumber(1), 2), Laurent({(0, 0): 1}, 1, 2))
+
+    def test_valuation_is_the_phi_one_exponent(self):
+        q = QNumber(Fraction(-2, 3), -5, {1: 2, 2: -1, 4: -2, 6: 1})
+        series = Laurent.from_qnumber(q, 4)
+        assert series.val == q.valuation() == 2
+        # r (1 + t)^a Phi_2(1 + t)^-1 Phi_4(1 + t)^-2 Phi_6(1 + t) at t = 0
+        assert series.coefficient(2) == {0: Fraction(-2, 3) / 2 / 4}

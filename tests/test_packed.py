@@ -6,7 +6,9 @@ reference; it decides the Yang-Baxter and RLL product identities at
 p = 2^B, h = 2^(B*span), with the products of the embedded ``Scalar``
 matrices as the reference; and it forms the contraction's series chain
 M^-1 (R_q M) on t-digits at t = 2^B, with ``graded_kron``, ``truncate``
-and ``@`` on ``Laurent`` series as the reference.
+and ``@`` on ``Laurent`` series as the reference.  The widths, proven by
+matrix-vector bounds, are checked against the norm matrix products of
+``references``.
 """
 
 from fractions import Fraction
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ospq import hopf
+from ospq import contraction, hopf
 from ospq.contraction import L_operator, contract, frt_rules, rll_check
 from ospq.errors import PoleAtUnity, PrecisionShortfall
 from ospq.gmatrix import GradedMatrix, embed_pair, graded_kron, tensor_parity
@@ -47,6 +49,7 @@ from ospq.scalar import H, ONE, P, Scalar, rational
 from ospq.texpr import TensorExpression as TE
 
 from helpers import series_limit
+from references import product_width_by_norm_matrices, series_width_by_norm_matrices
 from test_scalar import one_term_den_scalars, scalars
 
 HALF = HalfInt.from_twice(1)
@@ -569,6 +572,17 @@ CASES = [
 ]
 
 
+PERTURBED = [
+    ("q", (HALF, ONEJ, HALF), P**-3 * rational(2, 3)),
+    ("q", (ONEJ, ONEJ, ONEJ), H),  # p and h in one product
+    ("r1-minimal", (HALF, HALF, ONEJ), H * rational(1, 3)),
+    ("r1-hdiag", (HALF, ONEJ, ONEJ), H * rational(1, 3)),
+    ("r2", (HALF, ONEJ, HALF), H * rational(1, 3)),
+    ("rll", HALF, ONE),
+    ("rll", ONEJ, H * rational(1, 3)),
+]
+
+
 def case_of(kind, spins):
     return rll_case(spins) if kind == "rll" else triple_case(KINDS[kind], spins)
 
@@ -635,19 +649,7 @@ class TestProductDifferential:
         assert assert_packed_images(*case_of("rll", j)).is_zero
         assert rll_check(j).ok
 
-    @pytest.mark.parametrize(
-        "kind, spins, delta",
-        [
-            ("q", (HALF, ONEJ, HALF), P**-3 * rational(2, 3)),
-            ("q", (ONEJ, ONEJ, ONEJ), H),  # p and h in one product
-            ("r1-minimal", (HALF, HALF, ONEJ), H * rational(1, 3)),
-            ("r1-hdiag", (HALF, ONEJ, ONEJ), H * rational(1, 3)),
-            ("r2", (HALF, ONEJ, HALF), H * rational(1, 3)),
-            ("rll", HALF, ONE),
-            ("rll", ONEJ, H * rational(1, 3)),
-        ],
-        ids=str,
-    )
+    @pytest.mark.parametrize("kind, spins, delta", PERTURBED, ids=str)
     def test_a_perturbed_entry_fails_with_the_scalar_residuals(self, kind, spins, delta):
         factors, parities = case_of(kind, spins)
         bad = perturbed_first(factors, delta)
@@ -753,6 +755,53 @@ class TestProductWidth:
             for m, _ in factors
         ]
         assert plan.span == 1 + sum(degrees) > 1
+
+
+def spins_id(spins) -> str:
+    return ",".join(map(str, spins)) if isinstance(spins, tuple) else str(spins)
+
+
+WIDTH_CASES = [
+    *((name, kind, spins, None) for name, kind, spins in CASES),
+    *((f"rll:{j}", "rll", j, None) for j in map(HalfInt.from_twice, (1, 2, 3, 4))),
+    *(
+        (f"perturbed-{kind}:{spins_id(spins)}", kind, spins, delta)
+        for kind, spins, delta in PERTURBED
+    ),
+]
+CONTRACT_PAIRS = list(product((HALF, ONEJ, THREEHALF, HalfInt(2)), repeat=2))
+
+
+class TestWidthSoundness:
+    """The widths proven by matrix-vector bounds against those the norm
+    matrix products gave (``references``): a proof may be looser, so
+    never narrower, and on these cases at most two bits wider."""
+
+    @pytest.mark.parametrize(
+        "name, kind, spins, delta", WIDTH_CASES, ids=[c[0] for c in WIDTH_CASES]
+    )
+    def test_product_width(self, name, kind, spins, delta):
+        factors, parities = case_of(kind, spins)
+        if delta is not None:
+            factors = perturbed_first(factors, delta)
+        orders = (LEFT, RIGHT)
+        want = product_width_by_norm_matrices(factors, parities, orders)
+        assert want <= ProductPlan.of(factors, parities, orders).width <= want + 2
+
+    @pytest.mark.parametrize("pair", CONTRACT_PAIRS, ids=lambda p: f"{p[0]},{p[1]}")
+    def test_series_width(self, pair, monkeypatch):
+        plans = []
+
+        class Recorded(SeriesPlan):
+            def __init__(self, *args):
+                super().__init__(*args)
+                plans.append(self)
+
+        monkeypatch.setattr(contraction, "SeriesPlan", Recorded)
+        contract(*pair, log_cancellation=True)  # built afresh, never shared
+        (plan,) = plans
+        want = series_width_by_norm_matrices(plan)
+        assert want <= plan.width <= want + 2
 
 
 def word_prefixes(exprs) -> set:
