@@ -434,17 +434,18 @@ def frt_rules(alg) -> tuple:
 
 
 # The largest module dimension 4 j + 1 of either spin that
-# ``frt_hopf_check`` accepts, that of j = 24, and the largest product
-# (4 j1 + 1)(4 j2 + 1), that of (12, 12).  Fresh processes on 2 cores
-# took 0.25, 0.77, 1.98 and 10.0 s at (1/2, j) for j = 16, 24, 32 and 48
-# (20 to 164 MB): one large spin is cheap, as its table is built from
-# series in e^2, and pairs of large spins set the budget: (10, 10),
-# (12, 12), (14, 14) and (16, 16) took 1.37, 3.94, 10.8 and 20.2 s (116,
-# 265, 549 and 1165 MB), and (17/2, 16), (4, 24), (11/2, 24) and (4, 32)
-# 3.55, 2.84, 5.19 and 8.63 s (237, 168, 306 and 412 MB).  Of the pairs
-# inside both caps, (11/2, 24) costs the most.
-MAX_FRT_HOPF_SPIN_DIM = 97
-MAX_FRT_HOPF_DIM = 2401
+# ``frt_hopf_check`` accepts, that of j = 32, and the largest product
+# (4 j1 + 1)(4 j2 + 1), that of (16, 16).  The rules are decided at h = 1
+# by the grading.  Fresh processes on 2 cores, the caps lifted, took
+# 0.63, 1.07, 2.35 and 3.43 s at (1/2, j) for j = 24, 32, 40 and 48 (24
+# to 52 MB): one large spin is cheap, as its table is built from series
+# in e^2, and pairs of large spins set the budget: (12, 12), (14, 14),
+# (16, 16) and (18, 18) took 0.97, 1.76, 2.9 to 3.7 and 5.12 s (112, 171,
+# 283 and 485 MB), and (21/2, 24) and (15/2, 32) 3.27 and 3.73 s (298 and
+# 282 MB).  Of the pairs inside both caps, (15/2, 32) and (16, 16) cost
+# the most, as (11/2, 24) and (12, 12) did before (3.7 to 5.2 s).
+MAX_FRT_HOPF_SPIN_DIM = 129
+MAX_FRT_HOPF_DIM = 4225
 
 
 def frt_hopf_check(j1, j2) -> VerificationReport:

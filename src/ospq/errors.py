@@ -41,5 +41,9 @@ class CancellationFailure(ArithmeticError):
     """An identity that must cancel exactly left a nonzero residual."""
 
 
+class NotGraded(ArithmeticError):
+    """A nonzero entry off the grading that an evaluation at h = 1 rests on."""
+
+
 class Inconsistency(ArithmeticError):
     """An order-by-order solve has no solution; refusing to guess."""

@@ -39,8 +39,8 @@ entry only this protocol:
 
 ``identity``, ``graded_primitive``, ``entry``, ``inverse`` and the JSON
 form need ``Scalar`` entries.  The other entry type is the plain ``int``:
-a packed integer polynomial of :mod:`ospq.packed`, or the l1 norm that
-bounds its width.  The contraction hands its operands to
+a letter's value at h = 1 of :mod:`ospq.graded`, a packed integer
+polynomial of :mod:`ospq.packed`, or the l1 norm that bounds its width.  The contraction hands its operands to
 :mod:`ospq.packed` as matrices of :class:`~ospq.laurent.Laurent` series,
 which it never multiplies as matrices; a series has no ``__bool__``, so
 it is always kept.

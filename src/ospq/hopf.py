@@ -14,10 +14,11 @@ chosen representations:
 Everything returns exact residuals; an empty failure list is a pass.
 Each suite builds its expressions once per algebra and evaluates them all
 in :func:`expression_residuals`, which the FRT rules of
-:mod:`ospq.contraction` share, through :func:`ospq.packed.evaluate_all`:
-on integers at h = 2^B with a proven width when the tables and
-coefficients have no p (the Jordanian algebras), on ``Scalar``s
-otherwise.  Both routes give the same residuals.
+:mod:`ospq.contraction` share, through :func:`ospq.graded.evaluate_all`:
+on int tables at h = 1, lifted by the grading, when every table entry
+and coefficient is a p-free monomial of its degree (the Jordanian
+algebras), on ``Scalar``s otherwise.  Both routes give the same
+residuals.
 
 Two suites lean on the closure relations of the group-like family (T
 Tinv = 1, Thalf^2 = T, Thalf Tinvhalf = 1): on a table where they hold,
@@ -35,7 +36,7 @@ from __future__ import annotations
 from functools import lru_cache, wraps
 from types import MappingProxyType
 
-from .packed import evaluate_all
+from .graded import evaluate_all
 from .report import VerificationReport, matrix_residuals
 from .reps import r1_generators, r2_generators, refuse_oversized
 from .scalar import H as HPARAM
@@ -532,14 +533,14 @@ def hopf_suite_failures(algebra: HopfAlgebra, reps) -> list:
 
 
 # The largest module dimension 4 j + 1 of any one spin that
-# ``r2_hopf_check`` accepts, that of j = 5.  Coassociativity is certified
+# ``r2_hopf_check`` accepts, that of j = 6.  Coassociativity is certified
 # without a matrix on the built tables, so the coproduct homomorphism on
-# the first two legs sets the cost.  One fresh CLI process per (j, j, j),
-# on 2 cores: j = 3 0.41 s (19 MB peak RSS), 4 1.27 s (23 MB), 5 2.95 s
-# (33 MB), 6 8.76 s (54 MB), 7 21.9 s (91 MB).  With the homomorphism in
-# group-like normal form, j = 4 and 5 took 0.57 and 1.9 s (median of five)
-# and j = 6 4.4 s (51 MB, the cap lifted in a script).
-MAX_HOPF_R2_SPIN_DIM = 21
+# the first two legs sets the cost, decided at h = 1 by the grading
+# (``ospq.graded``).  One fresh process per (j, j, j) on 2 cores, the cap
+# lifted above j = 5: j = 4 0.61 s (21 MB peak RSS), 5 0.87 s (25 MB),
+# 6 1.44 s (34 MB), 7 2.73 s (48 MB), 8 4.85 s (75 MB).  j = 6 costs what
+# j = 5 did before the graded route (1.6 to 1.9 s).
+MAX_HOPF_R2_SPIN_DIM = 25
 
 
 def r2_hopf_check(j1, j2, j3) -> VerificationReport:
@@ -555,13 +556,12 @@ def r2_hopf_check(j1, j2, j3) -> VerificationReport:
 
 
 # The largest module dimension 4 j + 1 of any one spin that
-# ``r1_hopf_check`` accepts, that of j = 5, set as for r2 from the
-# minimal family (one fresh CLI process per (j, j, j), 2 cores): j = 3
-# 0.43 s (20 MB peak RSS), 4 1.40 s (27 MB), 5 5.53 s (41 MB), 6 19.2 s
-# (69 MB), 7 45.1 s (119 MB).  With the homomorphism in group-like normal
-# form, j = 4 and 5 took 1.1 and 3.8 s (median of five; hdiag 1.1 and
-# 3.7 s) and j = 6 9.4 s (61 MB, the cap lifted in a script).
-MAX_R1_HOPF_SPIN_DIM = 21
+# ``r1_hopf_check`` accepts, that of j = 6, set as for r2.  One fresh
+# process per (j, j, j) on 2 cores, the cap lifted above j = 5: minimal
+# j = 5 1.10 s (27 MB peak RSS), 6 2.23 s (36 MB), 7 4.21 s (52 MB); hdiag
+# 1.14, 2.43 and 4.39 s.  j = 6 stays inside what j = 5 cost before the
+# graded route (3.3 to 3.8 s).
+MAX_R1_HOPF_SPIN_DIM = 25
 
 
 def r1_hopf_check(j1, j2, j3, family: str = "minimal") -> VerificationReport:
@@ -578,12 +578,14 @@ def r1_hopf_check(j1, j2, j3, family: str = "minimal") -> VerificationReport:
 
 
 # The largest module dimension 4 j + 1 that ``r1_relations_check``
-# accepts, that of j = 16.  With the tables built from series in e^2,
-# fresh CLI processes on 2 cores took 0.43, 3.10, 9.89, 20.9 and 35.5 s
-# for the minimal family at j = 10, 16, 20, 24 and 28 (27, 62, 115, 201 and
-# 340 MB), and 0.35, 1.22, 3.29, 7.91 and 13.6 s for hdiag (24 to 244 MB).
-# The minimal family sets the budget.
-MAX_R1_RELATIONS_DIM = 65
+# accepts, that of j = 28.  With the tables built from series in e^2 and
+# the relations decided at h = 1 by the grading, fresh processes on 2
+# cores took 0.63, 1.25, 2.02, 3.17 and 4.17 s for the minimal family at
+# j = 16, 20, 24, 28 and 32 (31, 41, 52, 71 and 86 MB), and 0.37, 0.85
+# and 1.76 s for hdiag at j = 16, 24 and 32 (28 to 74 MB).  The minimal
+# family sets the budget: j = 28 costs what j = 16 did before (3.1 to
+# 3.2 s).
+MAX_R1_RELATIONS_DIM = 113
 
 
 def r1_relations_check(j, family: str = "minimal") -> VerificationReport:

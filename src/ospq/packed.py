@@ -11,33 +11,8 @@ bound on the coefficients before any packed product is taken.
 One scaling rule clears the denominators (:func:`_scaled`): scalars
 whose denominators are one-term, k*p^a*h^b, are multiplied by their
 common scale D*p^A*h^B, with D the lcm of the k and A, B the largest a
-and b, which leaves integer polynomials in p and h.  The letters of a
-table, the coefficients of an expression and the entries of a pair
-matrix are each scaled so.  Three kinds of computation are packed.
-
-**Tensor expressions on the Jordanian tables** (:func:`evaluate_all`, the
-Hopf suites).  Every table entry, coefficient and scale is p-free.  Such
-an expression is evaluated at h = X = 2^B by
-:meth:`~ospq.texpr.TensorExpression.evaluate`, and each entry of the
-result is read back as an exact :class:`~ospq.scalar.Scalar`.
-
-* Each leg's table is scaled by its s = D*h^E.  m is the largest l1
-  norm of a scaled entry.
-* Each expression's coefficients, scaled by their K*h^F, are brought to
-  one scale G = K*h^F * prod_legs s^Lmax, where Lmax is the longest word
-  on the leg: a term whose words have lengths L is multiplied by
-  prod_legs s^(Lmax - L), giving its integer polynomial c', so that the
-  sum of its terms evaluates to G times the expression.
-* Every coefficient of that polynomial matrix is bounded in absolute
-  value by
-
-      sum_terms |c'|_1 * prod_legs n^(L - 1) * m^L
-
-  (n the leg's dimension, L >= 1; a leg with L = 0 contributes 1), read
-  off the terms alone.  With B = bound.bit_length() + 1 every coefficient
-  lies strictly between -2^(B-1) and 2^(B-1), so a polynomial is fixed by
-  its value at X: its coefficients are the balanced base-X digits of that
-  value.  A zero value is an exact zero.
+and b, which leaves integer polynomials in p and h.  The entries of a
+pair matrix are scaled so.  Two kinds of computation are packed.
 
 **Product identities of pair matrices** (:func:`product_difference`, the
 graded Yang-Baxter equation and the RLL exchange relation).  Each factor
@@ -65,14 +40,11 @@ that use every factor once.
   products, and the packed products are equal exactly when the identity
   holds.  This is a proof, not a probabilistic test.
 
-An entry or a coefficient that cannot be packed (one with p in it, for
-the Hopf suites, or with a denominator of more than one term) refuses
-the packed route: :func:`evaluate_all` then evaluates on ``Scalar``s, as
-``expr.evaluate(reps)`` does, and :func:`product_difference` takes the
-two products on ``Scalar``s, as it does when the packed products differ,
-so that every residual is the exact ``Scalar`` one.  These two kinds
-multiply their packed matrices by the unchanged
-:class:`~ospq.gmatrix.GradedMatrix` arithmetic.
+An entry with a denominator of more than one term refuses the packed
+route: :func:`product_difference` then takes the two products on
+``Scalar``s, as it does when the packed products differ, so that every
+residual is the exact ``Scalar`` one.  The packed products use the
+unchanged :class:`~ospq.gmatrix.GradedMatrix` arithmetic.
 
 **Series chains of the contraction** (:class:`SeriesPlan`,
 ``contraction.contract``).  The operands are truncated Laurent series in
@@ -122,46 +94,17 @@ coefficients are the contraction.  Such entries always pack.
   ``Scalar.from_h_laurent``.  A final entry known below t^0 or lower
   raises PrecisionShortfall, and one with a nonzero digit at a negative
   power of t raises PoleAtUnity.
-
-**What is kept.** The tensor-expression route keeps the parts of its
-set-up that do not depend on the legs together, each on the object it
-belongs to and for exactly as long as that object lives:
-
-* on an expression, in its ``packing`` slot, once the first plan asks:
-  its coefficients scaled to integer h-polynomials, the letters and the
-  longest word on each leg, and its terms grouped by the lengths of their
-  words with each group's l1 sum; or False when a coefficient does not
-  pack;
-* on a table, in its ``packing`` dict, once per set of letters: those
-  letters scaled, with their l1 norm; or None when they do not pack.
-
-Each call still takes each group's factor to the common scale, the
-bounds and the width, and builds its int tables with their word
-matrices.  The product identities and the series chains keep nothing.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from math import lcm, prod
+from math import lcm
 from operator import matmul
 
 from .errors import PoleAtUnity, PrecisionShortfall
 from .gmatrix import GradedMatrix, embed_pair, tensor_parity
-from .reps import GeneratorTable
 from .scalar import Scalar
-from .texpr import TensorExpression
-
-
-def evaluate_all(exprs, reps) -> list:
-    """``[expr.evaluate(reps) for expr in exprs]``, computed on packed ints
-    with one width for all the expressions when they and the tables pack.
-    Either way each distinct table's word matrices are built once: in one
-    int table per call on packed ints, otherwise in the table's own memo."""
-    plan = PackedPlan.of(exprs, reps)
-    if plan is not None:
-        return plan.run()
-    return [expr.evaluate(reps) for expr in exprs]
 
 
 def product_difference(factors, left, right, parities) -> GradedMatrix:
@@ -187,27 +130,8 @@ def pack(poly: dict, width: int) -> int:
     return sum(c << (width * e) for e, c in poly.items())
 
 
-def unpack(value: int, width: int) -> dict:
-    """The polynomial {exp: int} whose coefficients are the balanced
-    base-2^width digits of ``value``: the inverse of :func:`pack` on
-    polynomials with every coefficient below 2^(width-1) in absolute value."""
-    out = {}
-    mask = (1 << width) - 1
-    half = 1 << (width - 1)
-    e = 0
-    while value:
-        digit = value & mask
-        if digit >= half:
-            digit -= 1 << width
-        if digit:
-            out[e] = digit
-        value = (value - digit) >> width
-        e += 1
-    return out
-
-
 class _Unpackable(Exception):
-    """A scalar has p in it, or a denominator of more than one term."""
+    """A scalar has a denominator of more than one term."""
 
 
 def _scaled(scalars: dict):
@@ -232,21 +156,6 @@ def _scaled(scalars: dict):
     return polys, den, top_p, top_h
 
 
-def _h_scaled(scalars: dict):
-    """(polys, D, b) of :func:`_scaled`, each polynomial as {h_exp: int};
-    raises _Unpackable when p is in the scale or in a scaled polynomial."""
-    polys, den, top_p, top_h = _scaled(scalars)
-    if top_p:
-        raise _Unpackable
-    out = {key: {} for key in polys}
-    for key, poly in polys.items():
-        for (ep, eh), c in poly.items():
-            if ep:
-                raise _Unpackable
-            out[key][eh] = c
-    return out, den, top_h
-
-
 def _slots(reps):
     """The distinct tables of ``reps``, by identity, and the index of each
     leg's table among them."""
@@ -261,180 +170,6 @@ def _slots(reps):
 
 def _l1(poly: dict) -> int:
     return sum(abs(c) for c in poly.values())
-
-
-class _ScaledTable:
-    """A table's letters, scaled by s = D h^E to integer polynomials."""
-
-    __slots__ = ("parity", "polys", "den", "hpow", "norm")
-
-    def __init__(self, rep, letters):
-        self.parity = rep.parity
-        polys, self.den, self.hpow = _h_scaled(
-            {(name, ij): v for name in letters for ij, v in rep.matrix(name).entries.items()}
-        )
-        self.polys = {name: {} for name in letters}
-        for (name, ij), poly in polys.items():
-            self.polys[name][ij] = poly
-        self.norm = max(map(_l1, polys.values()), default=0)
-
-    @classmethod
-    def of(cls, rep, letters: frozenset):
-        """The table's ``letters`` scaled, or None when they do not pack;
-        kept in the table's own ``packing`` memo, once per letter set."""
-        if letters not in rep.packing:
-            try:
-                rep.packing[letters] = cls(rep, letters)
-            except _Unpackable:
-                rep.packing[letters] = None
-        return rep.packing[letters]
-
-    def word_bound(self, length: int) -> int:
-        """A bound on the l1 norm of any entry of a scaled word matrix."""
-        if not length:
-            return 1
-        return len(self.parity) ** (length - 1) * self.norm**length
-
-    def at(self, width: int) -> "_IntTable":
-        return _IntTable(
-            "packed",
-            None,
-            self.parity,
-            {
-                name: GradedMatrix(
-                    self.parity, {ij: pack(poly, width) for ij, poly in entries.items()}
-                )
-                for name, entries in self.polys.items()
-            },
-        )
-
-
-class _IntTable(GeneratorTable):
-    """A generator table of ``int`` matrices, the values at h = 2^B."""
-
-    __slots__ = ()
-
-    def identity(self) -> GradedMatrix:
-        return GradedMatrix(self.parity, {(i, i): 1 for i in range(self.dim)})
-
-
-class _ScaledExpression:
-    """The part of one expression's packing that no table enters: its
-    coefficients scaled by K h^F to integer h-polynomials, the letters
-    and the longest word on each leg, and its terms grouped by the
-    lengths of their words, each group with the sum of its terms' l1
-    norms.  Every term of a group is brought to the common scale by the
-    same factor, and has the same bound."""
-
-    __slots__ = ("den", "hpow", "letters", "lmax", "groups")
-
-    def __init__(self, expr):
-        polys, self.den, self.hpow = _h_scaled(expr.terms)
-        legs = range(expr.nlegs)
-        self.letters = [frozenset(name for key in polys for name in key[l]) for l in legs]
-        self.lmax = [max((len(key[l]) for key in polys), default=0) for l in legs]
-        groups = {}
-        for key, poly in polys.items():
-            groups.setdefault(tuple(map(len, key)), []).append((key, poly))
-        self.groups = [
-            (lengths, terms, sum(_l1(poly) for _, poly in terms))
-            for lengths, terms in groups.items()
-        ]
-
-    @classmethod
-    def of(cls, expr):
-        """The expression's scaled form, or None when a coefficient does
-        not pack; kept on the expression (its ``packing``) once built."""
-        if expr.packing is None:
-            try:
-                expr.packing = cls(expr)
-            except _Unpackable:
-                expr.packing = False
-        return expr.packing or None
-
-
-class _PackedExpression:
-    """One expression on its legs: the common scale G, which is
-    den * h^hpow, the bound on G times its value, and for each group of
-    terms the factor mult * h^shift that brings it to G."""
-
-    __slots__ = ("nlegs", "groups", "den", "hpow", "bound")
-
-    def __init__(self, scaled, legs):
-        self.nlegs = len(legs)
-        lmax = scaled.lmax
-        self.den = scaled.den * prod(leg.den**n for leg, n in zip(legs, lmax))
-        self.hpow = scaled.hpow + sum(leg.hpow * n for leg, n in zip(legs, lmax))
-        self.groups = []
-        self.bound = 0
-        for lengths, terms, norm in scaled.groups:
-            mult, shift, bound = 1, 0, 1
-            for leg, n, length in zip(legs, lmax, lengths):
-                gap = n - length
-                if gap:
-                    mult *= leg.den**gap
-                    shift += leg.hpow * gap
-                bound *= leg.word_bound(length)
-            self.groups.append((mult, shift, terms))
-            self.bound += mult * norm * bound
-
-    def packed(self, width: int) -> TensorExpression:
-        """The terms at the common scale, as ints at h = 2^width."""
-        return TensorExpression(self.nlegs, {
-            key: pack(poly, width) * mult << (width * shift)
-            for mult, shift, terms in self.groups
-            for key, poly in terms
-        })
-
-    def unpack(self, value: int, width: int) -> Scalar:
-        coeffs = {e - self.hpow: c for e, c in unpack(value, width).items()}
-        return Scalar.from_h_laurent(coeffs, self.den)
-
-
-class PackedPlan:
-    """Expressions and tables scaled to integer polynomials, with the one
-    width that the bound of every expression proves safe.  A table that
-    sits on several legs is packed once, and its word matrices are built
-    once for all the legs and expressions."""
-
-    __slots__ = ("scaled", "slots", "exprs", "width")
-
-    def __init__(self, scaled, slots, exprs):
-        self.scaled = scaled
-        self.slots = slots
-        self.exprs = exprs
-        self.width = max((e.bound for e in exprs), default=0).bit_length() + 1
-
-    @classmethod
-    def of(cls, exprs, reps):
-        """The plan for ``exprs`` on ``reps``, or None when a table entry or
-        a coefficient cannot be packed."""
-        if any(expr.nlegs != len(reps) for expr in exprs):
-            raise ValueError("need one representation per leg")
-        shapes = [_ScaledExpression.of(expr) for expr in exprs]
-        if None in shapes:
-            return None
-        distinct, slots = _slots(reps)
-        letters = [set() for _ in distinct]
-        for shape in shapes:
-            for slot, names in zip(slots, shape.letters):
-                letters[slot] |= names
-        scaled = [_ScaledTable.of(rep, frozenset(names)) for rep, names in zip(distinct, letters)]
-        if None in scaled:
-            return None
-        legs = [scaled[slot] for slot in slots]
-        return cls(scaled, slots, [_PackedExpression(shape, legs) for shape in shapes])
-
-    def run(self) -> list:
-        """Each expression's matrix, evaluated at h = 2^width and unpacked;
-        legs that hold one table share its int table and word matrices."""
-        width = self.width
-        tables = [table.at(width) for table in self.scaled]
-        reps = [tables[slot] for slot in self.slots]
-        return [
-            expr.packed(width).evaluate(reps).map_entries(lambda v: expr.unpack(v, width))
-            for expr in self.exprs
-        ]
 
 
 class ProductPlan:
@@ -544,7 +279,6 @@ def _apply(norms: dict, u: list) -> list:
 def _chain(mats, order) -> GradedMatrix:
     """The product of ``mats`` in ``order``, left to right."""
     return reduce(matmul, (mats[k] for k in order))
-
 
 
 # -- series chains of the contraction -----------------------------------------

@@ -35,6 +35,7 @@ from fractions import Fraction
 
 from .errors import NotNilpotent
 from .gmatrix import GradedMatrix, graded_kron, graded_primitive, swap_conjugate
+from .graded import evaluate_all
 from .halfint import HalfInt
 from .hopf import r1_algebra
 from .nilfun import ShiftSeries, nil_exp, shift_length
@@ -299,14 +300,18 @@ def twist_property_check(j1, j2) -> VerificationReport:
 
 
 # The largest module dimension 4 j + 1 of any one spin that
-# ``cocycle_check`` accepts, that of j = 2: the minimal family takes 4.2
-# to 5.2 s at (2, 2, 2) on 2 cores, and hdiag 1.0 s.  The minimal twist
-# keeps one term per power of X that the last two modules do not kill,
-# and the cost about doubles with each half-step of the second or third
-# spin, so a product-dimension budget does not track it: (1/2, 5/2, 5/2),
-# at 363, takes 10 s, and (1/2, 7/2, 7/2), at 675, ran past 60 s, against
-# 0.57 to 0.74 s at (3/2)^3.
-MAX_COCYCLE_SPIN_DIM = 9
+# ``cocycle_check`` accepts, that of j = 5/2.  Its four factors are
+# decided at h = 1 by the grading, and the two products are ``Scalar``
+# matmuls.  Fresh processes on 2 cores, the cap lifted: minimal (2, 2, 2)
+# 0.6 to 0.95 s (46 MB), (5/2)^3 3.2 s (156 MB), (3, 3, 3) 24.7 s
+# (766 MB); hdiag (2, 2, 2) 1.0 to 1.2 s (55 MB), (5/2)^3 4.3 to 4.6 s
+# (146 MB).  The minimal
+# twist keeps one term per power of X that the last two modules do not
+# kill, and the cost grows steeply with the second and third spins, so a
+# product-dimension budget does not track it: (1/2, 5/2, 5/2) takes
+# 1.48 s (103 MB), (1/2, 3, 3) 8.4 s (506 MB) and (1/2, 7/2, 7/2) 44 s
+# (2.7 GB).  (5/2)^3 costs what (2, 2, 2) did before (3.7 to 5.2 s).
+MAX_COCYCLE_SPIN_DIM = 11
 
 
 def cocycle_check(j1, j2, j3, twist: str = "minimal") -> VerificationReport:
@@ -324,10 +329,18 @@ def cocycle_check(j1, j2, j3, twist: str = "minimal") -> VerificationReport:
     alg = r1_algebra()
     g = _family_twist(twist, x_nilpotency(j2) + x_nilpotency(j3))
     # Each factor is evaluated on its own and the matrices multiplied, so
-    # the product of the two expressions is never expanded.
+    # the product of the two expressions is never expanded.  The left
+    # side's factors are dropped once multiplied, which lowers the peak.
     unit = TE.unit(1)
-    lhs = tensor_product(g, unit).evaluate(reps) @ g.coproduct(0, alg.delta).evaluate(reps)
-    rhs = tensor_product(unit, g).evaluate(reps) @ g.coproduct(1, alg.delta).evaluate(reps)
+    g12, delta1, g23, delta2 = evaluate_all([
+        tensor_product(g, unit),
+        g.coproduct(0, alg.delta),
+        tensor_product(unit, g),
+        g.coproduct(1, alg.delta),
+    ], reps)
+    lhs = g12 @ delta1
+    del g12, delta1
+    rhs = g23 @ delta2
     failures = _residuals_maybe_orders("cocycle", lhs - rhs, twist == "minimal")
     return VerificationReport(
         "cocycle", {"j1": j1, "j2": j2, "j3": j3, "family": twist}, failures

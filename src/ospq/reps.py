@@ -128,10 +128,11 @@ class GeneratorTable:
     caller: neither it nor its letter matrices are written once built.
     Two memos grow, and live exactly as long as the table: ``words``, the
     word products that :meth:`word_matrix` fills, so each word's matrix is
-    built once per table, and ``packing``, the letters scaled to integer
-    polynomials that :mod:`ospq.packed` fills once per letter set."""
+    built once per table, and ``graded``, the table's letters at h = 1 as
+    ints, or False when they are off the grading, which :mod:`ospq.graded`
+    sets once."""
 
-    __slots__ = ("variant", "j", "parity", "matrices", "words", "packing")
+    __slots__ = ("variant", "j", "parity", "matrices", "words", "graded")
 
     def __init__(self, variant: str, j: HalfInt, parity, matrices):
         self.variant = variant
@@ -139,7 +140,7 @@ class GeneratorTable:
         self.parity = tuple(parity)
         self.matrices = dict(matrices)
         self.words = {}
-        self.packing = {}
+        self.graded = None
 
     @property
     def dim(self) -> int:

@@ -26,6 +26,7 @@ from .scalar import ONE, Scalar
 # tracer rebinds it in every module that imported it by name, and its
 # test pins this module among them.
 __all__ = [
+    "DEGREES",
     "ODD_LETTERS",
     "TensorExpression",
     "graded_kron",
@@ -35,6 +36,9 @@ __all__ = [
 ]
 
 ODD_LETTERS = frozenset({"e", "f", "E", "F"})
+# Each Jordanian letter's degree: twice the weight of its shift, with h of
+# degree -2 (:mod:`ospq.graded`); every letter not listed has degree 0.
+DEGREES = {"E": 1, "F": -1, "X": 2, "Y": -2}
 
 
 def letter_parity(name: str) -> int:
@@ -52,17 +56,14 @@ class TensorExpression:
     """Sum of scalar-weighted pure tensors of generator words.
 
     Every operation builds a new expression, and none writes the terms of
-    an existing one.  ``packing`` is :mod:`ospq.packed`'s memo of the
-    terms scaled to integer polynomials, built on the first packed
-    evaluation and kept as long as the expression lives."""
+    an existing one."""
 
-    __slots__ = ("nlegs", "terms", "packing")
+    __slots__ = ("nlegs", "terms")
 
     def __init__(self, nlegs, terms=None):
         # Cancelled terms are dropped here and nowhere else: the operations
         # sum into a plain dict and build their result through this.
         self.nlegs = nlegs
-        self.packing = None
         self.terms = {}
         if terms:
             for key, coeff in terms.items():
@@ -247,10 +248,10 @@ class TensorExpression:
         ordered product of the word's letter matrices, and ``parity``, as a
         :class:`~ospq.reps.GeneratorTable` does; the coefficients must
         multiply its entries: ``Scalar`` coefficients on ``Scalar`` tables,
-        or ``int`` ones on the ``int`` tables of :mod:`ospq.packed`.  Legs
-        are combined with the graded Kronecker product, the operator parity
-        of each new factor being the parity of its word; on no legs the
-        result is the 1x1 even matrix of the coefficient.  The graded
+        or ``int`` ones on the ``int`` tables at h = 1 of :mod:`ospq.graded`.
+        Legs are combined with the graded Kronecker product, the operator
+        parity of each new factor being the parity of its word; on no legs
+        the result is the 1x1 even matrix of the coefficient.  The graded
         Kronecker product is linear in its first factor once the second
         factor and its parity are fixed, so the terms are grouped by their
         last-leg word: each group's shorter-leg sum is accumulated first, by

@@ -20,6 +20,10 @@ The r1 twist.  The package evaluates G = exp(h TH (x) X), its inverse at
 -h and the R-matrix G21^-1 G from one two-leg expression, word by word.
 Before, each factor was ``nil_exp`` of the dense graded Kronecker product,
 and G21^-1 the exponential of -h X (x) TH with no swap.
+
+Packed digits.  ``unpack`` reads a packed polynomial back digit by digit,
+as the Hopf suites did when they were evaluated at h = 2^B; the width
+tests decode with it.
 """
 
 from fractions import Fraction
@@ -301,3 +305,22 @@ def product_width_by_norm_matrices(factors, parities, orders) -> int:
         for order in orders
     )
     return bound.bit_length() + 1
+
+
+def unpack(value: int, width: int) -> dict:
+    """The polynomial {exp: int} whose coefficients are the balanced
+    base-2^width digits of ``value``: the inverse of ``packed.pack`` on
+    polynomials with every coefficient below 2^(width-1) in absolute value."""
+    out = {}
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    e = 0
+    while value:
+        digit = value & mask
+        if digit >= half:
+            digit -= 1 << width
+        if digit:
+            out[e] = digit
+        value = (value - digit) >> width
+        e += 1
+    return out

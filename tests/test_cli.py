@@ -127,14 +127,14 @@ class TestExitCodes:
         assert "exceeds the cap of 121" in err
 
     def test_oversized_cocycle_exits_two(self, capsys, monkeypatch):
-        # Refused before any work: j = 5/2 has module dimension 11.
+        # Refused before any work: j = 3 has module dimension 13.
         monkeypatch.setattr(r1, "r1_generators", forbidden)
         code, out, err = run_cli(
-            capsys, "verify", "--suite", "cocycle", "--j", "1/2", "5/2", "5/2"
+            capsys, "verify", "--suite", "cocycle", "--j", "1/2", "3", "3"
         )
         assert code == 2
         assert out == ""
-        assert "exceeds the cap of 9" in err
+        assert "exceeds the cap of 11" in err
 
     def test_oversized_antipode_exits_two(self, capsys, monkeypatch):
         # Refused before any table is built: j = 7 has module dimension 29.
@@ -158,25 +158,25 @@ class TestExitCodes:
         assert "exceeds the cap of 161" in err
 
     def test_oversized_hopf_r2_exits_two(self, capsys, monkeypatch):
-        # Refused before any table is built: j = 11/2 has module dimension 23.
+        # Refused before any table is built: j = 13/2 has module dimension 27.
         monkeypatch.setattr(hopf, "r2_generators", forbidden)
         code, out, err = run_cli(
-            capsys, "verify", "--suite", "hopf-r2", "--j", "1/2", "1/2", "11/2"
+            capsys, "verify", "--suite", "hopf-r2", "--j", "1/2", "1/2", "13/2"
         )
         assert code == 2
         assert out == ""
-        assert "exceeds the cap of 21" in err
+        assert "exceeds the cap of 25" in err
 
     def test_oversized_r1_hopf_exits_two(self, capsys, monkeypatch):
-        # Refused before any table is built: j = 11/2 has module dimension 23.
+        # Refused before any table is built: j = 13/2 has module dimension 27.
         monkeypatch.setattr(hopf, "r1_generators", forbidden)
         code, out, err = run_cli(
-            capsys, "verify", "--suite", "r1-hopf", "--j", "11/2", "1/2", "1/2",
+            capsys, "verify", "--suite", "r1-hopf", "--j", "13/2", "1/2", "1/2",
             "--family", "hdiag",
         )
         assert code == 2
         assert out == ""
-        assert "exceeds the cap of 21" in err
+        assert "exceeds the cap of 25" in err
 
     def test_oversized_rll_exits_two(self, capsys, monkeypatch):
         # Refused before any work: (1/2, 1/2, 11/2) has dimension 207.
@@ -188,10 +188,10 @@ class TestExitCodes:
         assert "exceeds the cap of 189" in err
 
     def test_oversized_frt_hopf_exits_two(self, capsys, monkeypatch):
-        # Refused before any table is built: j = 49/2 has module dimension
-        # 99, and (13, 12) the product dimension 53 * 49.
+        # Refused before any table is built: j = 65/2 has module dimension
+        # 131, and (33/2, 16) the product dimension 67 * 65.
         monkeypatch.setattr(contraction, "r2_generators", forbidden)
-        for spins, cap in ((("1/2", "49/2"), 97), (("13", "12"), 2401)):
+        for spins, cap in ((("1/2", "65/2"), 129), (("33/2", "16"), 4225)):
             code, out, err = run_cli(
                 capsys, "verify", "--suite", "frt-hopf", "--j", *spins
             )
@@ -237,16 +237,16 @@ class TestExitCodes:
             assert f"exceeds the cap of {cap}" in err
 
     def test_oversized_r1_relations_exits_two(self, capsys, monkeypatch):
-        # Refused before any table is built: j = 33/2 has module dimension 67.
+        # Refused before any table is built: j = 57/2 has module dimension 115.
         monkeypatch.setattr(hopf, "r1_generators", forbidden)
         for family in ("minimal", "hdiag"):
             code, out, err = run_cli(
-                capsys, "verify", "--suite", "r1-relations", "--j", "33/2",
+                capsys, "verify", "--suite", "r1-relations", "--j", "57/2",
                 "--family", family,
             )
             assert code == 2
             assert out == ""
-            assert "exceeds the cap of 65" in err
+            assert "exceeds the cap of 113" in err
 
     def test_oversized_twist_exits_two(self, capsys, monkeypatch):
         # A spin cap per family, checked before any table is built or any

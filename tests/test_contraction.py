@@ -463,15 +463,15 @@ def test_oversized_frt_hopf_refused_before_any_table(monkeypatch):
         raise AssertionError("work started on an oversized spin")
 
     monkeypatch.setattr(ospq.contraction, "r2_generators", forbidden)
-    assert (MAX_FRT_HOPF_SPIN_DIM, MAX_FRT_HOPF_DIM) == (97, 49 * 49)
-    refuse_oversized((HalfInt(24),), MAX_FRT_HOPF_SPIN_DIM)  # j = 24 is inside
-    refuse_oversized((HalfInt(12), HalfInt(12)), MAX_FRT_HOPF_DIM)  # so is (12, 12)
-    for pair in ((HALF, HalfInt.from_twice(49)), (HalfInt(30), HALF)):
-        with pytest.raises(ValueError, match="exceeds the cap of 97"):
+    assert (MAX_FRT_HOPF_SPIN_DIM, MAX_FRT_HOPF_DIM) == (129, 65 * 65)
+    refuse_oversized((HalfInt(32),), MAX_FRT_HOPF_SPIN_DIM)  # j = 32 is inside
+    refuse_oversized((HalfInt(16), HalfInt(16)), MAX_FRT_HOPF_DIM)  # so is (16, 16)
+    for pair in ((HALF, HalfInt.from_twice(65)), (HalfInt(40), HALF)):
+        with pytest.raises(ValueError, match="exceeds the cap of 129"):
             frt_hopf_check(*pair)
-    # 53 * 49 and 41 * 65: each spin is inside, the pair is not
-    for pair in ((HalfInt(13), HalfInt(12)), (HalfInt(10), HalfInt(16))):
-        with pytest.raises(ValueError, match="exceeds the cap of 2401"):
+    # 67 * 65 and 33 * 129: each spin is inside, the pair is not
+    for pair in ((HalfInt.from_twice(33), HalfInt(16)), (HalfInt(8), HalfInt(32))):
+        with pytest.raises(ValueError, match="exceeds the cap of 4225"):
             frt_hopf_check(*pair)
 
 

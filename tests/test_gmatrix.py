@@ -289,13 +289,13 @@ def test_json_round_trip():
 # -- matrices and generator tables are immutable once built ------------------
 
 _MUTATORS = {"pop", "update", "setdefault", "clear", "popitem"}
-_SHARED = {"entries", "matrices", "words", "packing"}
+_SHARED = {"entries", "matrices", "words", "graded"}
 
 
 def _shared_writes(source: str):
     """Qualified names of the functions that store into, delete from or
     call a mutating method on some ``.entries``, ``.matrices``, ``.words``
-    or ``.packing`` attribute, once per site."""
+    or ``.graded`` attribute, once per site."""
     hits = []
 
     def is_shared(node):
@@ -327,9 +327,8 @@ def _shared_writes(source: str):
 class TestImmutableByContract:
     """Outside ``gmatrix.py`` a built matrix is never written, and no
     generator table is written after its constructor, save its word memo
-    by ``word_matrix`` and its packing memo by ``ospq.packed``, so caches
-    may hand out shared matrices and tables.  A tensor expression's
-    packing memo is likewise written only by ``ospq.packed``."""
+    by ``word_matrix`` and its graded memo by ``ospq.graded``, so caches
+    may hand out shared matrices and tables."""
 
     def test_detector_sees_every_kind_of_write(self):
         source = (
@@ -363,14 +362,12 @@ class TestImmutableByContract:
                 for site in _shared_writes(path.read_text()):
                     hits.setdefault(f"{path.stem}:{site}", 0)
                     hits[f"{path.stem}:{site}"] += 1
-        # besides evaluate, a table writes only its own dicts: the
-        # constructor sets them, and word_matrix fills the word memo; the
-        # packed route fills the packing memos of tables and expressions
+        # besides evaluate, a table writes only its own memos: the
+        # constructor sets them, word_matrix fills the word memo, and the
+        # graded route sets the graded memo once
         assert hits == {
             "texpr:TensorExpression.evaluate": 1,
-            "texpr:TensorExpression.__init__": 1,
             "reps:GeneratorTable.__init__": 3,
             "reps:GeneratorTable.word_matrix": 3,
-            "packed:_ScaledTable.of": 2,
-            "packed:_ScaledExpression.of": 2,
+            "graded:_IntTable.of": 1,
         }

@@ -28,7 +28,7 @@ from ospq.hopf import (
     r2_algebra,
     relations_residuals,
 )
-from ospq.packed import evaluate_all
+from ospq.graded import evaluate_all
 from ospq.report import matrix_residuals
 from ospq.reps import GeneratorTable, q_rep, r1_generators, r2_generators
 from ospq.scalar import rational

@@ -1,14 +1,16 @@
-"""The packed-integer routes against the Scalar and Laurent routes.
+"""The packed-integer routes against the Scalar and Laurent routes, and
+the Hopf suites' evaluator against ``TensorExpression.evaluate``.
 
-``ospq.packed`` evaluates p-free expressions at h = 2^B on ints and unpacks
-the result, with ``TensorExpression.evaluate`` on ``Scalar``s as the
-reference; it decides the Yang-Baxter and RLL product identities at
-p = 2^B, h = 2^(B*span), with the products of the embedded ``Scalar``
-matrices as the reference; and it forms the contraction's series chain
-M^-1 (R_q M) on t-digits at t = 2^B, with ``graded_kron``, ``truncate``
-and ``@`` on ``Laurent`` series as the reference.  The widths, proven by
-matrix-vector bounds, are checked against the norm matrix products of
-``references``.
+``ospq.graded.evaluate_all`` decides the Jordanian expressions at h = 1
+by their grading, or falls back to ``Scalar``s, with
+``TensorExpression.evaluate`` on ``Scalar``s as the reference (its gates
+and lift are tested in ``test_graded``).  ``ospq.packed`` decides the
+Yang-Baxter and RLL product identities at p = 2^B, h = 2^(B*span), with
+the products of the embedded ``Scalar`` matrices as the reference; and it
+forms the contraction's series chain M^-1 (R_q M) on t-digits at
+t = 2^B, with ``graded_kron``, ``truncate`` and ``@`` on ``Laurent``
+series as the reference.  The widths, proven by matrix-vector bounds,
+are checked against the norm matrix products of ``references``.
 """
 
 from fractions import Fraction
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 from ospq import contraction, hopf
 from ospq.contraction import L_operator, contract, frt_rules, rll_check
 from ospq.errors import PoleAtUnity, PrecisionShortfall
+from ospq.graded import _IntTable, evaluate_all
 from ospq.gmatrix import GradedMatrix, embed_pair, graded_kron, tensor_parity
 from ospq.halfint import HalfInt
 from ospq.hopf import (
@@ -31,25 +34,17 @@ from ospq.hopf import (
     relations_residuals,
 )
 from ospq.laurent import Laurent
-from ospq.packed import (
-    PackedPlan,
-    ProductPlan,
-    SeriesPlan,
-    _scaled,
-    evaluate_all,
-    pack,
-    product_difference,
-    unpack,
-)
+from ospq.packed import ProductPlan, SeriesPlan, _scaled, pack, product_difference
 from ospq.qrmatrix import universal_Rq, ybe_check
 from ospq.r1 import universal_Rh_r1
 from ospq.report import matrix_residuals
 from ospq.reps import GeneratorTable, q_rep, r1_generators, r2_generators, rep_parity
 from ospq.scalar import H, ONE, P, Scalar, rational
+from ospq.texpr import TensorExpression
 from ospq.texpr import TensorExpression as TE
 
 from helpers import series_limit
-from references import product_width_by_norm_matrices, series_width_by_norm_matrices
+from references import product_width_by_norm_matrices, series_width_by_norm_matrices, unpack
 from test_scalar import one_term_den_scalars, scalars
 
 HALF = HalfInt.from_twice(1)
@@ -91,19 +86,34 @@ def suite_expressions(algebra, nlegs):
 
 
 def assert_packed_matches_scalar(exprs, reps) -> int:
-    """Packed and Scalar routes agree entry by entry; returns the number of
-    nonzero entries compared."""
-    plan = PackedPlan.of(exprs, reps)
-    assert plan is not None
-    packed = plan.run()
+    """``evaluate_all`` and the Scalar route agree entry by entry; returns
+    the number of nonzero entries compared."""
     nonzero = 0
-    for expr, got in zip(exprs, packed):
+    for expr, got in zip(exprs, evaluate_all(exprs, reps), strict=True):
         want = expr.evaluate(reps)
         assert got.parity == want.parity
         assert got.entries == want.entries
         assert matrix_residuals("x", got) == matrix_residuals("x", want)
         nonzero += len(want.entries)
     return nonzero
+
+
+def routes(monkeypatch, exprs, reps) -> list:
+    """``evaluate_all(exprs, reps)``, recording the table class of the
+    first leg of each ``evaluate`` call: ``_IntTable`` on the graded
+    route, ``GeneratorTable`` on the Scalar one."""
+    seen = []
+    evaluate = TensorExpression.evaluate
+
+    def spied(expr, legs):
+        seen.append(type(legs[0]).__name__ if legs else None)
+        return evaluate(expr, legs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(TensorExpression, "evaluate", spied)
+        got = evaluate_all(exprs, reps)
+    assert got == [expr.evaluate(reps) for expr in exprs]
+    return seen
 
 
 class TestDifferential:
@@ -151,26 +161,20 @@ class TestDifferential:
 
 
 def fresh_copy(rep) -> GeneratorTable:
-    """The table with empty word and packing memos."""
+    """The table with empty word and graded memos."""
     return GeneratorTable(rep.variant, rep.j, rep.parity, rep.matrices)
 
 
-def unmemoized(expr) -> TE:
-    """The expression with an empty packing memo."""
-    return TE(expr.nlegs, expr.terms)
-
-
 class TestSetUpOnce:
-    """The scaled form of each expression and each table is built once and
-    kept on it; a plan from those memos is the plan built cold."""
+    """The int form of each table is built once and kept on it; the route
+    from that memo gives what a cold one gives."""
 
     @pytest.mark.parametrize("case", list(JORDANIAN))
     def test_every_suite_and_the_frt_rules_match_scalars(self, case):
         algebra_of, rep_of = JORDANIAN[case]
         algebra = algebra_of()
         half, one = rep_of(HALF), rep_of(ONEJ)
-        # an H moved by h^-1/3 gives its table a scale with a power of h,
-        # so the terms of a group are shifted by it
+        # an H moved by h^-1/3 is off the grading, so its table falls back
         over_h = perturbed(one, "H", rational(1, 3) / H)
         normal = hopf._expressions(algebra, hopf._normal_coproduct_relations)
         suites = [
@@ -191,47 +195,31 @@ class TestSetUpOnce:
                     nonzero += assert_packed_matches_scalar(exprs, reps)
         assert nonzero > 50
 
-    def test_memos_live_on_the_expression_and_the_table(self):
-        rep = fresh_copy(r1_generators(ONEJ, "hdiag"))
-        labelled = suite_expressions(r1_algebra(), 2)
-        exprs = [unmemoized(expr) for _, expr in labelled]
-        plan = PackedPlan.of(exprs, [rep, rep])
-        assert all(expr.packing is not None for expr in exprs)
-        letters = frozenset().union(*(leg for e in exprs for leg in e.packing.letters))
-        assert list(rep.packing) == [letters]
-        assert plan.scaled == [rep.packing[letters]]
-        # a second plan reads both memos and proves the same width
-        again = PackedPlan.of(exprs, [rep, rep])
-        assert again.scaled[0] is plan.scaled[0]
-        assert again.width == plan.width
-        assert again.run() == plan.run()
-        # an expression with fewer letters gets its own scaled table
-        PackedPlan.of([TE.word(["H", "E"])], [rep])
-        assert list(rep.packing)[1] == frozenset({"H", "E"})
-
     @pytest.mark.parametrize("case", list(JORDANIAN))
     def test_memoized_plan_is_the_cold_plan(self, case):
+        # the int tables kept on the tables are those fresh copies build,
+        # and give the same matrices
         algebra_of, rep_of = JORDANIAN[case]
         for nlegs, spins in ((1, [ONEJ]), (2, [HALF, ONEJ]), (3, [ONEJ, HALF, ONEJ])):
             exprs = [expr for _, expr in suite_expressions(algebra_of(), nlegs)]
             reps = [rep_of(j) for j in spins]
-            warm = PackedPlan.of(exprs, reps)
-            warm = PackedPlan.of(exprs, reps)
-            cold = PackedPlan.of([unmemoized(e) for e in exprs], [fresh_copy(r) for r in reps])
-            assert warm.width == cold.width
-            assert [e.bound for e in warm.exprs] == [e.bound for e in cold.exprs]
-            assert [(e.den, e.hpow) for e in warm.exprs] == [(e.den, e.hpow) for e in cold.exprs]
+            warm = evaluate_all(exprs, reps)
+            cold_reps = [fresh_copy(r) for r in reps]
+            assert all(r.graded is None for r in cold_reps)
+            assert evaluate_all(exprs, cold_reps) == warm
+            for rep, cold in zip(reps, cold_reps):
+                a, b = rep.graded, cold.graded
+                assert a is not b
+                assert (a.den, a.weights, a.matrices) == (b.den, b.weights, b.matrices)
 
     def test_refusals_are_kept_too(self):
         table = fresh_copy(q_rep(ONEJ))
-        exprs = [unmemoized(expr) for _, expr in suite_expressions(q_algebra(), 2)]
-        assert PackedPlan.of(exprs, [table, table]) is None
-        # each expression's verdict is kept: q's coefficients hold p
-        assert all(expr.packing is not None for expr in exprs)
-        assert any(expr.packing is False for expr in exprs)
-        # a p-free expression on the q table: the table refuses, once
-        assert PackedPlan.of([TE.word(["e", "K"])], [table]) is None
-        assert table.packing == {frozenset({"e", "K"}): None}
+        exprs = [expr for _, expr in suite_expressions(q_algebra(), 2)]
+        assert evaluate_all(exprs, [table, table]) == [e.evaluate([table, table]) for e in exprs]
+        # the q table's letters hold p: its refusal is kept on it
+        assert table.graded is False
+        assert _IntTable.of(table) is None
+        assert table.graded is False
 
 
 class TestWidth:
@@ -245,42 +233,6 @@ class TestWidth:
         poly = data.draw(st.dictionaries(st.integers(0, 12), coeff, max_size=8))
         poly = {e: c for e, c in poly.items() if c}
         assert unpack(pack(poly, width), width) == poly
-
-    @pytest.mark.parametrize(
-        "parity, entry, coeff, length, top",
-        [
-            # H = 3h on one dimension: 81 h^4 against the bound 81
-            ((0,), H * rational(3), ONE, 4, 81),
-            # H = h on every entry of two dimensions: H^5 = 2^4 h^5 on each
-            # entry, so (3/2) H^5 is 24 h^5 at the scale 2, against the bound
-            # 3 * 2^4
-            ((0, 0), H, rational(3, 2), 5, 48),
-        ],
-    )
-    def test_one_bit_short_of_the_bound_unpacks_wrongly(self, parity, entry, coeff, length, top):
-        # On these tables the bound is tight: one coefficient of the scaled
-        # result reaches it.
-        n = len(parity)
-        cells = {(i, k): entry for i in range(n) for k in range(n)}
-        rep = GeneratorTable("test", None, parity, {"H": GradedMatrix(parity, cells)})
-        expr = TE.word(["H"] * length).scale(coeff)
-        plan = PackedPlan.of([expr], [rep])
-        assert plan.width == top.bit_length() + 1
-        want = expr.evaluate([rep])
-        proven = plan.width
-        assert plan.run() == [want]
-        plan.width = proven + 5
-        assert plan.run() == [want]
-        plan.width = proven - 1
-        short = plan.run()[0]
-        assert short.entries and short.entries != want.entries
-
-    def test_real_tables_need_few_bits(self):
-        for (_, (algebra_of, rep_of)), j in product(JORDANIAN.items(), (HALF, ONEJ)):
-            exprs = [expr for _, expr in suite_expressions(algebra_of(), 3)]
-            rep = rep_of(j)
-            assert PackedPlan.of(exprs, [rep] * 3).width <= 40
-
 
 
 @st.composite
@@ -438,21 +390,21 @@ class TestRefusal:
     def test_p_dependent_table(self):
         reps = [q_rep(HALF), q_rep(ONEJ)]
         exprs = [expr for _, expr in suite_expressions(q_algebra(), 2)]
-        assert PackedPlan.of(exprs, reps) is None
+        assert None in [_IntTable.of(rep) for rep in reps]
         assert evaluate_all(exprs, reps) == [expr.evaluate(reps) for expr in exprs]
 
-    def test_p_dependent_coefficient(self):
+    def test_p_dependent_coefficient(self, monkeypatch):
+        # the expression with p falls back alone; the other stays graded
         rep = r2_generators(HALF)
         exprs = [TE.word(["H", "E"]).scale(P), TE.word(["F"])]
-        assert PackedPlan.of(exprs, [rep]) is None
-        assert evaluate_all(exprs, [rep]) == [expr.evaluate([rep]) for expr in exprs]
+        assert routes(monkeypatch, exprs, [rep]) == ["GeneratorTable", "_IntTable"]
 
     def test_denominator_of_more_than_one_term(self):
         good = r2_generators(HALF)
         bad = perturbed(good, "F", (ONE + H).reciprocal())
         labelled = suite_expressions(r2_algebra(), 1)
         exprs = [expr for _, expr in labelled]
-        assert PackedPlan.of(exprs, [bad]) is None
+        assert _IntTable.of(bad) is None
         got = evaluate_all(exprs, [bad])
         assert got == [expr.evaluate([bad]) for expr in exprs]
         assert any(not m.is_zero for m in got)
@@ -462,17 +414,12 @@ class TestRefusal:
         assert want and relations_residuals(r2_algebra(), bad) == want
 
     def test_p_in_the_scale_alone_refuses(self):
-        # H = h/p scales to the p-free h, but H H is h^2/p^2, not h^2
-        rep = GeneratorTable("test", None, (0,), {"H": GradedMatrix((0,), {(0, 0): H / P})})
+        # H = h/p has p in its denominator alone: H H is h^2/p^2, not h^2
+        zero = HalfInt(0)
+        rep = GeneratorTable("test", zero, (0,), {"H": GradedMatrix((0,), {(0, 0): H / P})})
         exprs = [TE.word(["H", "H"])]
-        assert PackedPlan.of(exprs, [rep]) is None
+        assert _IntTable.of(rep) is None
         assert evaluate_all(exprs, [rep]) == [expr.evaluate([rep]) for expr in exprs]
-
-    def test_unused_p_dependent_letter_does_not_refuse(self):
-        good = r2_generators(HALF)
-        extra = with_matrix(good, "K", GradedMatrix(good.parity, {(0, 0): P}))
-        exprs = [expr for _, expr in r2_algebra().relations]
-        assert PackedPlan.of(exprs, [extra]) is not None
 
 
 class TestScaling:
@@ -823,7 +770,7 @@ class TestSharedMemos:
         table = GeneratorTable(cached.variant, cached.j, cached.parity, cached.matrices)
         reps = [table, table]
         exprs = [expr for _, expr in suite_expressions(q_algebra(), 2)]
-        assert PackedPlan.of(exprs, reps) is None
+        assert _IntTable.of(table) is None
         want = [expr.evaluate([cached, cached]) for expr in exprs]
         calls = [0]
         matmul = GradedMatrix.__matmul__

@@ -420,12 +420,12 @@ def test_oversized_triangularity_refused_before_any_work(monkeypatch):
 
 def test_oversized_cocycle_refused_before_any_work(monkeypatch):
     monkeypatch.setattr(ospq.r1, "r1_generators", forbidden)
-    assert MAX_COCYCLE_SPIN_DIM == 9
-    refuse_oversized((HalfInt(2),), MAX_COCYCLE_SPIN_DIM)  # j = 2 is inside
-    big = HalfInt.from_twice(5)
+    assert MAX_COCYCLE_SPIN_DIM == 11
+    refuse_oversized((HalfInt.from_twice(5),), MAX_COCYCLE_SPIN_DIM)  # j = 5/2 is inside
+    big = HalfInt(3)
     for triple in ((big, HALF, HALF), (HALF, big, HALF), (HALF, HALF, big)):
         for family in FAMILIES:
-            with pytest.raises(ValueError, match="exceeds the cap of 9"):
+            with pytest.raises(ValueError, match="exceeds the cap of 11"):
                 cocycle_check(*triple, family)
 
 
@@ -452,11 +452,11 @@ def test_oversized_disentangle_refused_before_any_table(monkeypatch):
 
 def test_oversized_r1_relations_refused_before_any_table(monkeypatch):
     monkeypatch.setattr(ospq.hopf, "r1_generators", forbidden)
-    assert MAX_R1_RELATIONS_DIM == 65
-    refuse_oversized((HalfInt(16),), MAX_R1_RELATIONS_DIM)  # j = 16 is inside
+    assert MAX_R1_RELATIONS_DIM == 113
+    refuse_oversized((HalfInt(28),), MAX_R1_RELATIONS_DIM)  # j = 28 is inside
     for family in FAMILIES:
-        with pytest.raises(ValueError, match="exceeds the cap of 65"):
-            r1_relations_check(HalfInt.from_twice(33), family)
+        with pytest.raises(ValueError, match="exceeds the cap of 113"):
+            r1_relations_check(HalfInt.from_twice(57), family)
 
 
 class TestAntipodeTransformer:

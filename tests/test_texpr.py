@@ -12,7 +12,7 @@ from ospq.gmatrix import GradedMatrix, graded_kron, kron_into, tensor_parity
 from ospq.halfint import HalfInt
 from ospq.hopf import q_algebra, r1_algebra, r2_algebra
 from ospq.reps import GeneratorTable, q_rep, r1_generators, r2_generators
-from ospq.packed import evaluate_all
+from ospq.graded import evaluate_all
 from ospq.scalar import H, ONE, P, Scalar
 from ospq.texpr import TensorExpression as TE
 from ospq.texpr import tensor_product, word_parity
@@ -113,7 +113,7 @@ class TestEvaluation:
         assert (counit.scale(H) - TE.unit(0)).evaluate([]).entries == {(0, 0): H - ONE}
         assert zero.evaluate([]).dim == 1 and zero.evaluate([]).is_zero
         assert zero.evaluate([]).parity == (0,)
-        # the packed route reads the coefficient back, and refuses p
+        # the graded route lifts the coefficient back, and refuses p
         assert evaluate_all([counit, zero], []) == [one, zero.evaluate([])]
         with_p = TE.unit(0).scale(P)
         assert evaluate_all([with_p], []) == [GradedMatrix((0,), {(0, 0): P})]
